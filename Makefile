@@ -2,7 +2,7 @@
 # build, tests, docs (skipped when odoc is not installed — the build
 # container does not ship it), and the changelog check.
 
-.PHONY: all build test bench bench-snapshot bench-check smoke service-sim obs-parity nemesis nemesis-disk nemesis-bases bases-sim wal-compat doc changelog ci
+.PHONY: all build test bench bench-snapshot bench-check perfbench smoke service-sim obs-parity nemesis nemesis-disk nemesis-bases bases-sim wal-compat doc changelog ci
 
 all: build
 
@@ -34,6 +34,16 @@ bench-check:
 	else \
 		dune exec tools/bench_diff.exe -- $$1 $$2; \
 	fi
+
+# The repository benchmark (perfbench/, declared by BENCHMARK.json):
+# each workload once, untraced, at the declared 30 s run length, the
+# way the regression pipeline runs it. Non-gating and not part of `ci`:
+# the figures depend on the machine. Takes about two minutes; the
+# result JSON is the last line of each run's output.
+perfbench:
+	for w in fleet-local fleet-hot replica-cluster; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
+	done
 
 # End-to-end smoke of the tracing/forensics surface: a traced merge must
 # produce a loadable Chrome trace, and explain must produce valid JSON.

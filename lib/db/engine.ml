@@ -10,10 +10,21 @@ type t = {
   wal : Wal.t;
   mutable next_txid : int;
   mutable committed : int;
+  sessions : (int, int * string) Hashtbl.t;
+      (* session id -> WAL ordinal and note of its first record *)
 }
 
 let create ?device ?format s0 =
-  let t = { state = s0; initial = s0; wal = Wal.create ?format (); next_txid = 1; committed = 0 } in
+  let t =
+    {
+      state = s0;
+      initial = s0;
+      wal = Wal.create ?format ();
+      next_txid = 1;
+      committed = 0;
+      sessions = Hashtbl.create 8;
+    }
+  in
   (match device with Some dev -> Wal.attach t.wal dev | None -> ());
   Wal.append t.wal (Wal.Checkpoint s0);
   Wal.force t.wal;
@@ -116,6 +127,11 @@ let replay_entries ~fallback entries =
         s)
     start after_ckpt
 
+(* Only a session id's first record is indexed: the session protocol
+   journals one record per session, its marker. *)
+let index_session t ~ordinal sid note =
+  if not (Hashtbl.mem t.sessions sid) then Hashtbl.replace t.sessions sid (ordinal, note)
+
 let recover t =
   Obs.Span.with_ ~name:"db.recover" @@ fun () ->
   Obs.Counter.incr obs_recoveries;
@@ -130,9 +146,24 @@ let crash_restart t =
   t.state <- replay_entries ~fallback:t.initial durable;
   t.committed <-
     List.fold_left (fun n e -> match e with Wal.Commit _ -> n + 1 | _ -> n) 0 durable;
+  (* The crash may have dropped indexed records whose ordinals new
+     appends will reuse: rebuild the index from the surfaced log. *)
+  Hashtbl.reset t.sessions;
+  List.iteri
+    (fun ordinal e ->
+      match e with Wal.Session (sid, note) -> index_session t ~ordinal sid note | _ -> ())
+    durable;
   recovery
 
-let journal t ~session note = Wal.append t.wal (Wal.Session (session, note))
+let journal t ~session note =
+  index_session t ~ordinal:(Wal.length t.wal) session note;
+  Wal.append t.wal (Wal.Session (session, note))
+
+let first_session_note t ~session =
+  match Hashtbl.find_opt t.sessions session with
+  | Some (ordinal, note) when ordinal < Wal.durable_count t.wal -> Some note
+  | _ -> None
+
 let force t = Wal.force t.wal
 let begin_group t = Wal.begin_group t.wal
 let end_group t = Wal.end_group t.wal
@@ -176,9 +207,7 @@ let restart ~path =
     t.next_txid <- max_txid + 1;
     (* Preserve the session journal: exactly-once protection for resumable
        merge sessions must survive a full restart from disk. *)
-    List.iter
-      (function Wal.Session (sid, note) -> Wal.append t.wal (Wal.Session (sid, note)) | _ -> ())
-      entries;
+    List.iter (function Wal.Session (sid, note) -> journal t ~session:sid note | _ -> ()) entries;
     Wal.force t.wal;
     Ok (t, verdict)
 

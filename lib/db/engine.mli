@@ -70,7 +70,8 @@ val recover : t -> State.t
     appended commit group — vanishes atomically. The returned
     {!Wal.recovery} tells the caller whether believed-durable data was
     lost ([lost_durable > 0]) — storage the node must no longer trust.
-    Without a device the verdict is trivially [Clean]. *)
+    Without a device the verdict is trivially [Clean]. The session index
+    ({!first_session_note}) is rebuilt from the recovered prefix. *)
 val crash_restart : t -> Wal.recovery
 
 (** {2 Session journal}
@@ -80,12 +81,24 @@ val crash_restart : t -> Wal.recovery
     {e inside} the session's commit group, before the group's single
     force: a crash either loses the marker and every effect (the session
     restarts from scratch) or keeps both (the session is recognized as
-    applied and never re-applied). *)
+    applied and never re-applied).
+
+    The engine indexes, per session id, the WAL position and note of
+    that session's first record, so the marker check is a hash lookup
+    rather than a scan of the log. The index lives in memory only: it
+    is kept by {!journal} and rebuilt from the surfaced log by
+    {!crash_restart} and {!restart}. *)
 
 (** [journal t ~session note] appends a session record. No force — call
     {!force} (or let the surrounding commit group force) to make it
     durable. *)
 val journal : t -> session:int -> string -> unit
+
+(** [first_session_note t ~session] — the note of [session]'s first
+    durable record: the first [(session, note)] pair of
+    {!session_journal}, without scanning the log. [None] until that
+    record is covered by a force. *)
+val first_session_note : t -> session:int -> string option
 
 (** [force t] forces the log ({!Wal.force}). *)
 val force : t -> unit

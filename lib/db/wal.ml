@@ -68,6 +68,7 @@ let durable_entries t =
 
 let force_count t = t.forces
 let length t = t.total
+let durable_count t = t.durable
 let device t = t.device
 
 (* ---------------------------------------------------------------------- *)

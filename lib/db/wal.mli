@@ -110,6 +110,12 @@ val durable_entries : t -> entry list
 
 val force_count : t -> int
 val length : t -> int
+
+(** Number of entries covered by a force — the length of
+    {!durable_entries}, in constant time. Entry [i] (0-based, in append
+    order) is durable iff [i < durable_count t]. *)
+val durable_count : t -> int
+
 val pp_entry : Format.formatter -> entry -> unit
 
 (** Structural equality ([Checkpoint] states compared by

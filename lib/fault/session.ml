@@ -109,10 +109,10 @@ let parse_applied note =
     | _ -> None)
   | _ -> None
 
+(* The protocol journals exactly one record per session, its [applied]
+   marker, so the session's first durable record is the marker. *)
 let find_applied engine ~sid =
-  List.find_map
-    (fun (s, note) -> if s = sid then parse_applied note else None)
-    (Engine.session_journal engine)
+  Option.bind (Engine.first_session_note engine ~session:sid) parse_applied
 
 (* The base's volatile per-session state — lost on a base crash; the
    mobile then receives [Nack] and restarts from [Hello], and only the
@@ -514,6 +514,11 @@ let run_merge ?(sid = 1) ?retry_seed ~net ~session ~config ~params ~base ~base_h
               | Done { sid = s; report } when s = sid -> Some report
               | _ -> None)
           with
+          | Some _ when !storage_failed ->
+            (* The base sent [Done], then lost durable records in a
+               later crash-restart. Under the barrier-coverage rule the
+               newest commit group, this one, went with them. *)
+            Aborted "base storage corruption detected"
           | Some report ->
             (* fire-and-forget: frees the base's volatile state *)
             Net.send net ~now:!now ~dst:Net.Base (Fin { sid });

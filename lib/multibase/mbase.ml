@@ -53,7 +53,6 @@ type t = {
   mutable seq : int;  (* own per-origin sequence counter *)
   mutable stable : (Gtxn.t * bool) list;  (* commit order; true = committed *)
   mutable stable_state : State.t;
-  mutable stable_records : Interp.record list;  (* committed canonical records *)
   mutable tentative : Gtxn.t list;  (* local (merge) order *)
   mutable tentative_records : Interp.record list;  (* aligned with [tentative] *)
   have : int array;  (* per-origin contiguous sequence prefix held *)
@@ -74,7 +73,6 @@ let create ~id ~n ~s0 ~config ~store () =
     seq = 0;
     stable = [];
     stable_state = s0;
-    stable_records = [];
     tentative = [];
     tentative_records = [];
     have = Array.make n 0;
@@ -425,7 +423,7 @@ let maybe_commit (t : t) =
           let r = Interp.run ~fix:g.Gtxn.fix !st g.Gtxn.program in
           let ok = t.config.commit_acceptance ~original:g.Gtxn.origin_record ~replayed:r in
           if ok then st := r.Interp.after;
-          (g, ok, r))
+          (g, ok))
         batch
     in
     let new_stable_state = !st in
@@ -439,16 +437,14 @@ let maybe_commit (t : t) =
         rest
     in
     let new_applied = !st2 in
-    let no_reject = List.for_all (fun (_, ok, _) -> ok) decided in
+    let no_reject = List.for_all snd decided in
     let committed_names =
-      List.fold_left
-        (fun acc (g, _, _) -> Names.Set.add (Gtxn.name g) acc)
-        Names.Set.empty decided
+      List.fold_left (fun acc (g, _) -> Names.Set.add (Gtxn.name g) acc) Names.Set.empty decided
     in
     let predicted =
       no_reject
       && commute_ok t ~local:(List.map fst pairs) ~committed_names
-           ~batch_order:(List.map (fun (g, _, _) -> g) decided)
+           ~batch_order:(List.map fst decided)
     in
     let cur = Engine.state t.engine in
     let items = Item.Set.union (State.items new_applied) (State.items cur) in
@@ -464,24 +460,21 @@ let maybe_commit (t : t) =
     Engine.with_group t.engine (fun () ->
         if not fast then Engine.apply_updates ~durably:false t.engine new_applied changed;
         List.iter
-          (fun ((g : Gtxn.t), ok, _) ->
+          (fun ((g : Gtxn.t), ok) ->
             journal t
               (Printf.sprintf "mb-stable %d %d %d" g.Gtxn.id.Gtxn.origin g.Gtxn.id.Gtxn.seq
                  (if ok then 1 else 0)))
           decided;
         Engine.force t.engine);
-    t.stable <- t.stable @ List.map (fun (g, ok, _) -> (g, ok)) decided;
-    t.stable_records <-
-      t.stable_records @ List.filter_map (fun (_, ok, r) -> if ok then Some r else None) decided;
+    t.stable <- t.stable @ decided;
     t.stable_state <- new_stable_state;
     t.tentative <- List.map fst rest';
     t.tentative_records <- List.map snd rest';
     List.iter
-      (fun (_, ok, _) ->
-        if ok then Obs.Counter.incr obs_committed else Obs.Counter.incr obs_rejected)
+      (fun (_, ok) -> if ok then Obs.Counter.incr obs_committed else Obs.Counter.incr obs_rejected)
       decided;
     Obs.Dist.observe_int obs_batch (List.length decided);
-    List.map (fun ((g : Gtxn.t), ok, _) -> (g.Gtxn.id, ok)) decided
+    List.map (fun ((g : Gtxn.t), ok) -> (g.Gtxn.id, ok)) decided
 
 (* A liveness heartbeat: journal a clock bump so the durable clock — the
    only clock a digest may advertise — advances even on an idle base.
@@ -569,16 +562,9 @@ let restore (t : t) =
   (* Canonical replay of the stable prefix, then the journal-order
      tentative chain. *)
   let st = ref t.s0 in
-  t.stable_records <-
-    List.filter_map
-      (fun ((g : Gtxn.t), ok) ->
-        if ok then begin
-          let r = Interp.run ~fix:g.Gtxn.fix !st g.Gtxn.program in
-          st := r.Interp.after;
-          Some r
-        end
-        else None)
-      t.stable;
+  List.iter
+    (fun ((g : Gtxn.t), ok) -> if ok then st := Interp.apply ~fix:g.Gtxn.fix !st g.Gtxn.program)
+    t.stable;
   t.stable_state <- !st;
   t.tentative_records <-
     List.map

@@ -1011,6 +1011,96 @@ let prop_group_crash_durability_equivalence =
       if crash_inside then State.equal pre_state (Engine.state e) && d = pre_durable
       else State.equal full_state (Engine.state e))
 
+(* ------------------------------------------------------------------ *)
+(* Session index                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The engine's per-session index must answer exactly what a scan of the
+   durable session journal answers: the first note journaled under each
+   session id. *)
+let index_sids = [ 0; 1; 2; 3 ]
+
+let index_matches_scan e =
+  let journal = Engine.session_journal e in
+  List.for_all
+    (fun sid -> Engine.first_session_note e ~session:sid = List.assoc_opt sid journal)
+    index_sids
+
+let test_index_after_ordinal_reuse () =
+  (* an unforced note dies in the crash; the next record takes its WAL
+     position and is forced — the dead note must not resurface *)
+  let e = Engine.create ~device:(Block.create Block.faithful) s0 in
+  Engine.journal e ~session:1 "applied 1 1";
+  checkb "unforced note not visible" true (Engine.first_session_note e ~session:1 = None);
+  ignore (Engine.crash_restart e : Wal.recovery);
+  ignore (Engine.execute e (inc "T1" "a" 1));
+  checkb "dropped note gone after ordinal reuse" true
+    (Engine.first_session_note e ~session:1 = None);
+  Engine.journal e ~session:1 "applied 2 2";
+  Engine.force e;
+  checkb "the surviving note" true (Engine.first_session_note e ~session:1 = Some "applied 2 2")
+
+type index_op = Exec | Note of int * int | Force | Group of index_op list | Crash
+
+let pp_index_op =
+  let rec pp ppf = function
+    | Exec -> Format.pp_print_string ppf "exec"
+    | Note (sid, n) -> Format.fprintf ppf "note %d#%d" sid n
+    | Force -> Format.pp_print_string ppf "force"
+    | Group ops ->
+      Format.fprintf ppf "group[%a]" (Format.pp_print_list ~pp_sep:Format.pp_print_space pp) ops
+    | Crash -> Format.pp_print_string ppf "crash"
+  in
+  pp
+
+let index_op_gen =
+  let open QCheck.Gen in
+  (* crash_restart closes any open group, so crashes stay outside groups *)
+  let in_group =
+    frequency
+      [
+        (3, return Exec);
+        (4, map2 (fun sid n -> Note (sid, n)) (oneofl index_sids) (int_bound 99));
+        (2, return Force);
+      ]
+  in
+  frequency
+    [
+      (8, in_group);
+      (2, map (fun ops -> Group ops) (list_size (int_bound 4) in_group));
+      (2, return Crash);
+    ]
+
+let prop_session_index_equals_scan =
+  QCheck.Test.make ~count:300
+    ~name:"session index = first journal note per sid, across crashes and restart"
+    (QCheck.pair QCheck.small_nat
+       (QCheck.make
+          ~print:(Format.asprintf "%a" (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_index_op))
+          QCheck.Gen.(list_size (int_range 1 30) index_op_gen)))
+    (fun (seed, ops) ->
+      let dev =
+        Block.create ~seed { Block.faithful with Block.fsync_lie_rate = 0.3; torn_write_rate = 0.5 }
+      in
+      let e = Engine.create ~device:dev s0 in
+      let rec apply = function
+        | Exec -> ignore (Engine.execute ~durably:false e (inc "T" "a" 1))
+        | Note (sid, n) -> Engine.journal e ~session:sid (Printf.sprintf "note %d" n)
+        | Force -> Engine.force e
+        | Group ops -> Engine.with_group e (fun () -> List.iter apply ops)
+        | Crash -> ignore (Engine.crash_restart e : Wal.recovery)
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          index_matches_scan e)
+        ops
+      && with_temp_file (fun path ->
+             Engine.persist e ~path;
+             match Engine.restart ~path with
+             | Error _ -> false
+             | Ok (e', _) -> index_matches_scan e'))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1096,6 +1186,9 @@ let () =
           Alcotest.test_case "fsync lie takes the group whole" `Quick test_group_fsync_lie_atomic;
         ]
         @ qsuite [ prop_group_crash_durability_equivalence ] );
+      ( "session index",
+        [ Alcotest.test_case "crash reuses ordinals" `Quick test_index_after_ordinal_reuse ]
+        @ qsuite [ prop_session_index_equals_scan ] );
       ( "scrub/salvage",
         [
           Alcotest.test_case "scrub reports" `Quick test_scrub_reports;

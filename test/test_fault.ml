@@ -325,16 +325,35 @@ let prop_nemesis_exactly_once =
       | Ok _ -> true
       | Error msg -> QCheck.Test.fail_report msg)
 
+(* One combined disk+net case: [a] and [b] pick the fault schedules,
+   [b] also the workload. *)
+let disk_net_case (a, b) =
+  let rng = Rng.create (7 + (131 * a) + b) in
+  let schedule = Nemesis.random_schedule rng in
+  let disk = Nemesis.random_disk_schedule rng in
+  Nemesis.check_case ~disk ~seed:(500 + b) ~schedule ()
+
 let prop_nemesis_disk_corruption_safe =
   QCheck.Test.make ~count:40 ~name:"nemesis: corruption-safe under combined disk+net faults"
     QCheck.(pair small_nat small_nat)
-    (fun (a, b) ->
-      let rng = Rng.create (7 + (131 * a) + b) in
-      let schedule = Nemesis.random_schedule rng in
-      let disk = Nemesis.random_disk_schedule rng in
-      match Nemesis.check_case ~disk ~seed:(500 + b) ~schedule () with
-      | Ok _ -> true
-      | Error msg -> QCheck.Test.fail_report msg)
+    (fun ab ->
+      match disk_net_case ab with Ok _ -> true | Error msg -> QCheck.Test.fail_report msg)
+
+(* Every input in 0..100 x 0..100 on which the property above once
+   failed: the base sent [Done], then a crash-restart found durable
+   records lost, the commit group with them, yet the session reported
+   [Completed]. Each must now abort on the detected storage failure. *)
+let test_nemesis_done_then_storage_loss () =
+  List.iter
+    (fun ((a, b) as ab) ->
+      match disk_net_case ab with
+      | Ok v ->
+        checkb
+          (Printf.sprintf "(%d, %d): aborted on the detected loss" a b)
+          true
+          (v.Nemesis.damaged && not v.Nemesis.completed)
+      | Error msg -> Alcotest.failf "(%d, %d): %s" a b msg)
+    [ (0, 43); (10, 63); (33, 8); (54, 66); (68, 60); (85, 34) ]
 
 let test_nemesis_sweep_clean () =
   let sweep = Nemesis.run_sweep ~seed:2026 ~count:30 () in
@@ -540,6 +559,8 @@ let () =
         [
           Alcotest.test_case "fixed-seed sweep" `Quick test_nemesis_sweep_clean;
           Alcotest.test_case "fixed-seed disk sweep" `Quick test_nemesis_disk_sweep_clean;
+          Alcotest.test_case "storage loss after Done aborts" `Quick
+            test_nemesis_done_then_storage_loss;
         ]
         @ qsuite [ prop_nemesis_exactly_once; prop_nemesis_disk_corruption_safe ] );
     ]
