@@ -92,11 +92,7 @@ let audit_consistency () =
   in
   let s0 = Banking.initial_state bank in
   let result = Session.merge_once ~s0 ~tentative ~base () in
-  let replayed =
-    List.fold_left
-      (fun s (bt : Protocol.base_txn) -> Interp.apply s bt.Protocol.program)
-      s0 result.Session.report.Protocol.new_history
-  in
+  let replayed = Protocol.replay s0 result.Session.report.Protocol.new_history in
   Format.printf "consistent: %b@." (State.equal replayed result.Session.merged_state)
 
 let () =

@@ -12,11 +12,10 @@ type outcome = {
 type mobile = { mutable tentative_rev : Program.t list; mutable engine : Engine.t }
 
 type session = {
-  config : Protocol.merge_config;
   origin : State.t;
-  base : Engine.t;
-  mutable logical : Protocol.base_txn list;
+  window : Window.t;
   mobiles : (string, mobile) Hashtbl.t;
+  mutable names : Names.Set.t;  (* every transaction name used so far *)
   mutable rev_log : string list;
   mutable failed : int;
 }
@@ -65,80 +64,57 @@ let bindings_of words =
       | Ok l, Ok b -> Ok (b :: l))
     (Ok []) words
 
-let run_base session name braced =
+(* Parse a transaction body under a name no earlier command used: a
+   reused name would reach the precedence graph twice. *)
+let new_txn session ~name braced =
   match parse_body ~name braced with
-  | Error msg -> Error msg
+  | Ok _ when Names.Set.mem name session.names ->
+    Error (Printf.sprintf "duplicate transaction name %s" name)
   | Ok p ->
-    if List.exists (fun bt -> bt.Protocol.program.Program.name = name) session.logical then
-      Error (Printf.sprintf "duplicate base transaction name %s" name)
-    else begin
-      let record = Engine.execute session.base p in
-      session.logical <- session.logical @ [ { Protocol.program = p; Protocol.record } ];
-      emit session (Printf.sprintf "base %s committed" name);
-      Ok ()
-    end
+    session.names <- Names.Set.add name session.names;
+    Ok p
+  | Error _ as e -> e
+
+let run_base session name braced =
+  Result.map
+    (fun p ->
+      ignore (Window.base_txn session.window p);
+      emit session (Printf.sprintf "base %s committed" name))
+    (new_txn session ~name braced)
 
 let run_mobile session id name braced =
-  match parse_body ~name braced with
-  | Error msg -> Error msg
-  | Ok p ->
-    let m = mobile_of session id in
-    if List.exists (fun q -> q.Program.name = name) m.tentative_rev then
-      Error (Printf.sprintf "duplicate tentative transaction name %s on mobile %s" name id)
-    else begin
+  Result.map
+    (fun p ->
+      let m = mobile_of session id in
       ignore (Engine.execute m.engine p);
       m.tentative_rev <- p :: m.tentative_rev;
-      emit session (Printf.sprintf "mobile %s ran %s (tentative)" id name);
-      Ok ()
-    end
+      emit session (Printf.sprintf "mobile %s ran %s (tentative)" id name))
+    (new_txn session ~name braced)
 
 let describe_outcome (t : Protocol.txn_report) =
-  Printf.sprintf "%s:%s" t.Protocol.name
-    (match t.Protocol.outcome with
-    | Protocol.Merged -> "merged"
-    | Protocol.Reexecuted -> "reexecuted"
-    | Protocol.Rejected -> "rejected")
+  Printf.sprintf "%s:%s" t.Protocol.name (Protocol.outcome_name t.Protocol.outcome)
 
 let connect session id ~reprocess =
   let m = mobile_of session id in
   let tentative = History.of_programs (List.rev m.tentative_rev) in
-  let result =
-    if History.is_empty tentative then begin
-      emit session (Printf.sprintf "connect %s: nothing to do" id);
-      Ok ()
-    end
-    else if reprocess then begin
-      let report =
-        Protocol.reprocess ~acceptance:session.config.Protocol.acceptance
-          ~params:Cost.default_params ~base:session.base ~origin:session.origin ~tentative
-      in
-      session.logical <- session.logical @ report.Protocol.appended;
-      emit session
-        (Printf.sprintf "connect %s (reprocess): %s" id
-           (String.concat ", " (List.map describe_outcome report.Protocol.txns)));
-      Ok ()
-    end
-    else begin
-      let report =
-        Protocol.merge ~config:session.config ~params:Cost.default_params ~base:session.base
-          ~base_history:session.logical ~origin:session.origin ~tentative ()
-      in
-      session.logical <- report.Protocol.new_history;
-      emit session
-        (Printf.sprintf "connect %s (merge): %s" id
-           (String.concat ", " (List.map describe_outcome report.Protocol.txns)));
-      Ok ()
-    end
-  in
+  (if History.is_empty tentative then emit session (Printf.sprintf "connect %s: nothing to do" id)
+   else
+     let w = session.window and origin = session.origin in
+     let mode, txns =
+       if reprocess then ("reprocess", (Window.reprocess w ~origin tentative).Protocol.txns)
+       else ("merge", Window.reconnect w ~late:false ~origin tentative)
+     in
+     emit session
+       (Printf.sprintf "connect %s (%s): %s" id mode
+          (String.concat ", " (List.map describe_outcome txns))));
   m.tentative_rev <- [];
-  m.engine <- Engine.create session.origin;
-  result
+  m.engine <- Engine.create session.origin
 
 let expect session word =
   match parse_binding word with
   | Error msg -> Error msg
   | Ok (x, v) ->
-    let actual = State.get (Engine.state session.base) x in
+    let actual = State.get (Engine.state (Window.engine session.window)) x in
     if actual = v then begin
       emit session (Printf.sprintf "expect %s=%d: ok" x v);
       Ok ()
@@ -179,15 +155,13 @@ let run_line session lineno line =
     | None -> (
       match split_words line with
       | "init" :: _ -> fail "init must be the first command"
-      | [ "connect"; id ] -> (
-        match connect session id ~reprocess:false with Ok () -> Ok () | Error m -> fail m)
-      | [ "connect"; id; "reprocess" ] -> (
-        match connect session id ~reprocess:true with Ok () -> Ok () | Error m -> fail m)
+      | [ "connect"; id ] -> Ok (connect session id ~reprocess:false)
+      | [ "connect"; id; "reprocess" ] -> Ok (connect session id ~reprocess:true)
       | [ "expect"; binding ] -> (
         match expect session binding with Ok () -> Ok () | Error m -> fail m)
       | [ "state" ] ->
         emit session
-          (Format.asprintf "state: %a" State.pp (Engine.state session.base));
+          (Format.asprintf "state: %a" State.pp (Engine.state (Window.engine session.window)));
         Ok ()
       | _ -> fail (Printf.sprintf "unknown command %S" line))
 
@@ -212,11 +186,12 @@ let run ?(config = Protocol.default_merge_config) source =
   | Ok (origin, next_lineno, rest) ->
     let session =
       {
-        config;
         origin;
-        base = Engine.create origin;
-        logical = [];
+        window =
+          Window.create ~protocol:(Window.Merging config) ~params:Cost.default_params
+            (Engine.create origin);
         mobiles = Hashtbl.create 4;
+        names = Names.Set.empty;
         rev_log = [];
         failed = 0;
       }
@@ -227,7 +202,7 @@ let run ?(config = Protocol.default_merge_config) source =
         Ok
           {
             log = List.rev session.rev_log;
-            final_base = Engine.state session.base;
+            final_base = Engine.state (Window.engine session.window);
             failed_expectations = session.failed;
           }
       | line :: rest -> (

@@ -31,45 +31,34 @@ let transfer rng ~name =
 let one_fleet ~seed ~per_mobile ~base_len mobiles =
   let rng = Rng.create (seed + mobiles) in
   let origin = Banking.initial_state bank in
-  let base = Engine.create origin in
-  let logical =
-    ref
-      (List.init base_len (fun i ->
-           let p = transfer rng ~name:(Printf.sprintf "B%d" (i + 1)) in
-           { Protocol.program = p; Protocol.record = Engine.execute base p }))
+  let window =
+    Window.create ~protocol:(Window.Merging Protocol.default_merge_config)
+      ~params:Cost.default_params (Engine.create origin)
   in
-  let merged = ref 0 and reconciled = ref 0 and merges = ref 0 in
+  for i = 1 to base_len do
+    ignore (Window.base_txn window (transfer rng ~name:(Printf.sprintf "B%d" i)))
+  done;
   for m = 1 to mobiles do
     let tentative =
       History.of_programs
         (List.init per_mobile (fun i ->
              transfer rng ~name:(Printf.sprintf "M%dT%d" m (i + 1))))
     in
-    let report =
-      Protocol.merge ~config:Protocol.default_merge_config ~params:Cost.default_params
-        ~base ~base_history:!logical ~origin ~tentative ()
-    in
-    logical := report.Protocol.new_history;
-    incr merges;
-    List.iter
-      (fun (t : Protocol.txn_report) ->
-        match t.Protocol.outcome with
-        | Protocol.Merged -> incr merged
-        | Protocol.Reexecuted | Protocol.Rejected -> incr reconciled)
-      report.Protocol.txns
+    ignore (Window.merge window ~origin tentative)
   done;
+  let c = Window.counts window in
+  let reconciled = c.Window.reexecuted + c.Window.rejected in
   let tentative = mobiles * per_mobile in
   {
     mobiles;
     tentative;
-    merged_fraction = float_of_int !merged /. float_of_int (max 1 tentative);
-    reconciliations = !reconciled;
-    reconciliation_fraction = float_of_int !reconciled /. float_of_int (max 1 tentative);
-    backout_per_merge = float_of_int !reconciled /. float_of_int (max 1 !merges);
+    merged_fraction = float_of_int c.Window.saved /. float_of_int (max 1 tentative);
+    reconciliations = reconciled;
+    reconciliation_fraction = float_of_int reconciled /. float_of_int (max 1 tentative);
+    backout_per_merge = float_of_int reconciled /. float_of_int (max 1 c.Window.merges);
   }
 
-let run ?(seed = 31) ?(duration = 150.0) ~fleets () =
-  ignore duration;
+let run ?(seed = 31) ~fleets () =
   List.map (one_fleet ~seed ~per_mobile:12 ~base_len:10) fleets
 
 let table rows =

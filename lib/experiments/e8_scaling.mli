@@ -23,5 +23,5 @@ type row = {
   backout_per_merge : float;
 }
 
-val run : ?seed:int -> ?duration:float -> fleets:int list -> unit -> row list
+val run : ?seed:int -> fleets:int list -> unit -> row list
 val table : row list -> Table.t

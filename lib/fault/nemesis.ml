@@ -62,9 +62,6 @@ type verdict = {
   damaged : bool;
 }
 
-let replay_programs s0 (txns : P.base_txn list) =
-  List.fold_left (fun s (bt : P.base_txn) -> Interp.apply s bt.P.program) s0 txns
-
 (* Independent replay oracle: last checkpoint (reset on the fly), then
    after-images of committed transactions. Deliberately re-stated here
    rather than calling the engine's own replay, so a recovery bug cannot
@@ -87,12 +84,6 @@ let rec entries_prefix xs ys =
   | [], _ -> true
   | _ :: _, [] -> false
   | x :: xs', y :: ys' -> Wal.entry_equal x y && entries_prefix xs' ys'
-
-let applied_markers engine ~sid =
-  List.length
-    (List.filter
-       (fun (s, note) -> s = sid && Session.parse_applied note <> None)
-       (Engine.session_journal engine))
 
 let check_case ?disk ~seed ~schedule () =
   let rng = Rng.create seed in
@@ -134,7 +125,7 @@ let check_case ?disk ~seed ~schedule () =
   with
   | exception e -> Error (Printf.sprintf "exception: %s" (Printexc.to_string e))
   | res -> (
-    let markers = applied_markers engine ~sid:1 in
+    let markers = Session.applied_markers engine ~sid:1 in
     let verdict completed =
       {
         completed;
@@ -206,7 +197,7 @@ let check_case ?disk ~seed ~schedule () =
         (Printf.sprintf "completed session: %d applied markers (want exactly 1)" markers)
       @@ fun () ->
       check
-        (State.equal (replay_programs s0 report.P.new_history) (Engine.state engine))
+        (State.equal (P.replay s0 report.P.new_history) (Engine.state engine))
         "completed session: logical history does not replay to the base state"
       @@ fun () ->
       check
@@ -251,9 +242,7 @@ let check_case ?disk ~seed ~schedule () =
           ~origin:s0 ~tentative
       in
       check
-        (State.equal
-           (replay_programs s0 (base_history @ rr.P.appended))
-           (Engine.state engine))
+        (State.equal (P.replay s0 (base_history @ rr.P.appended)) (Engine.state engine))
         "aborted session: reprocessing fallback not serializable"
       @@ fun () -> ( match disk_checks () with Ok () -> Ok (verdict false) | Error e -> Error e))
 

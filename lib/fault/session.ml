@@ -109,6 +109,10 @@ let parse_applied note =
     | _ -> None)
   | _ -> None
 
+let applied_markers engine ~sid =
+  let applied (s, note) = s = sid && parse_applied note <> None in
+  List.length (List.filter applied (Engine.session_journal engine))
+
 (* The protocol journals exactly one record per session, its [applied]
    marker, so the session's first durable record is the marker. *)
 let find_applied engine ~sid =

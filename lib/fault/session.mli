@@ -118,9 +118,10 @@ val run_merge :
   unit ->
   result
 
-(** Parse an ["applied <first_txid> <last_txid>"] journal note (the
-    commit marker format — see docs/FAULTS.md). *)
-val parse_applied : string -> (int * int) option
+(** Commit markers (["applied <first_txid> <last_txid>"] journal notes,
+    see docs/FAULTS.md) journaled under session [sid]: exactly one after
+    a completed session, none after an aborted one. *)
+val applied_markers : Repro_db.Engine.t -> sid:int -> int
 
 (** Aggregate counters across the sessions a {!sync_runner} ran. *)
 type totals = {

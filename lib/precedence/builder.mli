@@ -22,8 +22,8 @@
     arrival orders. Each {!add} ticks the
     [precedence.incremental_updates] counter.
 
-    Typical use — [Sync] under Strategy 2 keeps one builder per
-    commit window:
+    Typical use — a Strategy 2 replication window keeps one builder
+    mirroring its base history:
 
     {[
       let b = Builder.create () in

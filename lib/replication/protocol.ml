@@ -36,6 +36,8 @@ type base_txn = { program : Program.t; record : Interp.record }
 type outcome = Merged | Reexecuted | Rejected
 type txn_report = { name : Names.t; outcome : outcome }
 
+let replay s0 history = List.fold_left (fun s bt -> Interp.apply s bt.program) s0 history
+
 type merge_config = {
   theory : Semantics.theory;
   algorithm : Rewrite.algorithm;

@@ -13,9 +13,8 @@
     transactions.
 
     Both return the new {e logical} base history — the serial order the
-    merged transactions are equivalent to — which the multi-node
-    simulator maintains across successive mergers (Section 2.2,
-    Strategy 2). *)
+    merged transactions are equivalent to — which a {!Window} maintains
+    across successive mergers (Section 2.2, Strategy 2). *)
 
 open Repro_txn
 open Repro_history
@@ -41,10 +40,17 @@ val accept_within : tolerance:int -> acceptance
     execution record that stands for it (dynamic read/write sets). *)
 type base_txn = { program : Program.t; record : Interp.record }
 
+(** [replay s0 history] — the ground-truth oracle: a fold of
+    {!Interp.apply} over the programs from [s0], never touching an engine. *)
+val replay : State.t -> base_txn list -> State.t
+
 type outcome =
   | Merged  (** saved by the rewrite; updates forwarded *)
   | Reexecuted  (** backed out, then re-executed successfully at the base *)
   | Rejected  (** backed out and re-execution failed acceptance *)
+
+(** ["merged"], ["reexecuted"] or ["rejected"]. *)
+val outcome_name : outcome -> string
 
 type txn_report = { name : Names.t; outcome : outcome }
 

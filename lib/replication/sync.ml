@@ -2,9 +2,6 @@ open Repro_txn
 open Repro_history
 module Engine = Repro_db.Engine
 module Rng = Repro_workload.Rng
-module Builder = Repro_precedence.Builder
-module Summary = Repro_precedence.Summary
-
 module Obs = Repro_obs.Obs
 
 let obs_events = Obs.Counter.make "sync.events"
@@ -15,20 +12,13 @@ let obs_aborted = Obs.Counter.make "sync.aborted_merges"
 let obs_session_len = Obs.Dist.make "sync.session_len"
 
 type isolation = Strategy1 | Strategy2
-type protocol = Merging of Protocol.merge_config | Reprocessing
+type protocol = Window.protocol = Merging of Protocol.merge_config | Reprocessing
 
-type merge_attempt =
+type merge_attempt = Window.merge_attempt =
   | Merge_completed of Protocol.merge_report
   | Merge_aborted of string
 
-type merge_runner =
-  config:Protocol.merge_config ->
-  params:Cost.params ->
-  base:Engine.t ->
-  base_history:Protocol.base_txn list ->
-  origin:State.t ->
-  tentative:History.t ->
-  merge_attempt
+type merge_runner = Window.merge_runner
 
 type workload = Trace.workload = {
   initial : State.t;
@@ -99,7 +89,6 @@ type stats = {
 }
 
 type mobile = {
-  id : int;
   mutable engine : Engine.t;
   mutable tentative_rev : Program.t list;
   mutable origin : State.t;
@@ -107,108 +96,29 @@ type mobile = {
   mutable window_started : int;  (* Strategy 2: window of the history's origin *)
 }
 
-let replay_programs s0 (txns : Protocol.base_txn list) =
-  List.fold_left (fun s (bt : Protocol.base_txn) -> Interp.apply s bt.Protocol.program) s0 txns
-
 let run_trace config workload trace =
   let base = Engine.create workload.initial in
-  let logical : Protocol.base_txn list ref = ref [] in
-  (* Strategy 2 only: an incremental precedence builder mirroring
-     [logical], so a reconnect's graph costs the session delta instead of
-     a from-scratch pairwise scan of the whole window. Base commits and
-     reprocessed appends extend it in place; a successful merge reorders
-     the history, so it is rebuilt from the new one; the window boundary
-     resets it along with [logical]. Strategy 1 origins are per-mobile
-     suffixes that share no common graph, so it keeps the direct path. *)
-  let base_builder = ref (Builder.create ()) in
-  let summary_of_base (bt : Protocol.base_txn) =
-    Summary.of_record ~kind:Summary.Base bt.Protocol.record
-  in
-  let builder_append txns =
-    if config.isolation = Strategy2 then
-      List.iter (fun bt -> Builder.add !base_builder (summary_of_base bt)) txns
-  in
-  let builder_rebuild () =
-    if config.isolation = Strategy2 then begin
-      let b = Builder.create () in
-      List.iter (fun bt -> Builder.add b (summary_of_base bt)) !logical;
-      base_builder := b
-    end
+  (* Strategy 1 snapshots share no common graph to mirror. *)
+  let window =
+    Window.create ~builder:(config.isolation = Strategy2) ?runner:config.merge_runner
+      ~protocol:config.protocol ~params:config.params base
   in
   let window_origin = ref workload.initial in
   let window_index = ref 0 in
-  let cost = Cost.zero () in
   let base_txns = ref 0
   and tentative_txns = ref 0
-  and merges = ref 0
-  and saved = ref 0
-  and reexecuted = ref 0
-  and rejected = ref 0
-  and late_sessions = ref 0
-  and late_txns = ref 0
   and anomalies = ref 0
-  and aborted_merges = ref 0
   and windows_checked = ref 0
   and violations = ref 0 in
   let mobiles =
-    Array.init config.n_mobiles (fun id ->
+    Array.init config.n_mobiles (fun _ ->
         {
-          id;
           engine = Engine.create workload.initial;
           tentative_rev = [];
           origin = workload.initial;
           origin_pos = 0;
           window_started = 0;
         })
-  in
-  let count_txn_reports txns =
-    List.iter
-      (fun (r : Protocol.txn_report) ->
-        match r.Protocol.outcome with
-        | Protocol.Merged -> incr saved
-        | Protocol.Reexecuted -> incr reexecuted
-        | Protocol.Rejected -> incr rejected)
-      txns
-  in
-
-  let acceptance_of = function
-    | Merging mc -> mc.Protocol.acceptance
-    | Reprocessing -> Protocol.accept_always
-  in
-
-  let reprocess_session m history =
-    let report =
-      Protocol.reprocess
-        ~acceptance:(acceptance_of config.protocol)
-        ~params:config.params ~base ~origin:m.origin ~tentative:history
-    in
-    logical := !logical @ report.Protocol.appended;
-    builder_append report.Protocol.appended;
-    count_txn_reports report.Protocol.txns;
-    Cost.add cost report.Protocol.cost
-  in
-
-  (* Run one merge attempt, through the configured runner (e.g. the
-     fault-injection session layer) when present. A session abandoned
-     mid-merge is a distinct failure mode from the Strategy-1 snapshot
-     anomaly: it is counted in [aborted_merges], never in [anomalies], so
-     E2's headline number stays comparable whether or not faults are on. *)
-  let attempt_merge mc ~base_history ~origin ~tentative =
-    match config.merge_runner with
-    | None ->
-      let base_builder =
-        match config.isolation with Strategy2 -> Some !base_builder | Strategy1 -> None
-      in
-      Some
-        (Protocol.merge ?base_builder ~config:mc ~params:config.params ~base ~base_history
-           ~origin ~tentative ())
-    | Some runner -> (
-      match runner ~config:mc ~params:config.params ~base ~base_history ~origin ~tentative with
-      | Merge_completed report -> Some report
-      | Merge_aborted _reason ->
-        incr aborted_merges;
-        Obs.Counter.incr obs_aborted;
-        None)
   in
 
   let reset_mobile m =
@@ -219,74 +129,46 @@ let run_trace config workload trace =
       m.window_started <- !window_index
     | Strategy1 ->
       m.origin <- Engine.state base;
-      m.origin_pos <- List.length !logical);
+      m.origin_pos <- Window.length window);
     m.engine <- Engine.create m.origin
+  in
+
+  (* Does the history still begin at a Strategy-1 mobile's snapshot? An
+     earlier merge serialized before it breaks this: the paper's anomaly,
+     counted apart from aborted merges so that E2's headline number is
+     the same with faults on or off. *)
+  let snapshot_valid m =
+    let prefix = Window.history ~upto:m.origin_pos window in
+    State.equal (Protocol.replay workload.initial prefix) m.origin
   in
 
   let handle_connect m =
     Obs.Dist.observe_int obs_session_len (List.length m.tentative_rev);
-    (match (m.tentative_rev, config.protocol) with
-    | [], _ -> ()
-    | _, Reprocessing ->
-      let history = History.of_programs (List.rev m.tentative_rev) in
-      reprocess_session m history
-    | _, Merging mc -> (
-      let history = History.of_programs (List.rev m.tentative_rev) in
-      match config.isolation with
-      | Strategy2 ->
-        if m.window_started < !window_index then begin
-          (* Connected too late: the next window is already open. *)
-          incr late_sessions;
-          Obs.Counter.incr obs_late;
-          late_txns := !late_txns + History.length history;
-          reprocess_session m history
-        end
-        else begin
-          match attempt_merge mc ~base_history:!logical ~origin:!window_origin ~tentative:history with
-          | Some report ->
-            logical := report.Protocol.new_history;
-            builder_rebuild ();
-            incr merges;
-            count_txn_reports report.Protocol.txns;
-            Cost.add cost report.Protocol.cost
-          | None -> reprocess_session m history
-        end
-      | Strategy1 ->
-        (* Does the recorded base sub-history still begin at this mobile's
-           snapshot? An earlier merge serialized before the snapshot breaks
-           this — the paper's Strategy 1 anomaly. *)
-        let rec split_at n l =
-          if n = 0 then ([], l)
-          else match l with [] -> ([], []) | x :: tl -> let a, b = split_at (n - 1) tl in (x :: a, b)
-        in
-        let prefix, suffix = split_at m.origin_pos !logical in
-        if not (State.equal (replay_programs workload.initial prefix) m.origin) then begin
-          incr anomalies;
-          Obs.Counter.incr obs_anomalies;
-          reprocess_session m history
-        end
-        else begin
-          match attempt_merge mc ~base_history:suffix ~origin:m.origin ~tentative:history with
-          | Some report ->
-            logical := prefix @ report.Protocol.new_history;
-            incr merges;
-            count_txn_reports report.Protocol.txns;
-            Cost.add cost report.Protocol.cost
-          | None -> reprocess_session m history
-        end));
+    (if m.tentative_rev <> [] then
+       let history = History.of_programs (List.rev m.tentative_rev) in
+       match (config.isolation, config.protocol) with
+       | Strategy1, Merging _ when not (snapshot_valid m) ->
+         incr anomalies;
+         Obs.Counter.incr obs_anomalies;
+         ignore (Window.reprocess window ~origin:m.origin history)
+       | _ ->
+         (* Strategy 1 merges against its snapshot's suffix. *)
+         ignore
+           (Window.reconnect ~from:m.origin_pos window
+              ~late:(m.window_started < !window_index)
+              ~origin:m.origin history));
     reset_mobile m
   in
 
   let check_window () =
     incr windows_checked;
     Obs.Counter.incr obs_windows;
-    let origin = match config.isolation with Strategy2 -> !window_origin | Strategy1 -> workload.initial in
-    if not (State.equal (replay_programs origin !logical) (Engine.state base)) then incr violations;
+    let replayed = Protocol.replay !window_origin (Window.history window) in
+    if not (State.equal replayed (Engine.state base)) then incr violations;
     match config.isolation with
     | Strategy2 ->
       window_origin := Engine.state base;
-      logical := [];
-      base_builder := Builder.create ();
+      Window.reset window;
       incr window_index
     | Strategy1 -> ()
   in
@@ -301,29 +183,29 @@ let run_trace config workload trace =
       incr tentative_txns
     | Trace.Base_txn { program = p } ->
       incr base_txns;
-      let record = Engine.execute base p in
-      let bt = { Protocol.program = p; Protocol.record = record } in
-      logical := !logical @ [ bt ];
-      builder_append [ bt ]
+      ignore (Window.base_txn window p)
     | Trace.Connect { mobile = i } -> handle_connect mobiles.(i)
     | Trace.Window_boundary -> check_window ()
   in
   Obs.Span.with_ ~name:"sync.run" (fun () -> List.iter handle_event (Trace.events trace));
   check_window ();
+  let c = Window.counts window in
+  Obs.Counter.incr ~by:c.Window.late_sessions obs_late;
+  Obs.Counter.incr ~by:c.Window.aborted_merges obs_aborted;
   {
     base_txns = !base_txns;
     tentative_txns = !tentative_txns;
-    merges = !merges;
-    saved = !saved;
-    reexecuted = !reexecuted;
-    rejected = !rejected;
-    late_sessions = !late_sessions;
-    late_txns = !late_txns;
+    merges = c.Window.merges;
+    saved = c.Window.saved;
+    reexecuted = c.Window.reexecuted;
+    rejected = c.Window.rejected;
+    late_sessions = c.Window.late_sessions;
+    late_txns = c.Window.late_txns;
     anomalies = !anomalies;
-    aborted_merges = !aborted_merges;
+    aborted_merges = c.Window.aborted_merges;
     windows_checked = !windows_checked;
     serializability_violations = !violations;
-    cost;
+    cost = Window.cost window;
     final_base = Engine.state base;
   }
 

@@ -3,7 +3,8 @@
     One always-connected base node runs base transactions; [n_mobiles]
     mobile nodes run tentative transactions while disconnected and
     reconnect at random times. Reconnection runs either the paper's
-    merging protocol or two-tier reprocessing.
+    merging protocol or two-tier reprocessing, through the {!Window}
+    handlers the merge service shares.
 
     Isolation of tentative histories follows the paper's two strategies:
 
@@ -22,36 +23,20 @@
       construction.
 
     At every window boundary the simulator replays the window's logical
-    history from the window origin and compares with the base engine's
-    state — the ground-truth serializability check. *)
+    history from the window origin ({!Protocol.replay}) and compares with
+    the base engine's state — the ground-truth serializability check. *)
 
 open Repro_txn
 
 type isolation = Strategy1 | Strategy2
-type protocol = Merging of Protocol.merge_config | Reprocessing
 
-(** Outcome of one merge attempt under a pluggable runner: completed (the
-    report), or abandoned mid-session — a failure mode distinct from the
-    Strategy-1 snapshot anomaly. An aborted attempt leaves the base state
-    untouched; the simulator falls back to reprocessing and counts it in
-    {!stats.aborted_merges}. *)
-type merge_attempt =
+type protocol = Window.protocol = Merging of Protocol.merge_config | Reprocessing
+
+type merge_attempt = Window.merge_attempt =
   | Merge_completed of Protocol.merge_report
   | Merge_aborted of string  (** abort reason *)
 
-(** How a reconnection's merge is actually carried out. [None] in
-    {!config.merge_runner} calls {!Protocol.merge} directly (a perfect
-    atomic exchange); the fault-injection layer
-    ({!Repro_fault.Session.sync_runner}) substitutes a resumable
-    message-level session over an unreliable transport. *)
-type merge_runner =
-  config:Protocol.merge_config ->
-  params:Cost.params ->
-  base:Repro_db.Engine.t ->
-  base_history:Protocol.base_txn list ->
-  origin:Repro_txn.State.t ->
-  tentative:Repro_history.History.t ->
-  merge_attempt
+type merge_runner = Window.merge_runner
 
 type workload = Trace.workload = {
   initial : State.t;
@@ -96,8 +81,7 @@ type stats = {
   late_txns : int;  (** tentative transactions in those late sessions *)
   anomalies : int;  (** Strategy 1: snapshot invalidated by an earlier merge *)
   aborted_merges : int;
-      (** merge sessions abandoned mid-exchange (fault-injection runner);
-          each fell back to reprocessing with the base state unchanged *)
+      (** merges the runner abandoned, base unchanged; each reprocessed *)
   windows_checked : int;
   serializability_violations : int;
       (** windows whose logical history does not replay to the base state *)

@@ -1,0 +1,154 @@
+open Repro_txn
+open Repro_history
+module Engine = Repro_db.Engine
+module Builder = Repro_precedence.Builder
+module Summary = Repro_precedence.Summary
+
+type protocol = Merging of Protocol.merge_config | Reprocessing
+
+type merge_attempt =
+  | Merge_completed of Protocol.merge_report
+  | Merge_aborted of string
+
+type merge_runner =
+  config:Protocol.merge_config ->
+  params:Cost.params ->
+  base:Engine.t ->
+  base_history:Protocol.base_txn list ->
+  origin:State.t ->
+  tentative:History.t ->
+  merge_attempt
+
+type counts = {
+  merges : int;
+  saved : int;
+  reexecuted : int;
+  rejected : int;
+  late_sessions : int;
+  late_txns : int;
+  aborted_merges : int;
+}
+
+type t = {
+  engine : Engine.t;
+  protocol : protocol;
+  params : Cost.params;
+  runner : merge_runner option;
+  mutable rev_history : Protocol.base_txn list;  (* newest first *)
+  mutable builder : Builder.t option;  (* the history's mirror, when kept *)
+  cost : Cost.tally;
+  mutable counts : counts;
+}
+
+let add_summaries b txns =
+  List.iter
+    (fun (bt : Protocol.base_txn) ->
+      Builder.add b (Summary.of_record ~kind:Summary.Base bt.Protocol.record))
+    txns
+
+let mirror txns =
+  let b = Builder.create () in
+  add_summaries b txns;
+  b
+
+let create ?(builder = false) ?runner ~protocol ~params engine =
+  let counts =
+    { merges = 0; saved = 0; reexecuted = 0; rejected = 0; late_sessions = 0; late_txns = 0;
+      aborted_merges = 0 }
+  in
+  let builder = if builder then Some (mirror []) else None in
+  { engine; protocol; params; runner; rev_history = []; builder; cost = Cost.zero (); counts }
+
+let engine w = w.engine
+let length w = List.length w.rev_history
+let cost w = w.cost
+let counts w = w.counts
+
+(* The newest [k] transactions, oldest first, and the rest, newest first. *)
+let split_newest k rev =
+  let rec go k acc = function
+    | x :: tl when k > 0 -> go (k - 1) (x :: acc) tl
+    | rest -> (acc, rest)
+  in
+  go k [] rev
+
+let history ?upto w =
+  match upto with
+  | None -> List.rev w.rev_history
+  | Some n -> List.rev (snd (split_newest (length w - n) w.rev_history))
+
+let append w txns =
+  w.rev_history <- List.rev_append txns w.rev_history;
+  Option.iter (fun b -> add_summaries b txns) w.builder
+
+let count_txns w txns =
+  w.counts <-
+    List.fold_left
+      (fun c (r : Protocol.txn_report) ->
+        match r.Protocol.outcome with
+        | Protocol.Merged -> { c with saved = c.saved + 1 }
+        | Protocol.Reexecuted -> { c with reexecuted = c.reexecuted + 1 }
+        | Protocol.Rejected -> { c with rejected = c.rejected + 1 })
+      w.counts txns
+
+let base_txn w program =
+  let record = Engine.execute w.engine program in
+  append w [ { Protocol.program; record } ];
+  record
+
+let reprocess w ~origin tentative =
+  let acceptance =
+    match w.protocol with
+    | Merging mc -> mc.Protocol.acceptance
+    | Reprocessing -> Protocol.accept_always
+  in
+  let report = Protocol.reprocess ~acceptance ~params:w.params ~base:w.engine ~origin ~tentative in
+  append w report.Protocol.appended;
+  count_txns w report.Protocol.txns;
+  Cost.add w.cost report.Protocol.cost;
+  report
+
+let merge ?(from = 0) w ~origin tentative =
+  let config =
+    match w.protocol with
+    | Merging mc -> mc
+    | Reprocessing -> invalid_arg "Window.merge: a reprocessing window does not merge"
+  in
+  let base_history, older = split_newest (length w - from) w.rev_history in
+  let attempt =
+    match w.runner with
+    | None ->
+      Merge_completed
+        (Protocol.merge ?base_builder:w.builder ~config ~params:w.params ~base:w.engine
+           ~base_history ~origin ~tentative ())
+    | Some run -> run ~config ~params:w.params ~base:w.engine ~base_history ~origin ~tentative
+  in
+  match attempt with
+  | Merge_aborted _ ->
+    w.counts <- { w.counts with aborted_merges = w.counts.aborted_merges + 1 };
+    None
+  | Merge_completed report ->
+    w.rev_history <- List.rev_append report.Protocol.new_history older;
+    Option.iter (fun _ -> w.builder <- Some (mirror report.Protocol.new_history)) w.builder;
+    w.counts <- { w.counts with merges = w.counts.merges + 1 };
+    count_txns w report.Protocol.txns;
+    Cost.add w.cost report.Protocol.cost;
+    Some report
+
+let reconnect ?from w ~late ~origin tentative =
+  let reprocess () = (reprocess w ~origin tentative).Protocol.txns in
+  match w.protocol with
+  | Reprocessing -> reprocess ()
+  | Merging _ when late ->
+    let c = w.counts in
+    let late_txns = c.late_txns + History.length tentative in
+    w.counts <- { c with late_sessions = c.late_sessions + 1; late_txns };
+    reprocess ()
+  | Merging _ -> (
+    match merge ?from w ~origin tentative with
+    | Some report -> report.Protocol.txns
+    | None -> reprocess ())
+
+let reset w =
+  w.rev_history <- [];
+  Option.iter (fun _ -> w.builder <- Some (mirror [])) w.builder

@@ -1,0 +1,88 @@
+(** The base side of a resynchronization window (Section 2.2): the one set
+    of reconnect handlers that {!Sync}, the merge service, scripted
+    scenarios and experiment E8 all run. A window owns a base engine, the
+    {e logical} history committed at it since it opened, and its handlers'
+    costs and verdict counts; {!Protocol.replay} of {!history} from the
+    window's origin is the ground truth for the engine's state. Under
+    Strategy 2 it can keep a {!Repro_precedence.Builder} mirror of the
+    history, so a merge's graph costs the session delta; merges reorder
+    the history, so the mirror is rebuilt after each. *)
+
+open Repro_txn
+open Repro_history
+
+type protocol = Merging of Protocol.merge_config | Reprocessing
+
+(** A merge attempt under a runner: completed, or abandoned mid-session
+    with the base untouched (not a Strategy-1 snapshot anomaly). *)
+type merge_attempt =
+  | Merge_completed of Protocol.merge_report
+  | Merge_aborted of string  (** abort reason *)
+
+(** How a merge is carried out: without one, {!merge} calls
+    {!Protocol.merge} (a perfect atomic exchange); {!Repro_fault.Session.sync_runner}
+    runs a resumable session over an unreliable transport. *)
+type merge_runner =
+  config:Protocol.merge_config ->
+  params:Cost.params ->
+  base:Repro_db.Engine.t ->
+  base_history:Protocol.base_txn list ->
+  origin:State.t ->
+  tentative:History.t ->
+  merge_attempt
+
+type t
+
+(** [create ?builder ?runner ~protocol ~params engine] opens a window at
+    [engine]'s state. [~builder:true] keeps the mirror; every merge must
+    then be against the whole history. *)
+val create :
+  ?builder:bool ->
+  ?runner:merge_runner ->
+  protocol:protocol ->
+  params:Cost.params ->
+  Repro_db.Engine.t ->
+  t
+
+val engine : t -> Repro_db.Engine.t
+val length : t -> int
+
+(** The logical history, oldest first; [~upto:n]: its first [n]. *)
+val history : ?upto:int -> t -> Protocol.base_txn list
+
+val cost : t -> Cost.tally
+
+type counts = {
+  merges : int;  (** reconnections handled by merging *)
+  saved : int;  (** tentative transactions saved by merging *)
+  reexecuted : int;  (** tentative transactions re-executed at the base *)
+  rejected : int;  (** re-executions failing acceptance *)
+  late_sessions : int;  (** histories begun in an earlier window *)
+  late_txns : int;  (** tentative transactions in those sessions *)
+  aborted_merges : int;  (** merges the runner abandoned *)
+}
+
+val counts : t -> counts
+
+(** Execute a base transaction and append it. *)
+val base_txn : t -> Program.t -> Interp.record
+
+(** Re-execute a tentative history begun at [origin], appending the
+    accepted transactions. *)
+val reprocess : t -> origin:State.t -> History.t -> Protocol.reprocess_report
+
+(** Merge a tentative history begun at [origin] against the history from
+    position [from] on (default [0]; a Strategy-1 snapshot starts later),
+    replacing that suffix by the merged order. [None]: the runner
+    aborted. @raise Invalid_argument on a [Reprocessing] window. *)
+val merge : ?from:int -> t -> origin:State.t -> History.t -> Protocol.merge_report option
+
+(** The reconnect rule: reprocess under [Reprocessing] or when [late]
+    (counted as late), else merge, and reprocess if the merge aborts.
+    Returns the transactions' verdicts. *)
+val reconnect :
+  ?from:int -> t -> late:bool -> origin:State.t -> History.t -> Protocol.txn_report list
+
+(** Open the next window at the engine's state: the history and mirror
+    restart empty; costs and counts carry over. *)
+val reset : t -> unit

@@ -1,10 +1,9 @@
 open Repro_txn
 open Repro_history
 module Engine = Repro_db.Engine
-module Builder = Repro_precedence.Builder
-module Summary = Repro_precedence.Summary
 module Protocol = Repro_replication.Protocol
 module Sync = Repro_replication.Sync
+module Window = Repro_replication.Window
 module Cost = Repro_replication.Cost
 module Trace = Repro_replication.Trace
 module Obs = Repro_obs.Obs
@@ -97,12 +96,7 @@ type report = {
 (* Per-component worker result. [deltas] are the canonical-base write
    sets in admission order, keyed by window event index. *)
 type comp_result = {
-  r_merges : int;
-  r_saved : int;
-  r_reexecuted : int;
-  r_rejected : int;
-  r_late_sessions : int;
-  r_late_txns : int;
+  r_counts : Window.counts;
   r_violation : bool;
   r_deltas : (int * (Item.t * int) list) list;
   r_latencies : float list;
@@ -132,94 +126,28 @@ let lpt_makespan ~bins weights =
     Array.fold_left max 0.0 loads
   end
 
-(* One component of one window: an independent serial sub-simulation of
-   exactly the handlers Sync.run applies, against a scratch engine seeded
-   with the full window-origin state. Anything outside the component's
-   items is read-only background to these events (reads of items nobody
-   writes this window see origin values, the same values the serial run
-   shows them), so the scratch outcomes equal the serial ones — the
-   correctness argument is spelled out in docs/SERVICE.md. *)
+(* One component of one window: an independent serial sub-simulation
+   running the same Window handlers as Sync.run, against a scratch engine
+   seeded with the full window-origin state. Anything outside the
+   component's items is read-only background to these events (reads of
+   items nobody writes this window see origin values, the same values the
+   serial run shows them), so the scratch outcomes equal the serial ones —
+   the correctness argument is spelled out in docs/SERVICE.md. *)
 let run_component ~(sync : Sync.config) ~(origins : State.t array) ~window_index
     ~(events : Admission.wevent array) ~members =
   let t_start = Unix.gettimeofday () in
   let origin = origins.(window_index) in
   let engine = Engine.create origin in
-  let logical : Protocol.base_txn list ref = ref [] in
-  let builder = ref (Builder.create ()) in
-  let summary_of_base (bt : Protocol.base_txn) =
-    Summary.of_record ~kind:Summary.Base bt.Protocol.record
+  let window =
+    Window.create ~builder:true ~protocol:sync.Sync.protocol ~params:sync.Sync.params engine
   in
-  let builder_append txns =
-    List.iter (fun bt -> Builder.add !builder (summary_of_base bt)) txns
-  in
-  let builder_rebuild () =
-    let b = Builder.create () in
-    List.iter (fun bt -> Builder.add b (summary_of_base bt)) !logical;
-    builder := b
-  in
-  let cost = Cost.zero () in
-  let merges = ref 0
-  and saved = ref 0
-  and reexecuted = ref 0
-  and rejected = ref 0
-  and late_sessions = ref 0
-  and late_txns = ref 0 in
   let deltas = ref [] in
   let latencies = ref [] in
-  let count_txn_reports txns =
-    List.iter
-      (fun (r : Protocol.txn_report) ->
-        match r.Protocol.outcome with
-        | Protocol.Merged -> incr saved
-        | Protocol.Reexecuted -> incr reexecuted
-        | Protocol.Rejected -> incr rejected)
-      txns
-  in
-  let acceptance =
-    match sync.Sync.protocol with
-    | Sync.Merging mc -> mc.Protocol.acceptance
-    | Sync.Reprocessing -> Protocol.accept_always
-  in
-  let reprocess ~origin history =
-    let report =
-      Protocol.reprocess ~acceptance ~params:sync.Sync.params ~base:engine ~origin
-        ~tentative:history
-    in
-    logical := !logical @ report.Protocol.appended;
-    builder_append report.Protocol.appended;
-    count_txn_reports report.Protocol.txns;
-    Cost.add cost report.Protocol.cost
-  in
-  let handle_session (s : Admission.session) =
-    let history = History.of_programs s.programs in
-    match sync.Sync.protocol with
-    | Sync.Reprocessing -> reprocess ~origin:origins.(s.window_started) history
-    | Sync.Merging mc ->
-        if s.window_started < window_index then begin
-          incr late_sessions;
-          late_txns := !late_txns + History.length history;
-          reprocess ~origin:origins.(s.window_started) history
-        end
-        else begin
-          let report =
-            Protocol.merge ~base_builder:!builder ~config:mc ~params:sync.Sync.params
-              ~base:engine ~base_history:!logical ~origin ~tentative:history ()
-          in
-          logical := report.Protocol.new_history;
-          builder_rebuild ();
-          incr merges;
-          count_txn_reports report.Protocol.txns;
-          Cost.add cost report.Protocol.cost
-        end
-  in
   List.iter
     (fun idx ->
       match events.(idx) with
       | Admission.Base { program; _ } ->
-          let record = Engine.execute engine program in
-          let bt = { Protocol.program; Protocol.record } in
-          logical := !logical @ [ bt ];
-          builder_append [ bt ];
+          let record = Window.base_txn window program in
           let writes =
             List.filter_map
               (fun (x, before, v) -> if before <> v then Some (x, v) else None)
@@ -230,7 +158,10 @@ let run_component ~(sync : Sync.config) ~(origins : State.t array) ~window_index
           let t0 = Unix.gettimeofday () in
           let before = Engine.state engine in
           Obs.Span.with_ ~lane:Obs.Event.Base ~name:"service.session" (fun () ->
-              handle_session s);
+              ignore
+                (Window.reconnect window ~late:(s.window_started < window_index)
+                   ~origin:origins.(s.window_started)
+                   (History.of_programs s.programs)));
           let after = Engine.state engine in
           let writes =
             Item.Set.fold
@@ -248,10 +179,6 @@ let run_component ~(sync : Sync.config) ~(origins : State.t array) ~window_index
      sides start at [origin] and only write inside the component's static
      write footprint, so comparing on that footprint is the full
      equality — and keeps the check O(footprint), not O(state). *)
-  let replayed =
-    List.fold_left (fun s (bt : Protocol.base_txn) -> Interp.apply s bt.Protocol.program) origin
-      !logical
-  in
   let written =
     List.fold_left
       (fun acc idx ->
@@ -260,21 +187,17 @@ let run_component ~(sync : Sync.config) ~(origins : State.t array) ~window_index
         | Admission.Session s -> Item.Set.union acc s.Admission.writes)
       Item.Set.empty members
   in
+  let replayed = Protocol.replay origin (Window.history window) in
   let violation = not (State.equal_on written replayed (Engine.state engine)) in
   let busy = Unix.gettimeofday () -. t_start in
   {
-    r_merges = !merges;
-    r_saved = !saved;
-    r_reexecuted = !reexecuted;
-    r_rejected = !rejected;
-    r_late_sessions = !late_sessions;
-    r_late_txns = !late_txns;
+    r_counts = Window.counts window;
     r_violation = violation;
     r_deltas = List.rev !deltas;
     r_latencies = List.rev !latencies;
-    r_weight = Cost.total cost +. float_of_int (List.length members);
+    r_weight = Cost.total (Window.cost window) +. float_of_int (List.length members);
     r_busy = busy;
-    r_cost = cost;
+    r_cost = Window.cost window;
   }
 
 let run ?recorder config (sync : Sync.config) (workload : Sync.workload) trace =
@@ -375,12 +298,13 @@ let run ?recorder config (sync : Sync.config) (workload : Sync.workload) trace =
     let win_worker_busy = Array.make config.domains 0.0 in
     Array.iter
       (fun (r, _, worker) ->
-        merges := !merges + r.r_merges;
-        saved := !saved + r.r_saved;
-        reexecuted := !reexecuted + r.r_reexecuted;
-        rejected := !rejected + r.r_rejected;
-        late_sessions := !late_sessions + r.r_late_sessions;
-        late_txns := !late_txns + r.r_late_txns;
+        let c = r.r_counts in
+        merges := !merges + c.Window.merges;
+        saved := !saved + c.Window.saved;
+        reexecuted := !reexecuted + c.Window.reexecuted;
+        rejected := !rejected + c.Window.rejected;
+        late_sessions := !late_sessions + c.Window.late_sessions;
+        late_txns := !late_txns + c.Window.late_txns;
         Cost.add cost r.r_cost;
         work_s := !work_s +. r.r_busy;
         latencies := List.rev_append r.r_latencies !latencies;
@@ -412,8 +336,8 @@ let run ?recorder config (sync : Sync.config) (workload : Sync.workload) trace =
     Array.iter (fun c -> Obs.Dist.observe_int obs_comp_sessions c.Dispatch.sessions) comp_arr;
     Array.iter
       (fun (r, _, _) ->
-        Obs.Counter.incr ~by:r.r_merges obs_merges;
-        Obs.Counter.incr ~by:r.r_late_sessions obs_late;
+        Obs.Counter.incr ~by:r.r_counts.Window.merges obs_merges;
+        Obs.Counter.incr ~by:r.r_counts.Window.late_sessions obs_late;
         if r.r_violation then Obs.Counter.incr obs_violations;
         List.iter (fun l -> Obs.Dist.observe obs_latency (l *. 1e6)) r.r_latencies)
       results;

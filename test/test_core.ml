@@ -231,9 +231,31 @@ let test_scenario_errors () =
   (match Scenario.run "init a=1\nmobile M T { x := ; }" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad body accepted");
-  match Scenario.run "init a=1\nbase T { a := a + 1; }\nbase T { a := a + 1; }" with
+  (match Scenario.run "init a=1\nbase T { a := a + 1; }\nbase T { a := a + 1; }" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "duplicate name accepted"
+  | Ok _ -> Alcotest.fail "duplicate name accepted");
+  (* A name is used once per scenario: a tentative transaction may not
+     reuse a base name (either order), nor a name an earlier connect
+     already merged into the base history. *)
+  List.iter
+    (fun (what, source, line) ->
+      match Scenario.run source with
+      | Error msg ->
+        let want = Printf.sprintf "line %d: duplicate transaction name T1" line in
+        Alcotest.(check string) what want msg
+      | Ok _ -> Alcotest.fail (what ^ ": duplicate name accepted")
+      | exception e -> Alcotest.fail (what ^ ": " ^ Printexc.to_string e))
+    [
+      ( "base then mobile",
+        "init a=1\nbase T1 { a := a + 1; }\nmobile M T1 { a := a * 2; }\nconnect M",
+        3 );
+      ( "mobile then base",
+        "init a=1\nmobile M T1 { a := a * 2; }\nbase T1 { a := a + 1; }\nconnect M",
+        3 );
+      ( "reuse after connect",
+        "init a=1\nmobile M T1 { a := a * 2; }\nconnect M\nmobile M T1 { a := a + 1; }\nconnect M",
+        4 );
+    ]
 
 let test_table_rendering () =
   let t = Table.make ~title:"t" ~columns:[ "a"; "b" ] in

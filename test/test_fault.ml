@@ -283,6 +283,58 @@ let test_dead_link_aborts_counted_in_sync () =
   checki "nothing saved over a dead link" 0 stats.Sync.saved;
   checki "fallback kept the system serializable" 0 stats.Sync.serializability_violations
 
+(* The fault runner goes through the same window handlers as the direct
+   merge. Over an ideal wire every session completes, so Sync.run with
+   the runner must reach the direct run's verdicts and final base under
+   both isolation strategies — Strategy 1 merging against its snapshot's
+   suffix of the history. Costs differ by design (the session layer
+   charges its messages), so they are not compared. *)
+let prop_sync_runner_matches_direct =
+  QCheck.Test.make ~count:20 ~name:"sync: ideal-wire runner = direct merge (both strategies)"
+    QCheck.(make Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let bank = Banking.make ~n_accounts:8 in
+      let txn rng ~name = Banking.random_transaction bank rng ~name ~commuting_bias:0.6 in
+      let workload =
+        {
+          Sync.initial = Banking.initial_state bank;
+          Sync.make_mobile_txn = txn;
+          Sync.make_base_txn = txn;
+        }
+      in
+      List.for_all
+        (fun isolation ->
+          let config =
+            {
+              Sync.default_config with
+              Sync.isolation;
+              Sync.seed;
+              Sync.duration = 60.0;
+              Sync.window = 20.0;
+            }
+          in
+          let direct = Sync.run config workload in
+          let runner, _ =
+            Session.sync_runner ~schedule:Net.ideal ~session:Session.default_config
+              ~net_seed:seed ()
+          in
+          let run = Sync.run { config with Sync.merge_runner = Some runner } workload in
+          let check cond msg = cond || QCheck.Test.fail_report msg in
+          let same what f =
+            f direct = f run
+            || QCheck.Test.fail_reportf "%s: direct %d, runner %d" what (f direct) (f run)
+          in
+          same "merges" (fun s -> s.Sync.merges)
+          && same "saved" (fun s -> s.Sync.saved)
+          && same "reexecuted" (fun s -> s.Sync.reexecuted)
+          && same "rejected" (fun s -> s.Sync.rejected)
+          && same "late" (fun s -> s.Sync.late_sessions)
+          && same "anomalies" (fun s -> s.Sync.anomalies)
+          && check (run.Sync.serializability_violations = 0) "runner run not serializable"
+          && check (run.Sync.aborted_merges = 0) "an ideal-wire session aborted"
+          && check (State.equal direct.Sync.final_base run.Sync.final_base) "final bases differ")
+        [ Sync.Strategy1; Sync.Strategy2 ])
+
 let test_session_backoff_jitter_deterministic () =
   let fx = fixture 16 in
   let session = { Session.default_config with Session.jitter = 0.3 } in
@@ -373,15 +425,6 @@ let test_nemesis_disk_sweep_clean () =
 (* Two interleaved sessions against one base (ROADMAP item 5)          *)
 (* ------------------------------------------------------------------ *)
 
-let applied_markers engine ~sid =
-  List.length
-    (List.filter
-       (fun (s, note) -> s = sid && Session.parse_applied note <> None)
-       (Engine.session_journal engine))
-
-let replay_programs s0 (txns : P.base_txn list) =
-  List.fold_left (fun s (bt : P.base_txn) -> Interp.apply s bt.P.program) s0 txns
-
 (* Exactly-once with two mobiles sharing one base: each session leaves
    exactly one applied marker iff it completed, and the base's final
    state is the serial composition of the completed merges — the second
@@ -434,14 +477,15 @@ let prop_two_sessions_exactly_once =
       let want r =
         match r.Session.outcome with Session.Completed _ -> 1 | Session.Aborted _ -> 0
       in
-      let m1 = applied_markers engine ~sid:1 and m2 = applied_markers engine ~sid:2 in
+      let m1 = Session.applied_markers engine ~sid:1 in
+      let m2 = Session.applied_markers engine ~sid:2 in
       check
         ((not r1.Session.storage_failure) && not r2.Session.storage_failure)
         "storage failure without a disk fault"
       && check (m1 = want r1) (Printf.sprintf "sid 1: %d applied markers (want %d)" m1 (want r1))
       && check (m2 = want r2) (Printf.sprintf "sid 2: %d applied markers (want %d)" m2 (want r2))
       && check
-           (State.equal (Engine.state engine) (replay_programs s0 h2))
+           (State.equal (Engine.state engine) (P.replay s0 h2))
            "base state is not the serial composition of the completed merges"
       && check
            (State.equal (Engine.recover engine) (Engine.state engine))
@@ -487,13 +531,13 @@ let in_doubt_case name ~crash ~cut ~expect ~resumed ~forced =
       checkb "journal peek engaged as expected" forced res.Session.forced_resolution;
       match (expect, res.Session.outcome) with
       | `Completed, Session.Completed _ ->
-        checki "exactly one applied marker" 1 (applied_markers engine ~sid:1);
+        checki "exactly one applied marker" 1 (Session.applied_markers engine ~sid:1);
         let _, ref_engine = reference fx in
         check_state "resolved to the reference merge state" (Engine.state ref_engine)
           (Engine.state engine);
         check_state "committed state durable" (Engine.state engine) (Engine.recover engine)
       | `Aborted, Session.Aborted _ ->
-        checki "no applied marker" 0 (applied_markers engine ~sid:1);
+        checki "no applied marker" 0 (Session.applied_markers engine ~sid:1);
         check_state "base untouched" pre (Engine.state engine)
       | `Completed, Session.Aborted reason ->
         Alcotest.failf "expected in-doubt completion, aborted: %s" reason
@@ -553,7 +597,7 @@ let () =
           Alcotest.test_case "backoff jitter deterministic" `Quick
             test_session_backoff_jitter_deterministic;
         ]
-        @ qsuite [ prop_two_sessions_exactly_once ] );
+        @ qsuite [ prop_two_sessions_exactly_once; prop_sync_runner_matches_direct ] );
       ("in-doubt", in_doubt_matrix);
       ( "nemesis",
         [

@@ -145,11 +145,7 @@ let test_merge_state_equals_replay_of_new_history () =
   in
   let base = [ inc "Tb1" "y" 3; dbl "Tb2" "x" ] in
   let engine, report = run_merge ~tentative ~base () in
-  let replayed =
-    List.fold_left
-      (fun s (bt : Protocol.base_txn) -> Interp.apply s bt.Protocol.program)
-      s0 report.Protocol.new_history
-  in
+  let replayed = Protocol.replay s0 report.Protocol.new_history in
   check_state "logical history replays to engine state" (Engine.state engine) replayed
 
 (* The protocol invariant, over random canned workloads: after a merge,
@@ -179,11 +175,7 @@ let prop_merge_state_replay =
             Protocol.merge ~config ~params:Cost.default_params ~base:engine ~base_history
               ~origin ~tentative ()
           in
-          let replayed =
-            List.fold_left
-              (fun s (bt : Protocol.base_txn) -> Interp.apply s bt.Protocol.program)
-              origin report.Protocol.new_history
-          in
+          let replayed = Protocol.replay origin report.Protocol.new_history in
           State.equal replayed (Engine.state engine))
         [
           (Repro_rewrite.Rewrite.Can_follow_precede, Repro_precedence.Backout.Two_cycle_then_greedy);
@@ -211,11 +203,7 @@ let test_merge_example1_programs () =
   checkb "Tm1 always survives (it conflicts with no base read... via d1 it does not cycle)"
     true
     (Names.Set.mem "Tm1" report.Protocol.saved || Names.Set.mem "Tm1" report.Protocol.backed_out);
-  let replayed =
-    List.fold_left
-      (fun s (bt : Protocol.base_txn) -> Interp.apply s bt.Protocol.program)
-      Paper.example1_s0 report.Protocol.new_history
-  in
+  let replayed = Protocol.replay Paper.example1_s0 report.Protocol.new_history in
   check_state "merged state = serial replay" (Engine.state engine) replayed
 
 (* Blind-write histories through the full protocol: the adapted
@@ -249,11 +237,7 @@ let prop_merge_replay_with_blind_writes =
           ~base:engine ~base_history ~origin:s0
           ~tentative:(History.of_programs tentative_programs) ()
       in
-      let replayed =
-        List.fold_left
-          (fun s (bt : Protocol.base_txn) -> Interp.apply s bt.Protocol.program)
-          s0 report.Protocol.new_history
-      in
+      let replayed = Protocol.replay s0 report.Protocol.new_history in
       State.equal replayed (Engine.state engine))
 
 let test_accept_same_shape () =

@@ -155,6 +155,9 @@ let case_of_seed seed =
       Sync.mean_connect_gap = 8.0;
       Sync.connect_alpha = (if seed mod 3 = 0 then Some 1.7 else None);
       Sync.mean_mobile_txn_gap = 2.0;
+      (* One seed in five reprocesses every session instead of merging. *)
+      Sync.protocol =
+        (if (seed / 11) mod 5 = 0 then Sync.Reprocessing else Sync.default_config.Sync.protocol);
       Sync.isolation = Sync.Strategy2;
       Sync.seed;
     }
