@@ -107,8 +107,8 @@ bases-sim: build
 
 # Cross-format WAL gate: the golden fixture corpus (v2 and v3, clean
 # and damaged) must scrub to its pinned classifications, salvage to
-# clean images, and wal-migrate must round-trip the clean fixtures
-# across formats byte-identically (see docs/STORAGE.md).
+# clean images, and wal-migrate must turn the clean v2 fixture into the
+# v3 one byte for byte (see docs/STORAGE.md).
 wal-compat: build
 	sh tools/wal_compat.sh
 

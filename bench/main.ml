@@ -51,10 +51,9 @@ let case_of_length n =
     ~profile:{ Gen_wl.default_profile with Gen_wl.zipf_skew = 0.9 }
     ~tentative_len:n ~base_len:(n / 2) ~strategy:Backout.Two_cycle_then_greedy
 
-(* The on-disk codec head-to-head (B7): n committed transactions, each
-   force writing through a faithful in-memory device. v2 encodes and
-   appends record by record; v3 buffers the frame batch into a single
-   device write per force. The grouped variant coalesces all n forces
+(* The on-disk commit path (B7): n committed transactions, each force
+   writing its buffered v3 frame batch through a faithful in-memory
+   device as a single write. The grouped variant coalesces all n forces
    into one combined write + sync. *)
 let wal_run =
   let n = 64 in
@@ -67,9 +66,9 @@ let wal_run =
           [ Stmt.Update (x, Expr.Add (Expr.Item x, Expr.Const 1)) ])
   in
   let s0 = State.of_list [ ("a", 0); ("b", 0); ("c", 0); ("d", 0) ] in
-  fun fmt ~grouped () ->
+  fun ~grouped () ->
     let dev = Repro_db.Block.create Repro_db.Block.faithful in
-    let e = Engine.create ~device:dev ~format:fmt s0 in
+    let e = Engine.create ~device:dev s0 in
     if grouped then
       Engine.with_group e (fun () -> List.iter (fun p -> ignore (Engine.execute e p)) progs)
     else List.iter (fun p -> ignore (Engine.execute e p)) progs
@@ -253,14 +252,11 @@ let bench_tests () =
   let wal_tests =
     [
       Bechamel.Test.make
-        ~name:(Printf.sprintf "wal-append-force-v2/n=%d" wal_commits)
-        (Bechamel.Staged.stage (wal_run Repro_db.Wal.V2 ~grouped:false));
-      Bechamel.Test.make
         ~name:(Printf.sprintf "wal-append-force-v3/n=%d" wal_commits)
-        (Bechamel.Staged.stage (wal_run Repro_db.Wal.V3 ~grouped:false));
+        (Bechamel.Staged.stage (wal_run ~grouped:false));
       Bechamel.Test.make
         ~name:(Printf.sprintf "wal-group-commit-v3/n=%d" wal_commits)
-        (Bechamel.Staged.stage (wal_run Repro_db.Wal.V3 ~grouped:true));
+        (Bechamel.Staged.stage (wal_run ~grouped:true));
     ]
   in
   graph_tests @ incremental_graph_tests @ backout_tests @ damage_backout_tests
@@ -401,14 +397,13 @@ let snapshot_experiments =
         ignore
           (Sim.run ~baseline:false
              { Sim.default_config with Sim.mobiles = 5000; Sim.domains = 4 }) );
-    (* The WAL codec sweep: 200 engines x 64 committed transactions each,
-       forcing through a faithful device. Besides the wall-clock, the
-       db.wal.bytes_written / db.wal_forces counters in each snapshot pin
-       the density win (v3 frames vs v2 text) and the coalescing win
+    (* The WAL commit-path sweep: 200 engines x 64 committed transactions
+       each, forcing through a faithful device. Besides the wall-clock,
+       the db.wal.bytes_written / db.wal_forces counters in each snapshot
+       pin the frame density and the coalescing win
        (db.group_commit.coalesced under the grouped run). *)
-    ("wal-v2", fun () -> for _ = 1 to 200 do wal_run Repro_db.Wal.V2 ~grouped:false () done);
-    ("wal-v3", fun () -> for _ = 1 to 200 do wal_run Repro_db.Wal.V3 ~grouped:false () done);
-    ("wal-v3-group", fun () -> for _ = 1 to 200 do wal_run Repro_db.Wal.V3 ~grouped:true () done);
+    ("wal-v3", fun () -> for _ = 1 to 200 do wal_run ~grouped:false () done);
+    ("wal-v3-group", fun () -> for _ = 1 to 200 do wal_run ~grouped:true () done);
   ]
 
 let snapshot file =

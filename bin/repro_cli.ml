@@ -16,35 +16,52 @@ let print_tables ~csv tables =
 let csv_flag =
   Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of aligned tables.")
 
-(* --metrics / --trace: observability plumbing shared by merge, sim and
-   scenario. *)
-let metrics_arg =
-  let fmt = Arg.enum [ ("text", `Text); ("json", `Json); ("csv", `Csv) ] in
-  Arg.(
-    value
-    & opt ~vopt:(Some `Text) (some fmt) None
-    & info [ "metrics" ] ~docv:"FMT"
-        ~doc:
-          "Record pipeline metrics during the run and print the snapshot afterwards; $(docv) is \
-           text (default), json or csv.")
+(* --metrics / --trace / --trace-out: the observability options of merge,
+   scenario, sim, service-sim and bases-sim. *)
+type obs = {
+  metrics : [ `Text | `Json | `Csv ] option;
+  trace : bool;
+  trace_out : string option;
+}
 
-let trace_arg =
-  Arg.(
-    value & flag
-    & info [ "trace" ]
-        ~doc:
-          "Stream one structured log line per completed pipeline span to stderr (implies metric \
-           recording).")
+let obs_term =
+  let metrics =
+    let fmt = Arg.enum [ ("text", `Text); ("json", `Json); ("csv", `Csv) ] in
+    Arg.(
+      value
+      & opt ~vopt:(Some `Text) (some fmt) None
+      & info [ "metrics" ] ~docv:"FMT"
+          ~doc:
+            "Record pipeline metrics during the run and print the snapshot afterwards; $(docv) \
+             is text (default), json or csv.")
+  in
+  let trace =
+    Arg.(
+      value & flag
+      & info [ "trace" ]
+          ~doc:
+            "Stream one structured log line per completed pipeline span to stderr (implies \
+             metric recording).")
+  in
+  let trace_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE"
+          ~doc:
+            "Capture structured trace events during the run and write them to $(docv) as Chrome \
+             trace-event JSON — load it at ui.perfetto.dev (or chrome://tracing) to see the \
+             pipeline, mobile, base and network lanes on one timeline.")
+  in
+  Term.(
+    const (fun metrics trace trace_out -> { metrics; trace; trace_out })
+    $ metrics $ trace $ trace_out)
 
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Capture structured trace events during the run and write them to $(docv) as Chrome \
-           trace-event JSON — load it at ui.perfetto.dev (or chrome://tracing) to see the \
-           pipeline, mobile, base and network lanes on one timeline.")
+(* Keep stdout machine-readable when a machine metrics format is on. *)
+let report_ppf obs =
+  match obs.metrics with
+  | Some (`Json | `Csv) -> Format.err_formatter
+  | Some `Text | None -> Format.std_formatter
 
 let trace_clock_arg =
   Arg.(
@@ -56,7 +73,7 @@ let trace_clock_arg =
            deterministic per-trace logical clock, byte-stable for seeded runs at any \
            $(b,--domains) count.")
 
-let with_observability ?(trace_clock = `Wall) ~metrics ~trace ~trace_out f =
+let with_observability ?(trace_clock = `Wall) { metrics; trace; trace_out } f =
   let module Obs = Repro_obs.Obs in
   if metrics = None && (not trace) && trace_out = None then f ()
   else begin
@@ -92,8 +109,29 @@ let with_observability ?(trace_clock = `Wall) ~metrics ~trace ~trace_out f =
     result
   end
 
+let seed_arg default =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.")
+
 let seeds_arg default =
   Arg.(value & opt int default & info [ "seeds" ] ~docv:"N" ~doc:"Samples per sweep point.")
+
+(* Sizes and intervals a run cannot use are usage errors. The converters
+   print like Arg.int and Arg.float, so --help shows the same defaults. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo -> Error (`Msg (Printf.sprintf "%d is less than %d" n lo))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let positive_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when not (x > 0.0) -> Error (`Msg (Printf.sprintf "%s is not positive" s))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
 
 let floats_arg names default ~doc =
   Arg.(value & opt (list float) default & info names ~docv:"X,Y,..." ~doc)
@@ -135,7 +173,7 @@ let e2_cmd =
   let windows =
     Arg.(
       value
-      & opt (list float) [ 15.0; 30.0; 60.0; 120.0 ]
+      & opt (list positive_float) [ 15.0; 30.0; 60.0; 120.0 ]
       & info [ "windows" ] ~docv:"W,..." ~doc:"Window lengths for the Strategy 2 sweep.")
   in
   let run csv fleets duration windows =
@@ -233,7 +271,6 @@ let e9_cmd =
   let drops =
     floats_arg [ "drops" ] [ 0.0; 0.2; 0.5 ] ~doc:"Message drop rates to sweep."
   in
-  let seed = Arg.(value & opt int 29 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
   let duration =
     Arg.(value & opt float 150.0 & info [ "duration" ] ~docv:"T" ~doc:"Simulated time.")
   in
@@ -243,14 +280,13 @@ let e9_cmd =
   Cmd.v
     (Cmd.info "e9"
        ~doc:"Merging vs reprocessing when the merge exchange runs over an unreliable network.")
-    Term.(const run $ csv_flag $ seed $ duration $ drops)
+    Term.(const run $ csv_flag $ seed_arg 29 $ duration $ drops)
 
 (* nemesis: fault-schedule sweep asserting the exactly-once contract *)
 let nemesis_cmd =
   let count =
     Arg.(value & opt int 100 & info [ "count" ] ~docv:"N" ~doc:"Number of fault cases to check.")
   in
-  let seed = Arg.(value & opt int 2026 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
   let disk =
     Arg.(
       value & flag
@@ -264,7 +300,7 @@ let nemesis_cmd =
   let run count seed disk =
     let sweep = Repro_fault.Nemesis.run_sweep ~disk ~seed ~count () in
     Format.printf "%a@." Repro_fault.Nemesis.pp_sweep sweep;
-    if sweep.Repro_fault.Nemesis.failures <> [] then exit 1
+    if sweep.Repro_fault.Sweep.failures <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "nemesis"
@@ -273,7 +309,7 @@ let nemesis_cmd =
           partitions, crashes — plus disk faults with $(b,--disk)) and check the exactly-once \
           contract: completed sessions match the fault-free run, aborted sessions leave the \
           base untouched. Exits 1 on any violation.")
-    Term.(const run $ count $ seed $ disk)
+    Term.(const run $ count $ seed_arg 2026 $ disk)
 
 (* ablations *)
 let a1_cmd =
@@ -303,10 +339,10 @@ let a3_cmd =
     (Cmd.info "a3" ~doc:"Ablation: back-out strategies measured end to end after Algorithm 2.")
     Term.(const run $ csv_flag $ seeds_arg 25 $ skews)
 
-(* merge: one end-to-end merge over a generated case, with observability *)
-let merge_cmd =
+(* The generated case of merge and explain, with the merge configuration
+   its options select. *)
+let case_term =
   let open Repro_replication in
-  let seed = Arg.(value & opt int 11 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
   let tentative_len =
     Arg.(
       value & opt int 8
@@ -345,8 +381,7 @@ let merge_cmd =
       & opt alg_conv Protocol.default_merge_config.Protocol.algorithm
       & info [ "algorithm" ] ~docv:"NAME" ~doc:"History rewriter to run (Section 5).")
   in
-  let run metrics trace trace_out seed tentative_len base_len skew commuting strategy algorithm
-      =
+  let make seed tentative_len base_len skew commuting strategy algorithm =
     let profile =
       {
         Repro_workload.Gen.default_profile with
@@ -354,10 +389,19 @@ let merge_cmd =
         Repro_workload.Gen.zipf_skew = skew;
       }
     in
-    let case = Mergecase.generate ~seed ~profile ~tentative_len ~base_len ~strategy in
-    let config = { Protocol.default_merge_config with Protocol.strategy; Protocol.algorithm } in
+    ( Mergecase.generate ~seed ~profile ~tentative_len ~base_len ~strategy,
+      { Protocol.default_merge_config with Protocol.strategy; Protocol.algorithm } )
+  in
+  Term.(
+    const make $ seed_arg 11 $ tentative_len $ base_len $ skew $ commuting $ strategy
+    $ algorithm)
+
+(* merge: one end-to-end merge over a generated case, with observability *)
+let merge_cmd =
+  let open Repro_replication in
+  let run obs (case, config) =
     let result =
-      with_observability ~metrics ~trace ~trace_out @@ fun () ->
+      with_observability obs @@ fun () ->
       Repro_core.Session.merge_once ~config ~s0:case.Mergecase.s0
         ~tentative:(Repro_history.History.programs case.Mergecase.tentative)
         ~base:(Repro_history.History.programs case.Mergecase.base)
@@ -369,15 +413,10 @@ let merge_cmd =
         (List.filter (fun (t : Protocol.txn_report) -> t.Protocol.outcome = outcome)
            report.Protocol.txns)
     in
-    (* Keep stdout machine-readable when a machine metrics format is on. *)
-    let ppf =
-      match metrics with
-      | Some `Json | Some `Csv -> Format.err_formatter
-      | Some `Text | None -> Format.std_formatter
-    in
-    Format.fprintf ppf
+    Format.fprintf (report_ppf obs)
       "tentative=%d base=%d backed_out=%d merged=%d reexecuted=%d rejected=%d@.cost: %a@."
-      tentative_len base_len
+      (Repro_history.History.length case.Mergecase.tentative)
+      (Repro_history.History.length case.Mergecase.base)
       (Repro_history.Names.Set.cardinal report.Protocol.backed_out)
       (count Protocol.Merged) (count Protocol.Reexecuted) (count Protocol.Rejected) Cost.pp
       report.Protocol.cost
@@ -387,52 +426,11 @@ let merge_cmd =
        ~doc:
          "Generate one reproducible tentative/base history pair and run the full merge pipeline \
           over it; combine with $(b,--metrics) and $(b,--trace) to inspect every stage.")
-    Term.(
-      const run $ metrics_arg $ trace_arg $ trace_out_arg $ seed $ tentative_len $ base_len
-      $ skew $ commuting $ strategy $ algorithm)
+    Term.(const run $ obs_term $ case_term)
 
 (* explain: per-transaction merge provenance over a generated case *)
 let explain_cmd =
   let open Repro_replication in
-  let seed = Arg.(value & opt int 11 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
-  let tentative_len =
-    Arg.(
-      value & opt int 8
-      & info [ "tentative-len" ] ~docv:"N" ~doc:"Tentative (mobile) history length.")
-  in
-  let base_len =
-    Arg.(value & opt int 8 & info [ "base-len" ] ~docv:"N" ~doc:"Base history length.")
-  in
-  let skew =
-    Arg.(value & opt float 0.9 & info [ "skew" ] ~docv:"Z" ~doc:"Zipf skew of item selection.")
-  in
-  let commuting =
-    Arg.(
-      value & opt float 0.5
-      & info [ "commuting" ] ~docv:"F" ~doc:"Fraction of commuting transaction types.")
-  in
-  let strategy =
-    let open Repro_precedence in
-    let strat_conv =
-      Arg.enum (List.map (fun s -> (Backout.strategy_name s, s)) Backout.all_strategies)
-    in
-    Arg.(
-      value
-      & opt strat_conv Protocol.default_merge_config.Protocol.strategy
-      & info [ "strategy" ] ~docv:"NAME" ~doc:"Back-out strategy (Section 2.1 / [Dav84]).")
-  in
-  let algorithm =
-    let alg_conv =
-      Arg.enum
-        (List.map
-           (fun a -> (Repro_rewrite.Rewrite.algorithm_name a, a))
-           Repro_rewrite.Rewrite.all_algorithms)
-    in
-    Arg.(
-      value
-      & opt alg_conv Protocol.default_merge_config.Protocol.algorithm
-      & info [ "algorithm" ] ~docv:"NAME" ~doc:"History rewriter to run (Section 5).")
-  in
   let prune =
     let prune_conv = Arg.enum [ ("compensate", true); ("undo", false) ] in
     Arg.(
@@ -457,24 +455,9 @@ let explain_cmd =
       value & opt fmt_conv `Text
       & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text or json.")
   in
-  let run seed tentative_len base_len skew commuting strategy algorithm prefer_compensation txn
-      format =
-    let profile =
-      {
-        Repro_workload.Gen.default_profile with
-        Repro_workload.Gen.commuting_fraction = commuting;
-        Repro_workload.Gen.zipf_skew = skew;
-      }
-    in
-    let case = Mergecase.generate ~seed ~profile ~tentative_len ~base_len ~strategy in
+  let run (case, config) prefer_compensation txn format =
     let config =
-      {
-        Protocol.default_merge_config with
-        Protocol.strategy;
-        Protocol.algorithm;
-        Protocol.prefer_compensation;
-        Protocol.capture_provenance = true;
-      }
+      { config with Protocol.prefer_compensation; Protocol.capture_provenance = true }
     in
     let result =
       Repro_core.Session.merge_once ~config ~s0:case.Mergecase.s0
@@ -508,9 +491,7 @@ let explain_cmd =
           tentative transaction, the full decision chain: cycle membership, back-out, the \
           rewriting scan's per-pair verdicts (with the fix domains consulted), pruning method \
           and final disposition.")
-    Term.(
-      const run $ seed $ tentative_len $ base_len $ skew $ commuting $ strategy $ algorithm
-      $ prune $ txn $ format)
+    Term.(const run $ case_term $ prune $ txn $ format)
 
 (* validate-json: syntax (and optionally Chrome-trace schema) check *)
 let validate_json_cmd =
@@ -612,7 +593,7 @@ let salvage_cmd =
           The salvaged image always verifies clean under $(b,scrub).")
     Term.(const run $ file $ out $ wal_output_format)
 
-(* wal-migrate: rewrite a WAL image into another format *)
+(* wal-migrate: rewrite a WAL image in format v3 *)
 let wal_migrate_cmd =
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Persisted WAL file.")
@@ -623,13 +604,6 @@ let wal_migrate_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the migrated log.")
   in
-  let to_format =
-    let fmt_conv = Arg.enum [ ("v2", Repro_db.Wal.V2); ("v3", Repro_db.Wal.V3) ] in
-    Arg.(
-      value
-      & opt fmt_conv Repro_db.Wal.default_format
-      & info [ "to" ] ~docv:"FMT" ~doc:"Target format: v2 or v3 (default v3).")
-  in
   let allow_damaged =
     Arg.(
       value & flag
@@ -638,7 +612,7 @@ let wal_migrate_cmd =
             "Migrate the recovered durable prefix of a damaged log instead of refusing \
              (the damage report goes to stderr).")
   in
-  let run file out to_format allow_damaged =
+  let run file out allow_damaged =
     let module Wal = Repro_db.Wal in
     let raw =
       match In_channel.with_open_bin file In_channel.input_all with
@@ -660,9 +634,7 @@ let wal_migrate_cmd =
           prerr_endline "refusing to migrate a damaged log (use --allow-damaged to migrate the recovered prefix)";
           exit 1
         end);
-      let image =
-        Wal.image_of ~format:to_format ~entries:d.Wal.d_entries ~barriers:d.Wal.d_barriers
-      in
+      let image = Wal.image_of ~entries:d.Wal.d_entries ~barriers:d.Wal.d_barriers in
       (* Round-trip check before anything touches disk: the migrated
          image must decode clean, byte-faithful to the source's durable
          prefix — same entries, same barrier structure. *)
@@ -681,9 +653,8 @@ let wal_migrate_cmd =
           prerr_endline "migration round-trip mismatch: entries or barriers diverged";
           exit 3
         end;
-        (* migrating into the source's own format must be byte-faithful *)
-        if to_format = (if d.Wal.d_format = 2 then Wal.V2 else Wal.V3)
-           && d.Wal.d_verdict = Wal.Clean && not (String.equal image raw)
+        (* a clean v3 source must migrate to its own bytes *)
+        if d.Wal.d_format = 3 && d.Wal.d_verdict = Wal.Clean && not (String.equal image raw)
         then begin
           prerr_endline "migration round-trip mismatch: same-format image not byte-identical";
           exit 3
@@ -693,19 +664,19 @@ let wal_migrate_cmd =
       | exception Sys_error msg ->
         prerr_endline (out ^ ": " ^ msg);
         exit 2);
-      Printf.printf "migrated %s (v%d, %d entries, %d barriers) -> %s (v%d, %d bytes)\n" file
+      Printf.printf "migrated %s (v%d, %d entries, %d barriers) -> %s (v3, %d bytes)\n" file
         d.Wal.d_format (List.length d.Wal.d_entries) (List.length d.Wal.d_barriers) out
-        (Wal.int_of_format to_format) (String.length image)
+        (String.length image)
   in
   Cmd.v
     (Cmd.info "wal-migrate"
        ~doc:
-         "Rewrite a write-ahead log into another on-disk format (v2 text <-> v3 binary \
-          frames), preserving entries and barrier coverage exactly. The migrated image is \
-          round-trip verified before it is written: it must decode clean with identical \
-          entries and barriers, and a same-format migration of a clean log must be \
-          byte-identical. Refuses damaged inputs unless $(b,--allow-damaged).")
-    Term.(const run $ file $ out $ to_format $ allow_damaged)
+         "Rewrite a write-ahead log (legacy v2 text or v3) in the v3 binary frame format, \
+          preserving entries and barrier coverage exactly. The migrated image is round-trip \
+          verified before it is written: it must decode clean with identical entries and \
+          barriers, and a clean v3 log must migrate to identical bytes. Refuses damaged \
+          inputs unless $(b,--allow-damaged).")
+    Term.(const run $ file $ out $ allow_damaged)
 
 (* analyze: offline profile analysis of a transaction-type system file *)
 let analyze_cmd =
@@ -739,11 +710,9 @@ let scenario_cmd =
   let reprocess_note =
     "Commands: init, base, mobile, connect [reprocess], expect, state — see      Repro_core.Scenario for the format."
   in
-  let run metrics trace trace_out file =
+  let run obs file =
     let source = In_channel.with_open_text file In_channel.input_all in
-    match
-      with_observability ~metrics ~trace ~trace_out (fun () -> Repro_core.Scenario.run source)
-    with
+    match with_observability obs (fun () -> Repro_core.Scenario.run source) with
     | Error msg ->
       prerr_endline msg;
       exit 1
@@ -754,7 +723,7 @@ let scenario_cmd =
   Cmd.v
     (Cmd.info "scenario"
        ~doc:("Play a scripted reconnection session with assertions. " ^ reprocess_note))
-    Term.(const run $ metrics_arg $ trace_arg $ trace_out_arg $ file)
+    Term.(const run $ obs_term $ file)
 
 (* all *)
 let all_cmd =
@@ -788,9 +757,9 @@ let sim_cmd =
     Arg.(value & opt float 150.0 & info [ "duration" ] ~docv:"T" ~doc:"Simulated time.")
   in
   let window =
-    Arg.(value & opt float 30.0 & info [ "window" ] ~docv:"W" ~doc:"Resync window length.")
+    Arg.(
+      value & opt positive_float 30.0 & info [ "window" ] ~docv:"W" ~doc:"Resync window length.")
   in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
   let strategy1 =
     Arg.(value & flag & info [ "strategy1" ] ~doc:"Use Strategy 1 isolation (default: 2).")
   in
@@ -853,8 +822,8 @@ let sim_cmd =
             "Retransmission jitter: spread each retry's backoff by up to ±$(docv) of the \
              nominal timeout, drawn from the $(b,--retry-seed) stream (0.0 disables).")
   in
-  let run metrics trace trace_out mobiles duration window seed strategy1 reprocess bias profiles
-      faults drop_rate crash_at net_seed retry_seed jitter =
+  let run obs mobiles duration window seed strategy1 reprocess bias profiles faults drop_rate
+      crash_at net_seed retry_seed jitter =
     let workload =
       match profiles with
       | Some file -> (
@@ -910,7 +879,7 @@ let sim_cmd =
       end
     in
     let stats =
-      with_observability ~metrics ~trace ~trace_out @@ fun () ->
+      with_observability obs @@ fun () ->
       Sync.run
         {
           Sync.default_config with
@@ -925,11 +894,7 @@ let sim_cmd =
         }
         workload
     in
-    let ppf =
-      match metrics with
-      | Some `Json | Some `Csv -> Format.err_formatter
-      | Some `Text | None -> Format.std_formatter
-    in
+    let ppf = report_ppf obs in
     Format.fprintf ppf "%a@." Sync.pp_stats stats;
     match fault_runner with
     | Some (_, totals) -> Format.fprintf ppf "faults: %a@." Repro_fault.Session.pp_totals totals
@@ -938,9 +903,8 @@ let sim_cmd =
   Cmd.v
     (Cmd.info "sim" ~doc:"Run one multi-node banking simulation with custom parameters.")
     Term.(
-      const run $ metrics_arg $ trace_arg $ trace_out_arg $ mobiles $ duration $ window $ seed
-      $ strategy1 $ reprocess $ bias $ profiles $ faults $ drop_rate $ crash_at $ net_seed
-      $ retry_seed $ jitter)
+      const run $ obs_term $ mobiles $ duration $ window $ seed_arg 7 $ strategy1 $ reprocess
+      $ bias $ profiles $ faults $ drop_rate $ crash_at $ net_seed $ retry_seed $ jitter)
 
 (* service-sim: large-scale run against the concurrent merge service *)
 let service_sim_cmd =
@@ -952,14 +916,20 @@ let service_sim_cmd =
     Arg.(value & opt float 15.0 & info [ "duration" ] ~docv:"T" ~doc:"Simulated time.")
   in
   let window =
-    Arg.(value & opt float 5.0 & info [ "window" ] ~docv:"W" ~doc:"Resync window length.")
+    Arg.(
+      value & opt positive_float 5.0 & info [ "window" ] ~docv:"W" ~doc:"Resync window length.")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
   let shards =
-    Arg.(value & opt int 16 & info [ "shards" ] ~docv:"K" ~doc:"Item-space shard count.")
+    Arg.(
+      value
+      & opt (int_at_least 1) 16
+      & info [ "shards" ] ~docv:"K" ~doc:"Item-space shard count.")
   in
   let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"D" ~doc:"Worker domains (1 = inline).")
+    Arg.(
+      value
+      & opt (int_at_least 1) 1
+      & info [ "domains" ] ~docv:"D" ~doc:"Worker domains (1 = inline).")
   in
   let scheme =
     Arg.(
@@ -990,11 +960,14 @@ let service_sim_cmd =
   in
   let connect_gap =
     Arg.(
-      value & opt float 2.0
+      value & opt positive_float 2.0
       & info [ "connect-gap" ] ~docv:"T" ~doc:"Mean disconnection length.")
   in
   let shared_items =
-    Arg.(value & opt int 128 & info [ "shared-items" ] ~docv:"N" ~doc:"Global hot-pool size.")
+    Arg.(
+      value
+      & opt (int_at_least 1) 128
+      & info [ "shared-items" ] ~docv:"N" ~doc:"Global hot-pool size.")
   in
   let zipf_skew =
     Arg.(value & opt float 0.9 & info [ "zipf-skew" ] ~docv:"Z" ~doc:"Shared-pool Zipf skew.")
@@ -1037,9 +1010,9 @@ let service_sim_cmd =
             "Stream every flight-recorder sample to $(docv) as NDJSON (one JSON object per \
              window), independent of the $(b,--live) dashboard throttle.")
   in
-  let run metrics trace trace_out trace_clock mobiles duration window seed shards domains scheme
-      locality disconnect_alpha exp_disconnects connect_gap shared_items zipf_skew no_baseline
-      min_speedup expect_parallel live live_out =
+  let run obs trace_clock mobiles duration window seed shards domains scheme locality
+      disconnect_alpha exp_disconnects connect_gap shared_items zipf_skew no_baseline min_speedup
+      expect_parallel live live_out =
     let cfg =
       {
         Sim.default_config with
@@ -1084,15 +1057,10 @@ let service_sim_cmd =
       Fun.protect
         ~finally:(fun () -> Option.iter Out_channel.close live_oc)
         (fun () ->
-          with_observability ~metrics ~trace ~trace_out ~trace_clock @@ fun () ->
+          with_observability ~trace_clock obs @@ fun () ->
           Sim.run ~baseline:(not no_baseline) ?recorder cfg)
     in
-    let ppf =
-      match metrics with
-      | Some `Json | Some `Csv -> Format.err_formatter
-      | Some `Text | None -> Format.std_formatter
-    in
-    Format.fprintf ppf "%a@." Sim.pp_result result;
+    Format.fprintf (report_ppf obs) "%a@." Sim.pp_result result;
     let det = result.Sim.report.Service.det in
     let failures =
       List.filter_map Fun.id
@@ -1128,10 +1096,9 @@ let service_sim_cmd =
          "Run a large-scale (10k-100k mobile) simulation against the sharded concurrent merge \
           service and report sessions/sec, merge-latency quantiles and parallel speedup.")
     Term.(
-      const run $ metrics_arg $ trace_arg $ trace_out_arg $ trace_clock_arg $ mobiles $ duration
-      $ window $ seed $ shards $ domains $ scheme $ locality $ disconnect_alpha $ exp_disconnects
-      $ connect_gap $ shared_items $ zipf_skew $ no_baseline $ min_speedup $ expect_parallel
-      $ live $ live_out)
+      const run $ obs_term $ trace_clock_arg $ mobiles $ duration $ window $ seed_arg 42
+      $ shards $ domains $ scheme $ locality $ disconnect_alpha $ exp_disconnects $ connect_gap
+      $ shared_items $ zipf_skew $ no_baseline $ min_speedup $ expect_parallel $ live $ live_out)
 
 (* metrics-diff: compare two metric snapshots on deterministic metrics *)
 let metrics_diff_cmd =
@@ -1192,10 +1159,12 @@ let metrics_diff_cmd =
 let bases_sim_cmd =
   let module MB = Repro_multibase in
   let bases =
-    Arg.(value & opt int 3 & info [ "bases" ] ~docv:"N" ~doc:"Number of replica bases.")
+    Arg.(
+      value & opt (int_at_least 2) 3 & info [ "bases" ] ~docv:"N" ~doc:"Number of replica bases.")
   in
   let mobiles =
-    Arg.(value & opt int 3 & info [ "mobiles" ] ~docv:"N" ~doc:"Number of mobile nodes.")
+    Arg.(
+      value & opt (int_at_least 1) 3 & info [ "mobiles" ] ~docv:"N" ~doc:"Number of mobile nodes.")
   in
   let ops =
     Arg.(
@@ -1205,7 +1174,6 @@ let bases_sim_cmd =
             "Number of cluster operations (mobile syncs, base transactions, anti-entropy \
              exchanges, crash-restarts, clock ticks) before healing.")
   in
-  let seed = Arg.(value & opt int 2026 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
   let partition_rate =
     Arg.(
       value & opt float 0.3
@@ -1223,9 +1191,9 @@ let bases_sim_cmd =
             "Crash-restart the responding base on receipt of its $(docv)-th message of every \
              anti-entropy exchange (replaces the randomly drawn crash points).")
   in
-  let run metrics trace trace_out bases mobiles ops seed partition_rate crash_at =
+  let run obs bases mobiles ops seed partition_rate crash_at =
     let ok =
-      with_observability ~metrics ~trace ~trace_out @@ fun () ->
+      with_observability obs @@ fun () ->
       let case =
         MB.Mb_nemesis.random_case ~partition_rate ?crash_at ~bases ~mobiles ~n_ops:ops ~seed ()
       in
@@ -1235,11 +1203,7 @@ let bases_sim_cmd =
       in
       MB.Cluster.run_ops cluster case.MB.Mb_nemesis.ops;
       let violations = MB.Cluster.check cluster in
-      let ppf =
-        match metrics with
-        | Some `Json | Some `Csv -> Format.err_formatter
-        | Some `Text | None -> Format.std_formatter
-      in
+      let ppf = report_ppf obs in
       Format.fprintf ppf "%a@." MB.Cluster.pp_stats (MB.Cluster.stats cluster);
       List.iter (fun v -> Format.fprintf ppf "VIOLATION: %s@." v) violations;
       violations = []
@@ -1255,8 +1219,7 @@ let bases_sim_cmd =
           contract is checked — identical durable stable state everywhere, no phantom commits, \
           serializable committed history. Exits 1 on any violation.")
     Term.(
-      const run $ metrics_arg $ trace_arg $ trace_out_arg $ bases $ mobiles $ ops $ seed
-      $ partition_rate $ crash_at)
+      const run $ obs_term $ bases $ mobiles $ ops $ seed_arg 2026 $ partition_rate $ crash_at)
 
 let nemesis_bases_cmd =
   let module MN = Repro_multibase.Mb_nemesis in
@@ -1265,7 +1228,6 @@ let nemesis_bases_cmd =
       value & opt int 200
       & info [ "count" ] ~docv:"N" ~doc:"Number of random cluster cases to check.")
   in
-  let seed = Arg.(value & opt int 2026 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
   let partition_rate =
     Arg.(
       value & opt float 0.3
@@ -1281,7 +1243,7 @@ let nemesis_bases_cmd =
   let run count seed partition_rate crash_rate =
     let sweep = MN.run_sweep ~partition_rate ~crash_rate ~seed ~count () in
     Format.printf "%a@." MN.pp_sweep sweep;
-    if sweep.MN.failures <> [] then exit 1
+    if sweep.Repro_fault.Sweep.failures <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "nemesis-bases"
@@ -1290,7 +1252,7 @@ let nemesis_bases_cmd =
           partitions, asymmetric links, base crash/restart injection, faulty mobile sessions \
           against arbitrary bases) and check the convergence contract after healing. Exits 1 \
           on any violation.")
-    Term.(const run $ count $ seed $ partition_rate $ crash_rate)
+    Term.(const run $ count $ seed_arg 2026 $ partition_rate $ crash_rate)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -14,12 +14,12 @@ type t = {
       (* session id -> WAL ordinal and note of its first record *)
 }
 
-let create ?device ?format s0 =
+let create ?device s0 =
   let t =
     {
       state = s0;
       initial = s0;
-      wal = Wal.create ?format ();
+      wal = Wal.create ();
       next_txid = 1;
       committed = 0;
       sessions = Hashtbl.create 8;

@@ -18,13 +18,12 @@ open Repro_txn
 
 type t
 
-(** [create ?device ?format s0] — a fresh engine over initial state
-    [s0]. With [?device] the WAL persists through that (fault-injecting)
-    disk ({!Wal.attach}): every force writes checksummed records and
-    syncs, and {!crash_restart} recovers through corruption-detecting
-    {!Wal.reload}. [?format] selects the on-disk WAL format (default
-    {!Wal.default_format}, i.e. v3 binary frames). *)
-val create : ?device:Block.t -> ?format:Wal.format -> State.t -> t
+(** [create ?device s0] — a fresh engine over initial state [s0]. With
+    [?device] the WAL persists through that (fault-injecting) disk
+    ({!Wal.attach}) in format v3: every force writes checksummed frames
+    and syncs, and {!crash_restart} recovers through
+    corruption-detecting {!Wal.reload}. *)
+val create : ?device:Block.t -> State.t -> t
 
 (** Current committed state. *)
 val state : t -> State.t

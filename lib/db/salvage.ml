@@ -28,13 +28,13 @@ let of_string raw =
     }
   | Error reason ->
     {
-      format_version = Wal.int_of_format Wal.default_format;
+      format_version = 3;
       entries = [];
       verdict = Wal.Corrupt { seq = 0; reason };
       kept_records = 0;
       dropped = 0;
       lost_txids = [];
-      output = empty_log (Wal.int_of_format Wal.default_format);
+      output = empty_log 3;
     }
 
 let file ~path ~out =

@@ -9,11 +9,6 @@ type entry =
   | Checkpoint of State.t
   | Session of int * string
 
-type format = V2 | V3
-
-let default_format = V3
-let int_of_format = function V2 -> 2 | V3 -> 3
-
 type t = {
   mutable rev_entries : entry list;
   mutable total : int;
@@ -22,7 +17,6 @@ type t = {
   mutable rev_barriers : int list;  (* entry counts at each force, newest first *)
   mutable device : Block.t option;
   mutable disk_seq : int;  (* sequence number of the next on-disk record *)
-  mutable format : format;
   mutable group_depth : int;  (* open [begin_group] nesting *)
   mutable group_pending : int;  (* forces deferred by the open group *)
   mutable group_mark : int;  (* entry count covered by the last deferred force *)
@@ -38,7 +32,7 @@ let obs_lost = Obs.Counter.make "db.durable_records_lost"
 let obs_coalesced = Obs.Counter.make "db.group_commit.coalesced"
 let obs_bytes = Obs.Counter.make "db.wal.bytes_written"
 
-let create ?(format = default_format) () =
+let create () =
   {
     rev_entries = [];
     total = 0;
@@ -47,13 +41,10 @@ let create ?(format = default_format) () =
     rev_barriers = [];
     device = None;
     disk_seq = 0;
-    format;
     group_depth = 0;
     group_pending = 0;
     group_mark = 0;
   }
-
-let format t = t.format
 
 let append t e =
   t.rev_entries <- e :: t.rev_entries;
@@ -184,7 +175,8 @@ let entry_of_line line =
   | _ -> Error (Unknown_record line)
 
 (* ---------------------------------------------------------------------- *)
-(* On-disk format v2: self-describing header, then one record per line,  *)
+(* On-disk format v2 (read and migrated, never written): header, then   *)
+(* one record per line,                                                  *)
 (*   <seq> <crc32-hex> <payload>                                         *)
 (* with the CRC computed over "<seq> <payload>". Payloads are entry      *)
 (* lines, or "barrier <n>" — the checksummed force-barrier record, where *)
@@ -222,8 +214,6 @@ let crc32 s =
 let record_line ~seq payload =
   Printf.sprintf "%d %08lx %s" seq (crc32 (Printf.sprintf "%d %s" seq payload)) payload
 
-let barrier_payload covered = Printf.sprintf "barrier %d" covered
-
 type verdict = Clean | Torn_tail of int | Corrupt of { seq : int; reason : string }
 
 let pp_verdict ppf = function
@@ -246,7 +236,7 @@ type decoded = {
 
 let empty_decoded =
   {
-    d_format = int_of_format default_format;
+    d_format = 3;
     d_entries = [];
     d_verdict = Torn_tail 0;
     d_barriers = [];
@@ -723,7 +713,7 @@ let decode raw =
   else if String.equal raw format_header_v3 || is_strict_prefix raw format_header_v3 then
     (* torn write of the v3 header itself: an empty log (a bare
        "repro-wal" prefix is ambiguous between formats; either answer is
-       an empty log, so report the default format) *)
+       an empty log, so report v3, the format this log writes) *)
     Ok { empty_decoded with d_format = 3; d_verdict = Torn_tail 1; d_dropped = 1 }
   else
     let lines = String.split_on_char '\n' raw in
@@ -736,53 +726,35 @@ let decode raw =
 (* Durability: forces write through the attached device.                  *)
 (* ---------------------------------------------------------------------- *)
 
-(* Replay the durable prefix oldest-first, interleaving each barrier at
-   the entry count it covers. *)
-let fold_durable t ~emit_entry ~emit_barrier =
+(* The durable prefix as an image, oldest first, with each barrier
+   framed at the entry count it covers; also the number of frames. *)
+let durable_image t =
+  let buf = Buffer.create 256 in
+  let seq = ref 0 in
+  Buffer.add_string buf header_v3;
+  let emit kind =
+    Buffer.add_string buf (frame ~seq:!seq kind);
+    incr seq
+  in
   let barriers = ref (List.rev t.rev_barriers) in
   let count = ref 0 in
   let flush_barrier () =
     match !barriers with
     | b :: rest when b = !count ->
-      emit_barrier b;
+      emit (`Barrier b);
       barriers := rest
     | _ -> ()
   in
   flush_barrier ();
   List.iter
     (fun e ->
-      emit_entry e;
+      emit (`Entry e);
       incr count;
       flush_barrier ())
-    (durable_entries t)
-
-let durable_image t =
-  let buf = Buffer.create 256 in
-  let seq = ref 0 in
-  (match t.format with
-  | V2 ->
-    Buffer.add_string buf format_header;
-    Buffer.add_char buf '\n';
-    let emit payload =
-      Buffer.add_string buf (record_line ~seq:!seq payload);
-      Buffer.add_char buf '\n';
-      incr seq
-    in
-    fold_durable t
-      ~emit_entry:(fun e -> emit (entry_to_line e))
-      ~emit_barrier:(fun b -> emit (barrier_payload b))
-  | V3 ->
-    Buffer.add_string buf header_v3;
-    let emit kind =
-      Buffer.add_string buf (frame ~seq:!seq kind);
-      incr seq
-    in
-    fold_durable t
-      ~emit_entry:(fun e -> emit (`Entry e))
-      ~emit_barrier:(fun b -> emit (`Barrier b)));
+    (durable_entries t);
   (Buffer.contents buf, !seq)
 
-let image_of ~format ~entries ~barriers =
+let image_of ~entries ~barriers =
   let n = List.length entries in
   let t =
     {
@@ -793,7 +765,6 @@ let image_of ~format ~entries ~barriers =
       rev_barriers = List.rev barriers;
       device = None;
       disk_seq = 0;
-      format;
       group_depth = 0;
       group_pending = 0;
       group_mark = 0;
@@ -821,27 +792,17 @@ let do_force t =
         let rec take k l acc = if k <= 0 then acc else match l with [] -> acc | x :: tl -> take (k - 1) tl (x :: acc) in
         take (t.total - t.durable) t.rev_entries []
       in
-      (match t.format with
-      | V2 ->
-        List.iter
-          (fun e ->
-            device_write dev (record_line ~seq:t.disk_seq (entry_to_line e) ^ "\n");
-            t.disk_seq <- t.disk_seq + 1)
-          tail;
-        device_write dev (record_line ~seq:t.disk_seq (barrier_payload t.total) ^ "\n");
-        t.disk_seq <- t.disk_seq + 1
-      | V3 ->
-        (* buffered: the whole force — tail frames plus barrier — is one
-           device write *)
-        let buf = Buffer.create 256 in
-        List.iter
-          (fun e ->
-            Buffer.add_string buf (frame ~seq:t.disk_seq (`Entry e));
-            t.disk_seq <- t.disk_seq + 1)
-          tail;
-        Buffer.add_string buf (frame ~seq:t.disk_seq (`Barrier t.total));
-        t.disk_seq <- t.disk_seq + 1;
-        device_write dev (Buffer.contents buf));
+      (* buffered: the whole force — tail frames plus barrier — is one
+         device write *)
+      let buf = Buffer.create 256 in
+      List.iter
+        (fun e ->
+          Buffer.add_string buf (frame ~seq:t.disk_seq (`Entry e));
+          t.disk_seq <- t.disk_seq + 1)
+        tail;
+      Buffer.add_string buf (frame ~seq:t.disk_seq (`Barrier t.total));
+      t.disk_seq <- t.disk_seq + 1;
+      device_write dev (Buffer.contents buf);
       Block.sync dev);
     t.durable <- t.total;
     t.forces <- t.forces + 1;
@@ -851,7 +812,7 @@ let do_force t =
 
 (* ---------------------------------------------------------------------- *)
 (* Group commit: an open group defers forces; the outermost [end_group]  *)
-(* performs one combined force (one device write + one sync under v3)    *)
+(* performs one combined force (one device write + one sync)             *)
 (* covering everything the deferred forces covered. The barrier-coverage *)
 (* rule keeps the combined group atomic on disk: a torn tail can only    *)
 (* drop the whole coalesced group, never part of it.                     *)
@@ -933,10 +894,14 @@ let reload t =
     t.durable <- t.total;
     t.rev_barriers <- List.rev dec.d_barriers;
     t.disk_seq <- dec.d_records;
-    (* adopt the on-disk format when a real image survives, so forces
-       after a cross-format reload keep appending in the image's format *)
-    if dec.d_records > 0 then t.format <- (if dec.d_format = 2 then V2 else V3);
     Block.truncate dev dec.d_kept_bytes;
+    (* No header survived (empty medium, torn or unrecognizable header):
+       write it again, or every later force appends frames that no
+       reload can find. *)
+    if dec.d_kept_bytes < String.length header_v3 then begin
+      device_write dev header_v3;
+      Block.sync dev
+    end;
     let lost = max 0 (believed - t.total) in
     (match dec.d_verdict with
     | Corrupt _ -> Obs.Counter.incr obs_corruption

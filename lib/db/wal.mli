@@ -15,11 +15,13 @@
     every record, truncates at the first invalid one, and classifies the
     damage ({!verdict}).
 
-    Two on-disk formats coexist, auto-detected by header (see
+    Logs are written in format v3. The reader also accepts the legacy
+    text format v2, auto-detected by header, so v2 images can still be
+    verified, salvaged and migrated to v3; nothing writes v2 (see
     docs/STORAGE.md for the byte-level specification and the migration
-    how-to). New logs default to v3.
+    how-to).
 
-    {2 On-disk format v2 (text, kept for migration)}
+    {2 On-disk format v2 (text, read only)}
 
     A header line ["repro-wal 2"], then one record per line:
 
@@ -31,7 +33,7 @@
     [<n>] is the total number of entries the force covers — a
     self-consistency check on top of the checksum.
 
-    {2 On-disk format v3 (binary, the default)}
+    {2 On-disk format v3 (binary, the only one written)}
 
     The header line ["repro-wal 3\n"], then length-prefixed binary
     frames with no separators:
@@ -69,28 +71,15 @@ type entry =
           appends its commit marker inside the batch it covers, so the
           batch's single force makes marker and effects durable together *)
 
-(** On-disk format selector. [V2] is the legacy text format, [V3] the
-    binary frame format; readers auto-detect by header. *)
-type format = V2 | V3
-
-(** New logs are created in this format ([V3]) unless told otherwise. *)
-val default_format : format
-
-val int_of_format : format -> int
-
 type t
 
-val create : ?format:format -> unit -> t
-
-(** The format this log writes. {!reload} adopts the on-disk format when
-    the device holds a recognizable image of the other one. *)
-val format : t -> format
+val create : unit -> t
 
 val append : t -> entry -> unit
 
 (** [force t] marks everything appended so far as durable; with a device
-    attached it writes the tail records plus a barrier and syncs (under
-    v3, as a single buffered write). Inside an open group
+    attached it writes the tail records plus a barrier and syncs, as a
+    single buffered write. Inside an open group
     ({!begin_group}) the force is deferred instead — see {e Group
     commit} below. *)
 val force : t -> unit
@@ -127,7 +116,7 @@ val entry_equal : entry -> entry -> bool
     [begin_group]/[end_group] bracket a coalescing region: while a group
     is open, {!force} records a pending durability request instead of
     touching the device, and the outermost [end_group] performs {e one}
-    combined force — one device write + one sync under v3 — covering
+    combined force — one device write + one sync — covering
     everything the deferred forces covered. Because the combined force
     writes a single barrier, the coalesced group is atomic on disk: a
     crash either surfaces all of it or none of it, which is exactly a
@@ -183,7 +172,8 @@ type recovery = { verdict : verdict; lost_durable : int; discarded : int }
     (no device: trivially [Clean]). Reads the device (through its read
     faults), verifies record by record, replaces the in-memory log with
     the longest barrier-covered valid prefix, truncates the device to
-    those bytes, and reports the damage. Counts
+    those bytes (rewriting the v3 header when none survived, so later
+    forces stay readable), and reports the damage. Counts
     [db.corruption_detected], [db.torn_tail_records] and
     [db.durable_records_lost]. *)
 val reload : t -> recovery
@@ -217,7 +207,7 @@ val format_header_v3 : string
 (** The v3 header line (no newline). *)
 
 (** [record_line ~seq payload] — one encoded v2 record line (no
-    newline); exposed so tests and tools can craft images. *)
+    newline); exposed so tests can craft v2 images. *)
 val record_line : seq:int -> string -> string
 
 (** [frame ~seq kind] — one encoded v3 binary frame; exposed so tests
@@ -247,10 +237,10 @@ type decoded = {
     log. *)
 val decode : string -> (decoded, string) result
 
-(** [image_of ~format ~entries ~barriers] renders a log image in
-    [format] from an entry list and its barrier coverage points — the
-    migration primitive behind [repro_cli wal-migrate]. *)
-val image_of : format:format -> entries:entry list -> barriers:int list -> string
+(** [image_of ~entries ~barriers] renders a v3 log image from an entry
+    list and its barrier coverage points — the migration primitive
+    behind [repro_cli wal-migrate]. *)
+val image_of : entries:entry list -> barriers:int list -> string
 
 (** {2 File persistence (the log's own format)} *)
 

@@ -10,17 +10,15 @@ module Banking = Repro_workload.Banking
 module P = Repro_replication.Protocol
 module Cost = Repro_replication.Cost
 
-let frac rng lo hi = lo +. (Rng.float rng *. (hi -. lo))
-
 let random_schedule rng =
-  let drop_rate = if Rng.bool rng 0.5 then frac rng 0.0 0.85 else 0.0 in
-  let dup_rate = if Rng.bool rng 0.35 then frac rng 0.0 0.4 else 0.0 in
-  let min_latency = frac rng 0.005 0.05 in
-  let max_latency = min_latency +. frac rng 0.0 1.5 in
+  let drop_rate = if Rng.bool rng 0.5 then Sweep.frac rng 0.0 0.85 else 0.0 in
+  let dup_rate = if Rng.bool rng 0.35 then Sweep.frac rng 0.0 0.4 else 0.0 in
+  let min_latency = Sweep.frac rng 0.005 0.05 in
+  let max_latency = min_latency +. Sweep.frac rng 0.0 1.5 in
   let partitions =
     if Rng.bool rng 0.4 then
-      let from = frac rng 0.0 20.0 in
-      [ (from, from +. frac rng 0.5 10.0) ]
+      let from = Sweep.frac rng 0.0 20.0 in
+      [ (from, from +. Sweep.frac rng 0.5 10.0) ]
     else []
   in
   let crashes =
@@ -45,11 +43,11 @@ let random_schedule rng =
 
 let random_disk_schedule rng =
   {
-    Block.torn_write_rate = (if Rng.bool rng 0.5 then frac rng 0.0 1.0 else 0.0);
-    short_write_rate = (if Rng.bool rng 0.25 then frac rng 0.0 0.15 else 0.0);
-    bitflip_rate = (if Rng.bool rng 0.35 then frac rng 0.0 0.5 else 0.0);
-    truncate_read_rate = (if Rng.bool rng 0.3 then frac rng 0.0 0.5 else 0.0);
-    fsync_lie_rate = (if Rng.bool rng 0.3 then frac rng 0.0 0.6 else 0.0);
+    Block.torn_write_rate = (if Rng.bool rng 0.5 then Sweep.frac rng 0.0 1.0 else 0.0);
+    short_write_rate = (if Rng.bool rng 0.25 then Sweep.frac rng 0.0 0.15 else 0.0);
+    bitflip_rate = (if Rng.bool rng 0.35 then Sweep.frac rng 0.0 0.5 else 0.0);
+    truncate_read_rate = (if Rng.bool rng 0.3 then Sweep.frac rng 0.0 0.5 else 0.0);
+    fsync_lie_rate = (if Rng.bool rng 0.3 then Sweep.frac rng 0.0 0.6 else 0.0);
     fsync_lies = [];
   }
 
@@ -246,57 +244,27 @@ let check_case ?disk ~seed ~schedule () =
         "aborted session: reprocessing fallback not serializable"
       @@ fun () -> ( match disk_checks () with Ok () -> Ok (verdict false) | Error e -> Error e))
 
-type sweep = {
-  cases : int;
-  completed : int;
-  aborted : int;
-  resumed : int;
-  crashes : int;
-  retries : int;
-  forced : int;
-  damaged : int;
-  failures : (int * string) list;
-}
+type sweep = verdict Sweep.t
 
+(* The schedules come from their own stream, drawn in case order. *)
 let run_sweep ?(disk = false) ~seed ~count () =
   let sched_rng = Rng.create (seed lxor 0x9e3779b9) in
-  let completed = ref 0
-  and aborted = ref 0
-  and resumed = ref 0
-  and crashes = ref 0
-  and retries = ref 0
-  and forced = ref 0
-  and damaged = ref 0
-  and failures = ref [] in
-  for i = 0 to count - 1 do
-    let schedule = random_schedule sched_rng in
-    let disk_schedule = if disk then Some (random_disk_schedule sched_rng) else None in
-    match check_case ?disk:disk_schedule ~seed:(seed + i) ~schedule () with
-    | Ok v ->
-      if v.completed then incr completed else incr aborted;
-      if v.resumed then incr resumed;
-      crashes := !crashes + v.crashes;
-      retries := !retries + v.retries;
-      if v.forced then incr forced;
-      if v.damaged then incr damaged
-    | Error msg -> failures := (seed + i, msg) :: !failures
-  done;
-  {
-    cases = count;
-    completed = !completed;
-    aborted = !aborted;
-    resumed = !resumed;
-    crashes = !crashes;
-    retries = !retries;
-    forced = !forced;
-    damaged = !damaged;
-    failures = List.rev !failures;
-  }
+  Sweep.run ~seed ~count (fun seed ->
+      let schedule = random_schedule sched_rng in
+      let disk_schedule = if disk then Some (random_disk_schedule sched_rng) else None in
+      check_case ?disk:disk_schedule ~seed ~schedule ())
 
-let pp_sweep ppf s =
-  Format.fprintf ppf
-    "@[<v>cases=%d completed=%d aborted=%d resumed=%d crashes=%d retries=%d forced=%d damaged=%d@ %a@]"
-    s.cases s.completed s.aborted s.resumed s.crashes s.retries s.forced s.damaged
-    (Format.pp_print_list (fun ppf (seed, msg) ->
-         Format.fprintf ppf "FAIL seed=%d: %s" seed msg))
-    s.failures
+let pp_sweep =
+  Sweep.pp (fun ppf (s : sweep) ->
+      let count f = List.length (List.filter f s.passed) in
+      let sum f = List.fold_left (fun n v -> n + f v) 0 s.passed in
+      Format.fprintf ppf
+        "cases=%d completed=%d aborted=%d resumed=%d crashes=%d retries=%d forced=%d damaged=%d"
+        s.cases
+        (count (fun v -> v.completed))
+        (count (fun v -> not v.completed))
+        (count (fun v -> v.resumed))
+        (sum (fun v -> v.crashes))
+        (sum (fun v -> v.retries))
+        (count (fun v -> v.forced))
+        (count (fun v -> v.damaged)))

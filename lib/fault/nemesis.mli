@@ -57,17 +57,8 @@ val check_case :
   unit ->
   (verdict, string) result
 
-type sweep = {
-  cases : int;
-  completed : int;
-  aborted : int;
-  resumed : int;
-  crashes : int;
-  retries : int;
-  forced : int;
-  damaged : int;  (** cases where the base detected a storage failure *)
-  failures : (int * string) list;  (** (seed, violation) *)
-}
+(** A sweep keeps the verdict of every passing case. *)
+type sweep = verdict Sweep.t
 
 (** [run_sweep ?disk ~seed ~count ()] checks [count] cases with
     schedules drawn from [seed]; case [i] uses workload seed [seed + i].
@@ -75,4 +66,7 @@ type sweep = {
     runs the combined disk+net checks. *)
 val run_sweep : ?disk:bool -> seed:int -> count:int -> unit -> sweep
 
+(** The verdicts summed over the passing cases ([aborted] counts the
+    ones that did not complete, [damaged] the ones where the base
+    detected a storage failure), then the failures. *)
 val pp_sweep : Format.formatter -> sweep -> unit

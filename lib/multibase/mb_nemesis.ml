@@ -1,7 +1,6 @@
 module Rng = Repro_workload.Rng
 module Net = Repro_fault.Net
-
-let frac rng lo hi = lo +. (Rng.float rng *. (hi -. lo))
+module Sweep = Repro_fault.Sweep
 
 (* A random link schedule for one base pair or one mobile session. On
    top of {!Repro_fault.Nemesis}'s repertoire this draws the multi-base
@@ -11,20 +10,20 @@ let frac rng lo hi = lo +. (Rng.float rng *. (hi -. lo))
    and base crash/restart injection through the schedule's crash
    points. *)
 let random_schedule ?(partition_rate = 0.3) ?(crash_rate = 0.2) rng =
-  let drop_rate = if Rng.bool rng 0.4 then frac rng 0.0 0.6 else 0.0 in
-  let dup_rate = if Rng.bool rng 0.3 then frac rng 0.0 0.4 else 0.0 in
-  let min_latency = frac rng 0.005 0.05 in
-  let max_latency = min_latency +. frac rng 0.0 1.0 in
+  let drop_rate = if Rng.bool rng 0.4 then Sweep.frac rng 0.0 0.6 else 0.0 in
+  let dup_rate = if Rng.bool rng 0.3 then Sweep.frac rng 0.0 0.4 else 0.0 in
+  let min_latency = Sweep.frac rng 0.005 0.05 in
+  let max_latency = min_latency +. Sweep.frac rng 0.0 1.0 in
   let partitions =
     if Rng.float rng < partition_rate then
       if Rng.bool rng 0.5 then [ (0.0, 1e9) ]
       else
-        let from = frac rng 0.0 10.0 in
-        [ (from, from +. frac rng 0.5 8.0) ]
+        let from = Sweep.frac rng 0.0 10.0 in
+        [ (from, from +. Sweep.frac rng 0.5 8.0) ]
     else []
   in
-  let to_base_drop = if Rng.bool rng 0.25 then Some (frac rng 0.3 1.0) else None in
-  let to_mobile_drop = if Rng.bool rng 0.25 then Some (frac rng 0.3 1.0) else None in
+  let to_base_drop = if Rng.bool rng 0.25 then Some (Sweep.frac rng 0.3 1.0) else None in
+  let to_mobile_drop = if Rng.bool rng 0.25 then Some (Sweep.frac rng 0.3 1.0) else None in
   let crashes =
     List.concat
       [
@@ -104,69 +103,24 @@ let check_case ?partition_rate ?crash_rate ~seed () =
     | [] -> Ok (Cluster.stats cluster)
     | vs -> Error (String.concat "; " vs))
 
-type sweep = {
-  cases : int;
-  ok : int;
-  sessions : int;
-  completed : int;
-  session_aborts : int;
-  reanchored : int;
-  exchanges : int;
-  exchange_aborts : int;
-  base_crashes : int;
-  committed : int;
-  rejected : int;
-  failures : (int * string) list;  (* (seed, violation) — replayable *)
-}
+type sweep = Cluster.stats Sweep.t
 
 let run_sweep ?partition_rate ?crash_rate ~seed ~count () =
-  let ok = ref 0
-  and sessions = ref 0
-  and completed = ref 0
-  and session_aborts = ref 0
-  and reanchored = ref 0
-  and exchanges = ref 0
-  and exchange_aborts = ref 0
-  and base_crashes = ref 0
-  and committed = ref 0
-  and rejected = ref 0
-  and failures = ref [] in
-  for i = 0 to count - 1 do
-    match check_case ?partition_rate ?crash_rate ~seed:(seed + i) () with
-    | Ok (s : Cluster.stats) ->
-      incr ok;
-      sessions := !sessions + s.Cluster.sessions;
-      completed := !completed + s.Cluster.completed;
-      session_aborts := !session_aborts + s.Cluster.session_aborts;
-      reanchored := !reanchored + s.Cluster.reanchored;
-      exchanges := !exchanges + s.Cluster.exchanges;
-      exchange_aborts := !exchange_aborts + s.Cluster.exchange_aborts;
-      base_crashes := !base_crashes + s.Cluster.base_crashes;
-      committed := !committed + s.Cluster.committed;
-      rejected := !rejected + s.Cluster.rejected
-    | Error msg -> failures := (seed + i, msg) :: !failures
-  done;
-  {
-    cases = count;
-    ok = !ok;
-    sessions = !sessions;
-    completed = !completed;
-    session_aborts = !session_aborts;
-    reanchored = !reanchored;
-    exchanges = !exchanges;
-    exchange_aborts = !exchange_aborts;
-    base_crashes = !base_crashes;
-    committed = !committed;
-    rejected = !rejected;
-    failures = List.rev !failures;
-  }
+  Sweep.run ~seed ~count (fun seed -> check_case ?partition_rate ?crash_rate ~seed ())
 
-let pp_sweep ppf s =
-  Format.fprintf ppf
-    "@[<v>cases=%d ok=%d@ sessions=%d completed=%d aborted=%d reanchored=%d@ \
-     exchanges=%d exchange_aborts=%d base_crashes=%d@ committed=%d rejected=%d@ %a@]"
-    s.cases s.ok s.sessions s.completed s.session_aborts s.reanchored s.exchanges
-    s.exchange_aborts s.base_crashes s.committed s.rejected
-    (Format.pp_print_list (fun ppf (seed, msg) ->
-         Format.fprintf ppf "FAIL seed=%d: %s" seed msg))
-    s.failures
+let pp_sweep =
+  Sweep.pp (fun ppf (s : sweep) ->
+      let sum f = List.fold_left (fun n (c : Cluster.stats) -> n + f c) 0 s.passed in
+      Format.fprintf ppf
+        "cases=%d ok=%d@ sessions=%d completed=%d aborted=%d reanchored=%d@ \
+         exchanges=%d exchange_aborts=%d base_crashes=%d@ committed=%d rejected=%d"
+        s.cases (List.length s.passed)
+        (sum (fun c -> c.Cluster.sessions))
+        (sum (fun c -> c.Cluster.completed))
+        (sum (fun c -> c.Cluster.session_aborts))
+        (sum (fun c -> c.Cluster.reanchored))
+        (sum (fun c -> c.Cluster.exchanges))
+        (sum (fun c -> c.Cluster.exchange_aborts))
+        (sum (fun c -> c.Cluster.base_crashes))
+        (sum (fun c -> c.Cluster.committed))
+        (sum (fun c -> c.Cluster.rejected)))

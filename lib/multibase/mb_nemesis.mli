@@ -11,6 +11,7 @@
     replays exactly. *)
 
 module Net = Repro_fault.Net
+module Sweep = Repro_fault.Sweep
 
 (** [partition_rate] is the probability a drawn link schedule carries a
     partition — half of those are {e hard} (down for the whole
@@ -46,21 +47,11 @@ val check_case :
   unit ->
   (Cluster.stats, string) result
 
-type sweep = {
-  cases : int;
-  ok : int;
-  sessions : int;
-  completed : int;
-  session_aborts : int;
-  reanchored : int;
-  exchanges : int;
-  exchange_aborts : int;
-  base_crashes : int;
-  committed : int;
-  rejected : int;
-  failures : (int * string) list;  (** (seed, violation) — replayable *)
-}
+(** A sweep keeps the cluster statistics of every passing case. *)
+type sweep = Cluster.stats Sweep.t
 
+(** [run_sweep ~seed ~count ()] checks the cases [seed] to
+    [seed + count - 1]. *)
 val run_sweep :
   ?partition_rate:float ->
   ?crash_rate:float ->
@@ -69,4 +60,6 @@ val run_sweep :
   unit ->
   sweep
 
+(** [ok] counts the passing cases; the other figures are their
+    statistics summed ([aborted] is [session_aborts]). *)
 val pp_sweep : Format.formatter -> sweep -> unit

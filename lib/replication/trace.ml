@@ -39,6 +39,16 @@ let draw_gap rng = function
 type sched = S_mobile of int | S_base | S_connect of int | S_window
 
 let generate params workload =
+  (* Each event schedules its successor one interval later: a zero or
+     negative interval would never pass the duration. *)
+  let positive what x =
+    if not (x > 0.0) then invalid_arg ("Trace.generate: " ^ what ^ " must be > 0")
+  in
+  positive "window" params.window;
+  positive "mean_mobile_txn_gap" params.mean_mobile_txn_gap;
+  positive "mean_base_txn_gap" params.mean_base_txn_gap;
+  (match params.connect_gap with
+  | Exponential mean | Pareto { mean; _ } -> positive "connect gap mean" mean);
   let rng = Rng.create params.seed in
   let queue = Pqueue.create () in
   let schedule time ev = Pqueue.push queue time ev in

@@ -52,7 +52,9 @@ type t
 
 (** [generate params workload] draws the full event sequence for one
     simulation run: events in nondecreasing time order, cut at the first
-    event past [params.duration]. Deterministic in [params.seed]. *)
+    event past [params.duration]. Deterministic in [params.seed].
+    @raise Invalid_argument when the window or a mean gap is not
+    positive. *)
 val generate : params -> workload -> t
 
 (** Events in processing order (nondecreasing time; simultaneous events

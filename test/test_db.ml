@@ -304,9 +304,19 @@ let image_of_payloads payloads =
     payloads;
   Buffer.contents buf
 
-let image_of_entries entries =
-  image_of_payloads
-    (List.map Wal.entry_to_line entries @ [ Printf.sprintf "barrier %d" (List.length entries) ])
+(* The v2 image of [entries] with a barrier record after each coverage
+   point in [barriers] (oldest first): the layout the legacy writer
+   produced. *)
+let v2_image ~entries ~barriers =
+  let rec lines count entries barriers =
+    match (barriers, entries) with
+    | b :: rest, _ when b = count -> Printf.sprintf "barrier %d" b :: lines count entries rest
+    | _, [] -> []
+    | _, e :: es -> Wal.entry_to_line e :: lines (count + 1) es barriers
+  in
+  image_of_payloads (lines 0 entries barriers)
+
+let image_of_entries entries = v2_image ~entries ~barriers:[ List.length entries ]
 
 let expect_decode raw =
   match Wal.decode raw with Ok d -> d | Error msg -> Alcotest.failf "decode failed: %s" msg
@@ -465,6 +475,21 @@ let test_engine_device_torn_force_recovers_prefix () =
   (* the truncated device now reads back clean *)
   checkb "medium scrubs clean after recovery truncation" true
     (Scrub.is_clean (Scrub.of_string (Block.contents dev)))
+
+let test_engine_device_empty_recovery_keeps_later_commits () =
+  (* Syncs #1 (attach) and #2 (initial checkpoint force) lie, so the
+     crash leaves an empty medium. Recovery must write the log header
+     again: without it every later force appends frames that no reload
+     can find, and every later commit is lost. *)
+  let dev = Block.create { Block.faithful with Block.fsync_lies = [ 1; 2 ] } in
+  let e = Engine.create ~device:dev s0 in
+  let r = Engine.crash_restart e in
+  checki "the checkpoint's loss is reported" 1 r.Wal.lost_durable;
+  Engine.apply_updates e (State.of_list [ ("a", 42) ]) (Item.Set.of_names [ "a" ]);
+  let r2 = Engine.crash_restart e in
+  checkb "clean after an honest commit" true (r2.Wal.verdict = Wal.Clean);
+  checki "no durable loss" 0 r2.Wal.lost_durable;
+  checki "the commit survived" 42 (State.get (Engine.state e) "a")
 
 (* ------------------------------------------------------------------ *)
 (* Scrub / salvage                                                    *)
@@ -713,7 +738,7 @@ let test_v3_roundtrip_hostile_values () =
       Wal.Checkpoint (State.of_list [ ("k 1", -5); ("z", max_int) ]);
     ]
   in
-  let raw = Wal.image_of ~format:Wal.V3 ~entries ~barriers:[ List.length entries ] in
+  let raw = Wal.image_of ~entries ~barriers:[ List.length entries ] in
   match Wal.decode raw with
   | Error e -> Alcotest.fail e
   | Ok d ->
@@ -803,8 +828,9 @@ let prop_cross_format_equivalence =
     (fun entries ->
       let n = List.length entries in
       let barriers = List.sort_uniq compare (List.filter (fun x -> x > 0) [ (n + 1) / 2; n ]) in
-      let dec fmt = Wal.decode (Wal.image_of ~format:fmt ~entries ~barriers) in
-      match (dec Wal.V2, dec Wal.V3) with
+      let v2 = Wal.decode (v2_image ~entries ~barriers)
+      and v3 = Wal.decode (Wal.image_of ~entries ~barriers) in
+      match (v2, v3) with
       | Ok a, Ok b ->
         a.Wal.d_verdict = Wal.Clean && b.Wal.d_verdict = Wal.Clean
         && a.Wal.d_format = 2 && b.Wal.d_format = 3
@@ -866,6 +892,22 @@ let test_fixture_corpus () =
       check_one (prefix ^ "-interior") ~fmt ~verdict:(`Corrupt 2) ~entries:1 ~records:2
         ~barriers:[ 1 ] ~dropped:10 ~lost:7 ~lost_txids:[ 1; 2 ])
     [ ("v2", 2); ("v3", 3) ]
+
+let test_fixture_v2_migrates_to_v3 () =
+  (* The v2 fixtures are frozen bytes: each must migrate to the image of
+     its v3 counterpart's recovered log, and the clean one to
+     v3-clean.wal itself. *)
+  let migrated name =
+    let d = expect_decode (read_fixture name) in
+    Wal.image_of ~entries:d.Wal.d_entries ~barriers:d.Wal.d_barriers
+  in
+  List.iter
+    (fun kind ->
+      checkb (kind ^ ": v2 and v3 migrate to the same image") true
+        (String.equal (migrated ("v2-" ^ kind)) (migrated ("v3-" ^ kind))))
+    [ "clean"; "torn-tail"; "interior"; "fsynclie" ];
+  checkb "v2-clean migrates to the v3-clean bytes" true
+    (String.equal (migrated "v2-clean") (read_fixture "v3-clean"))
 
 let test_fixture_scrub_json () =
   let j = Scrub.to_json (Scrub.of_string (read_fixture "v3-interior")) in
@@ -1159,6 +1201,8 @@ let () =
           Alcotest.test_case "fsync lie detected" `Quick test_engine_device_fsync_lie_detected;
           Alcotest.test_case "torn force recovers prefix" `Quick
             test_engine_device_torn_force_recovers_prefix;
+          Alcotest.test_case "empty recovery keeps later commits" `Quick
+            test_engine_device_empty_recovery_keeps_later_commits;
         ] );
       ( "v3 format",
         [
@@ -1173,6 +1217,8 @@ let () =
       ( "fixture corpus",
         [
           Alcotest.test_case "decoded verdicts pinned" `Quick test_fixture_corpus;
+          Alcotest.test_case "v2 fixtures migrate to v3 bytes" `Quick
+            test_fixture_v2_migrates_to_v3;
           Alcotest.test_case "scrub/salvage json pinned" `Quick test_fixture_scrub_json;
           Alcotest.test_case "salvage keeps format" `Quick test_fixture_salvage;
         ] );

@@ -16,6 +16,7 @@ module Sync = Repro_replication.Sync
 module Net = Repro_fault.Net
 module Session = Repro_fault.Session
 module Nemesis = Repro_fault.Nemesis
+module Sweep = Repro_fault.Sweep
 module G = Test_support.Generators
 
 let checki = Alcotest.check Alcotest.int
@@ -409,17 +410,35 @@ let test_nemesis_done_then_storage_loss () =
 
 let test_nemesis_sweep_clean () =
   let sweep = Nemesis.run_sweep ~seed:2026 ~count:30 () in
-  checki "no violations" 0 (List.length sweep.Nemesis.failures);
-  checki "all cases accounted" sweep.Nemesis.cases
-    (sweep.Nemesis.completed + sweep.Nemesis.aborted);
-  checkb "faults actually fired" true (sweep.Nemesis.retries > 0 || sweep.Nemesis.crashes > 0)
+  checki "no violations" 0 (List.length sweep.Sweep.failures);
+  checki "all cases accounted" sweep.Sweep.cases (List.length sweep.Sweep.passed);
+  checkb "faults actually fired" true
+    (List.exists
+       (fun (v : Nemesis.verdict) -> v.Nemesis.retries > 0 || v.Nemesis.crashes > 0)
+       sweep.Sweep.passed)
+
+let test_sweep_driver () =
+  let sweep =
+    Sweep.run ~seed:10 ~count:4 (fun s ->
+        if s mod 2 = 0 then Ok (s * 10) else Error (Printf.sprintf "odd %d" s))
+  in
+  Alcotest.(check (list int)) "passing results in seed order" [ 100; 120 ] sweep.Sweep.passed;
+  Alcotest.(check (list (pair int string)))
+    "failures in seed order" [ (11, "odd 11"); (13, "odd 13") ] sweep.Sweep.failures;
+  let header ppf (s : int Sweep.t) =
+    Format.fprintf ppf "cases=%d ok=%d" s.Sweep.cases (List.length s.Sweep.passed)
+  in
+  Alcotest.(check string)
+    "header, then one FAIL line per failure"
+    "cases=4 ok=2\nFAIL seed=11: odd 11\nFAIL seed=13: odd 13"
+    (Format.asprintf "%a" (Sweep.pp header) sweep)
 
 let test_nemesis_disk_sweep_clean () =
   let sweep = Nemesis.run_sweep ~disk:true ~seed:2026 ~count:40 () in
-  checki "no violations" 0 (List.length sweep.Nemesis.failures);
-  checki "all cases accounted" sweep.Nemesis.cases
-    (sweep.Nemesis.completed + sweep.Nemesis.aborted);
-  checkb "storage failures were actually provoked and detected" true (sweep.Nemesis.damaged > 0)
+  checki "no violations" 0 (List.length sweep.Sweep.failures);
+  checki "all cases accounted" sweep.Sweep.cases (List.length sweep.Sweep.passed);
+  checkb "storage failures were actually provoked and detected" true
+    (List.exists (fun (v : Nemesis.verdict) -> v.Nemesis.damaged) sweep.Sweep.passed)
 
 (* ------------------------------------------------------------------ *)
 (* Two interleaved sessions against one base (ROADMAP item 5)          *)
@@ -603,6 +622,7 @@ let () =
         [
           Alcotest.test_case "fixed-seed sweep" `Quick test_nemesis_sweep_clean;
           Alcotest.test_case "fixed-seed disk sweep" `Quick test_nemesis_disk_sweep_clean;
+          Alcotest.test_case "sweep driver" `Quick test_sweep_driver;
           Alcotest.test_case "storage loss after Done aborts" `Quick
             test_nemesis_done_then_storage_loss;
         ]

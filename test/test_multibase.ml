@@ -12,6 +12,7 @@ module Mbase = Repro_multibase.Mbase
 module Exchange = Repro_multibase.Exchange
 module Cluster = Repro_multibase.Cluster
 module MN = Repro_multibase.Mb_nemesis
+module Sweep = Repro_fault.Sweep
 module G = Test_support.Generators
 
 let checki = Alcotest.check Alcotest.int
@@ -273,13 +274,16 @@ let test_cluster_partitioned_exchanges_heal () =
 
 let test_mb_nemesis_fixed_sweep () =
   let sweep = MN.run_sweep ~seed:2026 ~count:25 () in
-  (match sweep.MN.failures with
+  (match sweep.Sweep.failures with
   | [] -> ()
   | (seed, msg) :: _ -> Alcotest.failf "seed %d: %s" seed msg);
-  checki "all cases pass" sweep.MN.cases sweep.MN.ok;
-  checkb "faults actually fired" true
-    (sweep.MN.exchange_aborts > 0 || sweep.MN.base_crashes > 0 || sweep.MN.session_aborts > 0);
-  checkb "transactions actually committed" true (sweep.MN.committed > 0)
+  checki "all cases pass" sweep.Sweep.cases (List.length sweep.Sweep.passed);
+  let fired (s : Cluster.stats) =
+    s.Cluster.exchange_aborts > 0 || s.Cluster.base_crashes > 0 || s.Cluster.session_aborts > 0
+  in
+  checkb "faults actually fired" true (List.exists fired sweep.Sweep.passed);
+  checkb "transactions actually committed" true
+    (List.exists (fun (s : Cluster.stats) -> s.Cluster.committed > 0) sweep.Sweep.passed)
 
 let prop_mb_nemesis_convergence =
   QCheck.Test.make ~count:30 ~name:"mb-nemesis: convergence contract under random faults"

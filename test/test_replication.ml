@@ -407,6 +407,23 @@ let test_sync_merging_cheaper_on_commuting_workload () =
     (Cost.total merging.Sync.cost < Cost.total reproc.Sync.cost);
   checki "still serializable" 0 merging.Sync.serializability_violations
 
+let test_trace_rejects_non_positive_intervals () =
+  (* Each event schedules its successor one interval later, so these
+     would generate forever. *)
+  let params = Sync.trace_params { Sync.default_config with Sync.duration = 10.0 } in
+  List.iter
+    (fun (what, p) ->
+      Alcotest.check_raises what
+        (Invalid_argument ("Trace.generate: " ^ what ^ " must be > 0"))
+        (fun () -> ignore (Trace.generate p order_entry_workload)))
+    [
+      ("window", { params with Trace.window = 0.0 });
+      ("window", { params with Trace.window = -1.0 });
+      ("mean_mobile_txn_gap", { params with Trace.mean_mobile_txn_gap = 0.0 });
+      ("mean_base_txn_gap", { params with Trace.mean_base_txn_gap = 0.0 });
+      ("connect gap mean", { params with Trace.connect_gap = Trace.Exponential 0.0 });
+    ]
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -446,5 +463,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_sync_deterministic;
           Alcotest.test_case "merging cheaper (commuting workload)" `Quick
             test_sync_merging_cheaper_on_commuting_workload;
+          Alcotest.test_case "non-positive window or gap rejected" `Quick
+            test_trace_rejects_non_positive_intervals;
         ] );
     ]

@@ -1,11 +1,14 @@
-(* Regenerate the golden WAL fixture corpus under test/support/fixtures/.
+(* Regenerate the v3 half of the golden WAL fixture corpus under
+   test/support/fixtures/.
 
    Usage: dune exec tools/gen_wal_fixtures.exe -- DIR
 
-   Eight deterministic images — {v2,v3} x {clean, torn-tail, interior,
-   fsynclie} — all derived from the same small history (three commit
-   groups: a checkpoint, one committed transaction, then a session
-   commit group), so the two formats pin byte-identical semantics:
+   Four deterministic v3 images — {clean, torn-tail, interior, fsynclie}
+   — all derived from the same small history (three commit groups: a
+   checkpoint, one committed transaction, then a session commit group).
+   The four v2-*.wal fixtures hold the same shapes in the legacy text
+   format, which nothing writes: they are frozen committed bytes, and
+   the "fixture corpus" tests check that they migrate to these images.
 
    - clean:     the full image, three barriers.
    - torn-tail: the final barrier record cut mid-write (last 3 bytes
@@ -20,8 +23,8 @@
                 valid, yet the group must not surface.
 
    The loader test (test_db.ml, "fixture corpus" suite) pins the decoded
-   verdicts; `make wal-compat` scrubs and salvages all eight through the
-   CLI. *)
+   verdicts of all eight fixtures; `make wal-compat` scrubs and salvages
+   them through the CLI. *)
 
 module Wal = Repro_db.Wal
 module State = Repro_txn.State
@@ -44,20 +47,20 @@ let entries =
 
 let barriers = [ 1; 4; 9 ]
 
-let fixture fmt kind =
-  let full = Wal.image_of ~format:fmt ~entries ~barriers in
+let fixture kind =
+  let full = Wal.image_of ~entries ~barriers in
   match kind with
   | `Clean -> full
   | `Torn_tail -> String.sub full 0 (String.length full - 3)
   | `Fsynclie ->
     (* identical bytes, minus the final barrier record: image_of with
        the last coverage point omitted is exactly that prefix *)
-    Wal.image_of ~format:fmt ~entries ~barriers:[ 1; 4 ]
+    Wal.image_of ~entries ~barriers:[ 1; 4 ]
   | `Interior ->
     (* flip a byte inside record 2 (the Begin of group 2); records 0-1
        occupy exactly the bytes of the one-record image below *)
     let prefix =
-      Wal.image_of ~format:fmt
+      Wal.image_of
         ~entries:[ Wal.Checkpoint (State.of_list [ ("a", 10); ("b", 20) ]) ]
         ~barriers:[ 1 ]
     in
@@ -70,13 +73,10 @@ let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/support/fixtures" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.iter
-    (fun (fmt, fname) ->
-      List.iter
-        (fun (kind, kname) ->
-          let path = Filename.concat dir (Printf.sprintf "%s-%s.wal" fname kname) in
-          let image = fixture fmt kind in
-          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc image);
-          Printf.printf "wrote %s (%d bytes)\n" path (String.length image))
-        [ (`Clean, "clean"); (`Torn_tail, "torn-tail"); (`Interior, "interior");
-          (`Fsynclie, "fsynclie") ])
-    [ (Wal.V2, "v2"); (Wal.V3, "v3") ]
+    (fun (kind, kname) ->
+      let path = Filename.concat dir (Printf.sprintf "v3-%s.wal" kname) in
+      let image = fixture kind in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc image);
+      Printf.printf "wrote %s (%d bytes)\n" path (String.length image))
+    [ (`Clean, "clean"); (`Torn_tail, "torn-tail"); (`Interior, "interior");
+      (`Fsynclie, "fsynclie") ]
