@@ -143,7 +143,7 @@ let bench_tests () =
           in
           ignore
             (Protocol.merge ~config:Protocol.default_merge_config ~params:Cost.default_params
-               ~base:engine ~base_history ~origin:s0 ~tentative ())
+               ~base:engine ~base_history ~origin:s0 ~tentative)
         in
         let run_reprocess () =
           let engine = Engine.create s0 in
@@ -203,29 +203,6 @@ let bench_tests () =
                       ignore (Backout.compute ~strategy:Backout.Branch_and_bound case.Mergecase.pg)))))
       cases
   in
-  let incremental_graph_tests =
-    (* the Sync Strategy-2 reconnect shape: the base side of the graph is
-       already held in a builder, only the session delta is paid *)
-    List.map
-      (fun (n, case) ->
-        let tentative =
-          Summary.of_execution ~kind:Summary.Tentative
-            (History.execute case.Mergecase.s0 case.Mergecase.tentative)
-        in
-        let base =
-          Summary.of_execution ~kind:Summary.Base
-            (History.execute case.Mergecase.s0 case.Mergecase.base)
-        in
-        let base_builder = Builder.create () in
-        List.iter (Builder.add base_builder) base;
-        Bechamel.Test.make
-          ~name:(Printf.sprintf "precedence-incremental/n=%d" n)
-          (Bechamel.Staged.stage (fun () ->
-               let b = Builder.clone base_builder in
-               Builder.add_all b tentative;
-               ignore (Builder.to_precedence b))))
-      cases
-  in
   let obs_overhead_tests =
     (* the instrumented end-to-end merge with recording on vs off; the
        two should be within noise of each other *)
@@ -259,7 +236,7 @@ let bench_tests () =
         (Bechamel.Staged.stage (wal_run ~grouped:true));
     ]
   in
-  graph_tests @ incremental_graph_tests @ backout_tests @ damage_backout_tests
+  graph_tests @ backout_tests @ damage_backout_tests
   @ bnb_backout_tests
   @ rewrite_tests Rewrite.Can_follow "alg1"
   @ rewrite_tests Rewrite.Can_follow_precede "alg2"

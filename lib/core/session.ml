@@ -45,7 +45,7 @@ let merge_once ?(config = Protocol.default_merge_config) ?(params = Cost.default
   in
   let report =
     Protocol.merge ~config ~params ~base:engine ~base_history ~origin:s0
-      ~tentative:tentative_history ()
+      ~tentative:tentative_history
   in
   { precedence; report; merged_state = Engine.state engine }
 

@@ -64,7 +64,7 @@ let one_case ~seed ~tentative_len ~base_len ~overlap =
   in
   let merge_report =
     Protocol.merge ~config:Protocol.default_merge_config ~params:Cost.default_params
-      ~base:engine ~base_history ~origin:s0 ~tentative:(History.of_programs tentative) ()
+      ~base:engine ~base_history ~origin:s0 ~tentative:(History.of_programs tentative)
   in
   (* Reprocess side, identical setup. *)
   let engine' = Engine.create s0 in

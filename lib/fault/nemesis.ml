@@ -109,7 +109,7 @@ let check_case ?disk ~seed ~schedule () =
   let ref_engine, ref_history = mk_engine () in
   let ref_report =
     P.merge ~config:P.default_merge_config ~params:Cost.default_params ~base:ref_engine
-      ~base_history:ref_history ~origin:s0 ~tentative ()
+      ~base_history:ref_history ~origin:s0 ~tentative
   in
   let ref_state = Engine.state ref_engine in
   let device = Option.map (fun sched -> Block.create ~seed:(seed + 2) sched) disk in

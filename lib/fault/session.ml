@@ -286,7 +286,7 @@ let run_merge ?(sid = 1) ?retry_seed ~net ~session ~config ~params ~base ~base_h
       let sh_origin = match st.bs_origin with Some o -> o | None -> origin in
       let g =
         P.analyze_graph ~strategy:config.P.strategy ~params ~cost ~base_history
-          ~origin:sh_origin ~tentative:shipped ()
+          ~origin:sh_origin ~tentative:shipped
       in
       st.bs_graph <- Some g;
       g
@@ -473,7 +473,7 @@ let run_merge ?(sid = 1) ?retry_seed ~net ~session ~config ~params ~base ~base_h
         | Some (first, last) ->
           let g =
             P.analyze_graph ~strategy:config.P.strategy ~params ~cost ~base_history ~origin
-              ~tentative ()
+              ~tentative
           in
           let r = P.rewrite_local ~config ~params ~cost ~origin ~tentative ~bad:g.P.gp_bad in
           Completed (replay_applied g r ~first ~last)
@@ -540,7 +540,7 @@ let run_merge ?(sid = 1) ?retry_seed ~net ~session ~config ~params ~base ~base_h
             | Some (first, last) ->
               let g =
                 P.analyze_graph ~strategy:config.P.strategy ~params ~cost ~base_history
-                  ~origin ~tentative ()
+                  ~origin ~tentative
               in
               Completed (replay_applied g r ~first ~last)
             | None -> Aborted "commit undeliverable; journal shows no effect")))

@@ -301,7 +301,7 @@ let integrate (t : t) (txns : Gtxn.t list) =
     let cfg = { t.config.merge with P.acceptance = P.accept_always } in
     let report =
       P.merge ~config:cfg ~params:t.config.params ~base:t.engine ~base_history
-        ~origin:t.stable_state ~tentative:tent_h ()
+        ~origin:t.stable_state ~tentative:tent_h
     in
     let by_name = Hashtbl.create 16 in
     List.iter (fun (g : Gtxn.t) -> Hashtbl.replace by_name (Gtxn.name g) g) fresh;

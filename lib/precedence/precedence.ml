@@ -17,6 +17,39 @@ type t = {
   mutable acyclic : bool option;  (* cached first Scc run over [graph] *)
 }
 
+(* For each node, the later nodes sharing an item with it where at least
+   one side writes: exactly the pairs an edge rule of [build] can fire on,
+   since every rule needs such an item. Filled from the last node back, so
+   each item's reader and writer lists hold only later nodes; each list
+   comes out in increasing order. *)
+let later_partners summaries =
+  let n = Array.length summaries in
+  let readers = Hashtbl.create 64 and writers = Hashtbl.create 64 in
+  let touching tbl x = Option.value (Hashtbl.find_opt tbl x) ~default:[] in
+  let seen = Array.make n (-1) in
+  let partners = Array.make n [] in
+  for i = n - 1 downto 0 do
+    let s = summaries.(i) in
+    let found = ref [] in
+    let consider j =
+      if seen.(j) <> i then begin
+        seen.(j) <- i;
+        found := j :: !found
+      end
+    in
+    Item.Set.iter
+      (fun x ->
+        List.iter consider (touching writers x);
+        List.iter consider (touching readers x))
+      s.Summary.writeset;
+    Item.Set.iter (fun x -> List.iter consider (touching writers x)) s.Summary.readset;
+    partners.(i) <- List.sort Int.compare !found;
+    let push tbl x = Hashtbl.replace tbl x (i :: touching tbl x) in
+    Item.Set.iter (push readers) s.Summary.readset;
+    Item.Set.iter (push writers) s.Summary.writeset
+  done;
+  partners
+
 let build ~tentative ~base =
   Obs.Span.with_ ~lane:Obs.Event.Base ~name:"precedence.build" @@ fun () ->
   let summaries = Array.of_list (tentative @ base) in
@@ -30,12 +63,16 @@ let build ~tentative ~base =
     summaries;
   let graph = Digraph.create n in
   let m = List.length tentative in
+  let later = later_partners summaries in
+  (* [for j = lo to hi] restricted to the pairs that can gain an edge, in
+     increasing order, so edges enter [graph] — and every successor and
+     predecessor list — exactly as a pairwise scan adds them. *)
+  let partners i lo hi f = List.iter (fun j -> if lo <= j && j <= hi then f j) later.(i) in
   (* Intra-history edges: earlier conflicting transaction -> later one. *)
   let intra lo hi =
     for i = lo to hi - 1 do
-      for j = i + 1 to hi do
-        if Summary.conflicts summaries.(i) summaries.(j) then Digraph.add_edge graph i j
-      done
+      partners i (i + 1) hi (fun j ->
+          if Summary.conflicts summaries.(i) summaries.(j) then Digraph.add_edge graph i j)
     done
   in
   intra 0 (m - 1);
@@ -43,23 +80,22 @@ let build ~tentative ~base =
   (* Cross edges: a transaction that read an item the other history's
      transaction updated saw the common original value, hence precedes. *)
   for i = 0 to m - 1 do
-    for j = m to n - 1 do
-      let tm = summaries.(i) and tb = summaries.(j) in
-      if not (Item.Set.disjoint tm.Summary.readset tb.Summary.writeset) then
-        Digraph.add_edge graph i j;
-      if not (Item.Set.disjoint tb.Summary.readset tm.Summary.writeset) then
-        Digraph.add_edge graph j i;
-      (* Blind-write adaptation: a write-write overlap with no read on
-         either side produces no edge under the paper's literal rules,
-         leaving the merged order of the two writes ambiguous. Order the
-         base transaction first (the tentative write wins, matching the
-         protocol's forwarded updates). With no blind writes this never
-         fires: writeset ⊆ readset makes the overlap a two-cycle above. *)
-      if
-        (not (Item.Set.disjoint tm.Summary.writeset tb.Summary.writeset))
-        && not (Digraph.mem_edge graph i j)
-      then Digraph.add_edge graph j i
-    done
+    partners i m (n - 1) (fun j ->
+        let tm = summaries.(i) and tb = summaries.(j) in
+        if not (Item.Set.disjoint tm.Summary.readset tb.Summary.writeset) then
+          Digraph.add_edge graph i j;
+        if not (Item.Set.disjoint tb.Summary.readset tm.Summary.writeset) then
+          Digraph.add_edge graph j i;
+        (* Blind-write adaptation: a write-write overlap with no read on
+           either side produces no edge under the paper's literal rules,
+           leaving the merged order of the two writes ambiguous. Order the
+           base transaction first (the tentative write wins, matching the
+           protocol's forwarded updates). With no blind writes this never
+           fires: writeset ⊆ readset makes the overlap a two-cycle above. *)
+        if
+          (not (Item.Set.disjoint tm.Summary.writeset tb.Summary.writeset))
+          && not (Digraph.mem_edge graph i j)
+        then Digraph.add_edge graph j i)
   done;
   Obs.Counter.incr obs_builds;
   Obs.Dist.observe_int obs_nodes n;
@@ -70,22 +106,6 @@ let build ~tentative ~base =
         [ ("nodes", Obs.Event.Int n); ("edges", Obs.Event.Int (Digraph.edge_count graph)) ]
       "precedence.built";
   { graph; summaries; index; acyclic = None }
-
-(* Trusted constructor for the incremental [Builder]: the caller vouches
-   that [graph] holds exactly the edges [build] would have produced for
-   [summaries] (tentative block first, then base, each in history order).
-   The already-known acyclicity verdict is carried over so the first
-   [is_acyclic] query costs nothing; the cyclic-graph counter is bumped
-   here to keep its meaning — one tick per graph found cyclic — identical
-   across both construction paths. *)
-let of_parts ~summaries ~graph ~acyclic =
-  let n = Array.length summaries in
-  let index = Hashtbl.create n in
-  Array.iteri (fun i (s : Summary.t) -> Hashtbl.replace index s.Summary.name i) summaries;
-  Obs.Dist.observe_int obs_nodes n;
-  Obs.Dist.observe_int obs_edges (Digraph.edge_count graph);
-  if acyclic = Some false then Obs.Counter.incr obs_cyclic;
-  { graph; summaries; index; acyclic }
 
 let of_executions ~tentative ~base =
   build

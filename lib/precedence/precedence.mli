@@ -23,18 +23,16 @@
 type t
 
 (** [build ~tentative ~base] constructs the graph; list order is history
-    order. All names must be distinct across both lists. *)
-val build : tentative:Summary.t list -> base:Summary.t list -> t
+    order. All names must be distinct across both lists.
 
-(** [of_parts ~summaries ~graph ~acyclic] wraps an already-built graph —
-    the trusted constructor behind {!Builder.to_precedence}. [summaries]
-    must be ordered tentative block first then base block (each in history
-    order, matching {!build}'s node numbering) and [graph] must hold
-    exactly the edges {!build} would produce for them; [acyclic] carries
-    the builder's incrementally-maintained verdict so the first
-    {!is_acyclic} query is free. Not intended for direct use. *)
-val of_parts :
-  summaries:Summary.t array -> graph:Repro_graph.Digraph.t -> acyclic:bool option -> t
+    One pass indexes the readers and writers of every item, so each
+    transaction is tested only against the transactions sharing an item
+    with it where at least one side writes, not against every node. Edges
+    enter the graph in the order of the pairwise scan over the tentative
+    block, then the base block, then the cross pairs, so every
+    successor and predecessor list — which back-out, SCC and DOT
+    rendering read — is the scan's. *)
+val build : tentative:Summary.t list -> base:Summary.t list -> t
 
 (** [of_executions ~tentative ~base] builds from the dynamic read/write
     sets of two executions. *)

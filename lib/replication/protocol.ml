@@ -192,23 +192,12 @@ type graph_phase = {
   gp_bad : Names.Set.t;
 }
 
-let analyze_graph ?base_builder ~strategy ~params ~cost ~base_history ~origin ~tentative () =
+let analyze_graph ~strategy ~params ~cost ~base_history ~origin ~tentative =
   let tentative_exec = History.execute origin tentative in
   let tent_summaries = Summary.of_execution ~kind:Summary.Tentative tentative_exec in
   let pg =
-    match base_builder with
-    | Some b ->
-      (* The caller maintains a builder mirroring [base_history]; fork it,
-         extend with this session's tentative transactions, materialize —
-         the base-side pairwise scan is never repaid. *)
-      let fork = Builder.clone b in
-      Builder.add_all fork tent_summaries;
-      Builder.to_precedence fork
-    | None ->
-      let base_summaries =
-        List.map (fun bt -> Summary.of_record ~kind:Summary.Base bt.record) base_history
-      in
-      Precedence.build ~tentative:tent_summaries ~base:base_summaries
+    Precedence.build ~tentative:tent_summaries
+      ~base:(List.map (fun bt -> Summary.of_record ~kind:Summary.Base bt.record) base_history)
   in
   (* Step 1: ship read/write sets and G(H_m); build G(H_m, H_b). *)
   let rwset_units =
@@ -365,13 +354,10 @@ let record_merge_metrics (report : merge_report) =
   count_outcomes report.txns;
   Obs.Dist.observe obs_merge_cost (Cost.total report.cost)
 
-let merge ?base_builder ~config ~params ~base ~base_history ~origin ~tentative () =
+let merge ~config ~params ~base ~base_history ~origin ~tentative =
   Obs.Span.with_ ~name:"protocol.merge" @@ fun () ->
   let cost = Cost.zero () in
-  let g =
-    analyze_graph ?base_builder ~strategy:config.strategy ~params ~cost ~base_history ~origin
-      ~tentative ()
-  in
+  let g = analyze_graph ~strategy:config.strategy ~params ~cost ~base_history ~origin ~tentative in
   let r = rewrite_local ~config ~params ~cost ~origin ~tentative ~bad:g.gp_bad in
   let rw = r.rp_rewrite in
   let plan = plan_commit ~graph:g ~rewrite:r ~base_history ~tentative in

@@ -89,14 +89,12 @@ type merge_report = {
     The base engine's state is updated (forwarded updates plus
     re-executions). *)
 val merge :
-  ?base_builder:Repro_precedence.Builder.t ->
   config:merge_config ->
   params:Cost.params ->
   base:Repro_db.Engine.t ->
   base_history:base_txn list ->
   origin:State.t ->
   tentative:History.t ->
-  unit ->
   merge_report
 
 (** {2 Message-level decomposition of the merge exchange}
@@ -116,20 +114,16 @@ type graph_phase = {
   gp_bad : Names.Set.t;
 }
 
-(** [?base_builder], when given, must be an incremental
-    {!Repro_precedence.Builder} mirroring exactly [base_history]; the
-    graph is then obtained by cloning it and adding the tentative
-    summaries — proportional to the session delta — instead of the
-    from-scratch pairwise scan of {!Repro_precedence.Precedence.build}. *)
+(** Builds the graph with {!Repro_precedence.Precedence.build} from the
+    summaries of [tentative], executed from [origin], and of
+    [base_history]. *)
 val analyze_graph :
-  ?base_builder:Repro_precedence.Builder.t ->
   strategy:Backout.strategy ->
   params:Cost.params ->
   cost:Cost.tally ->
   base_history:base_txn list ->
   origin:State.t ->
   tentative:History.t ->
-  unit ->
   graph_phase
 
 (** Mobile side, steps 3-4: rewrite the tentative history around {b B}

@@ -98,10 +98,8 @@ type mobile = {
 
 let run_trace config workload trace =
   let base = Engine.create workload.initial in
-  (* Strategy 1 snapshots share no common graph to mirror. *)
   let window =
-    Window.create ~builder:(config.isolation = Strategy2) ?runner:config.merge_runner
-      ~protocol:config.protocol ~params:config.params base
+    Window.create ?runner:config.merge_runner ~protocol:config.protocol ~params:config.params base
   in
   let window_origin = ref workload.initial in
   let window_index = ref 0 in

@@ -1,8 +1,6 @@
 open Repro_txn
 open Repro_history
 module Engine = Repro_db.Engine
-module Builder = Repro_precedence.Builder
-module Summary = Repro_precedence.Summary
 
 type protocol = Merging of Protocol.merge_config | Reprocessing
 
@@ -35,29 +33,16 @@ type t = {
   params : Cost.params;
   runner : merge_runner option;
   mutable rev_history : Protocol.base_txn list;  (* newest first *)
-  mutable builder : Builder.t option;  (* the history's mirror, when kept *)
   cost : Cost.tally;
   mutable counts : counts;
 }
 
-let add_summaries b txns =
-  List.iter
-    (fun (bt : Protocol.base_txn) ->
-      Builder.add b (Summary.of_record ~kind:Summary.Base bt.Protocol.record))
-    txns
-
-let mirror txns =
-  let b = Builder.create () in
-  add_summaries b txns;
-  b
-
-let create ?(builder = false) ?runner ~protocol ~params engine =
+let create ?runner ~protocol ~params engine =
   let counts =
     { merges = 0; saved = 0; reexecuted = 0; rejected = 0; late_sessions = 0; late_txns = 0;
       aborted_merges = 0 }
   in
-  let builder = if builder then Some (mirror []) else None in
-  { engine; protocol; params; runner; rev_history = []; builder; cost = Cost.zero (); counts }
+  { engine; protocol; params; runner; rev_history = []; cost = Cost.zero (); counts }
 
 let engine w = w.engine
 let length w = List.length w.rev_history
@@ -77,9 +62,7 @@ let history ?upto w =
   | None -> List.rev w.rev_history
   | Some n -> List.rev (snd (split_newest (length w - n) w.rev_history))
 
-let append w txns =
-  w.rev_history <- List.rev_append txns w.rev_history;
-  Option.iter (fun b -> add_summaries b txns) w.builder
+let append w txns = w.rev_history <- List.rev_append txns w.rev_history
 
 let count_txns w txns =
   w.counts <-
@@ -119,8 +102,7 @@ let merge ?(from = 0) w ~origin tentative =
     match w.runner with
     | None ->
       Merge_completed
-        (Protocol.merge ?base_builder:w.builder ~config ~params:w.params ~base:w.engine
-           ~base_history ~origin ~tentative ())
+        (Protocol.merge ~config ~params:w.params ~base:w.engine ~base_history ~origin ~tentative)
     | Some run -> run ~config ~params:w.params ~base:w.engine ~base_history ~origin ~tentative
   in
   match attempt with
@@ -129,7 +111,6 @@ let merge ?(from = 0) w ~origin tentative =
     None
   | Merge_completed report ->
     w.rev_history <- List.rev_append report.Protocol.new_history older;
-    Option.iter (fun _ -> w.builder <- Some (mirror report.Protocol.new_history)) w.builder;
     w.counts <- { w.counts with merges = w.counts.merges + 1 };
     count_txns w report.Protocol.txns;
     Cost.add w.cost report.Protocol.cost;
@@ -149,6 +130,4 @@ let reconnect ?from w ~late ~origin tentative =
     | Some report -> report.Protocol.txns
     | None -> reprocess ())
 
-let reset w =
-  w.rev_history <- [];
-  Option.iter (fun _ -> w.builder <- Some (mirror [])) w.builder
+let reset w = w.rev_history <- []

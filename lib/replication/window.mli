@@ -3,10 +3,7 @@
     scenarios and experiment E8 all run. A window owns a base engine, the
     {e logical} history committed at it since it opened, and its handlers'
     costs and verdict counts; {!Protocol.replay} of {!history} from the
-    window's origin is the ground truth for the engine's state. Under
-    Strategy 2 it can keep a {!Repro_precedence.Builder} mirror of the
-    history, so a merge's graph costs the session delta; merges reorder
-    the history, so the mirror is rebuilt after each. *)
+    window's origin is the ground truth for the engine's state. *)
 
 open Repro_txn
 open Repro_history
@@ -33,11 +30,9 @@ type merge_runner =
 
 type t
 
-(** [create ?builder ?runner ~protocol ~params engine] opens a window at
-    [engine]'s state. [~builder:true] keeps the mirror; every merge must
-    then be against the whole history. *)
+(** [create ?runner ~protocol ~params engine] opens a window at
+    [engine]'s state. *)
 val create :
-  ?builder:bool ->
   ?runner:merge_runner ->
   protocol:protocol ->
   params:Cost.params ->
@@ -83,6 +78,6 @@ val merge : ?from:int -> t -> origin:State.t -> History.t -> Protocol.merge_repo
 val reconnect :
   ?from:int -> t -> late:bool -> origin:State.t -> History.t -> Protocol.txn_report list
 
-(** Open the next window at the engine's state: the history and mirror
-    restart empty; costs and counts carry over. *)
+(** Open the next window at the engine's state: the history restarts
+    empty; costs and counts carry over. *)
 val reset : t -> unit

@@ -138,9 +138,7 @@ let run_component ~(sync : Sync.config) ~(origins : State.t array) ~window_index
   let t_start = Unix.gettimeofday () in
   let origin = origins.(window_index) in
   let engine = Engine.create origin in
-  let window =
-    Window.create ~builder:true ~protocol:sync.Sync.protocol ~params:sync.Sync.params engine
-  in
+  let window = Window.create ~protocol:sync.Sync.protocol ~params:sync.Sync.params engine in
   let deltas = ref [] in
   let latencies = ref [] in
   List.iter

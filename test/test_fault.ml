@@ -126,7 +126,7 @@ let reference (s0, tentative, mk) =
   let engine, base_history = mk () in
   let report =
     P.merge ~config:P.default_merge_config ~params:Cost.default_params ~base:engine
-      ~base_history ~origin:s0 ~tentative ()
+      ~base_history ~origin:s0 ~tentative
   in
   (report, engine)
 

@@ -100,6 +100,12 @@ let test_dot_export () =
   checkb "removed node greyed" true (contains "Tm3 [shape=ellipse, style=\"filled,dashed\"");
   checkb "cross edge" true (contains "Tb2 -> Tm1;")
 
+let test_example1_bnb_minimal () =
+  let pg = example1 () in
+  let bnb = Backout.compute ~strategy:Backout.Branch_and_bound pg in
+  checki "branch-and-bound finds the paper's minimum" 1 (Names.Set.cardinal bnb);
+  checkb "and it is feasible" true (Backout.breaks_all_cycles pg bnb)
+
 let test_duplicate_names_rejected () =
   Alcotest.check_raises "duplicate"
     (Invalid_argument "Precedence.build: duplicate transaction name Tm1") (fun () ->
@@ -336,98 +342,82 @@ let prop_bnb_matches_oracle =
       && Names.Set.cardinal bnb = Names.Set.cardinal oracle)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental builder vs from-scratch build. *)
+(* Indexed build vs the pairwise scan. *)
 
-let edge_names pg =
-  List.sort compare
-    (List.map
-       (fun (u, v) ->
-         ( (Precedence.summary_of_node pg u).Summary.name,
-           (Precedence.summary_of_node pg v).Summary.name ))
-       (Digraph.edges (Precedence.graph pg)))
+(* The edge rules applied to every pair, in the order [Precedence.build]
+   promises to reproduce: the oracle for its per-item partner lists. *)
+let pairwise_scan ~tentative ~base =
+  let summaries = Array.of_list (tentative @ base) in
+  let n = Array.length summaries in
+  let graph = Digraph.create n in
+  let m = List.length tentative in
+  let intra lo hi =
+    for i = lo to hi - 1 do
+      for j = i + 1 to hi do
+        if Summary.conflicts summaries.(i) summaries.(j) then Digraph.add_edge graph i j
+      done
+    done
+  in
+  intra 0 (m - 1);
+  intra m (n - 1);
+  for i = 0 to m - 1 do
+    for j = m to n - 1 do
+      let tm = summaries.(i) and tb = summaries.(j) in
+      if not (Item.Set.disjoint tm.Summary.readset tb.Summary.writeset) then
+        Digraph.add_edge graph i j;
+      if not (Item.Set.disjoint tb.Summary.readset tm.Summary.writeset) then
+        Digraph.add_edge graph j i;
+      if
+        (not (Item.Set.disjoint tm.Summary.writeset tb.Summary.writeset))
+        && not (Digraph.mem_edge graph i j)
+      then Digraph.add_edge graph j i
+    done
+  done;
+  graph
 
-let builder_case_gen =
+let oracle_case_gen =
   QCheck.Gen.(
     let* seed = int_bound 1_000_000 in
-    let* split = int_bound 8 in
+    let* tentative = int_bound 8 in
+    let* base = int_bound 8 in
     let rng = Repro_workload.Rng.create seed in
-    let tentative, base =
-      Repro_workload.Gen.summaries rng ~n_items:12 ~tentative:8 ~base:8 ~reads:(1, 3)
-        ~writes:(1, 2) ~skew:0.9 ~blind:0.3
-    in
-    return (tentative, base, split))
+    return
+      (Repro_workload.Gen.summaries rng ~n_items:12 ~tentative ~base ~reads:(1, 3)
+         ~writes:(1, 2) ~skew:0.9 ~blind:0.3))
 
-let arbitrary_builder_case =
+let arbitrary_oracle_case =
   QCheck.make
-    ~print:(fun (tentative, base, split) ->
-      Format.asprintf "@[<v>split=%d@ %a@ %a@]" split
+    ~print:(fun (tentative, base) ->
+      Format.asprintf "@[<v>%a@ %a@]"
         (Format.pp_print_list ~pp_sep:Format.pp_print_cut Summary.pp)
         tentative
         (Format.pp_print_list ~pp_sep:Format.pp_print_cut Summary.pp)
         base)
-    builder_case_gen
+    oracle_case_gen
 
-let rec take n = function
-  | x :: tl when n > 0 ->
-    let a, b = take (n - 1) tl in
-    (x :: a, b)
-  | l -> ([], l)
+let prop_build_equals_scan =
+  (* Ordered, not as sets: back-out, SCC and the DOT render all follow
+     successor and predecessor order. *)
+  QCheck.Test.make ~count:500 ~name:"indexed build = pairwise scan" arbitrary_oracle_case
+    (fun (tentative, base) ->
+      let g = Precedence.graph (Precedence.build ~tentative ~base) in
+      let scan = pairwise_scan ~tentative ~base in
+      Digraph.edges g = Digraph.edges scan
+      && List.for_all
+           (fun v -> Digraph.predecessors g v = Digraph.predecessors scan v)
+           (Digraph.nodes scan))
 
-let prop_builder_equals_build =
-  (* The Sync reconnect shape: a long-lived builder holds a base-history
-     prefix, a merge forks it and the remaining base and tentative
-     summaries arrive interleaved — the result must be graph-identical
-     (same edges, same verdict) to a from-scratch build, and the fork
-     must not leak into the original. *)
-  QCheck.Test.make ~count:200 ~name:"incremental builder = from-scratch build"
-    arbitrary_builder_case
-    (fun (tentative, base, split) ->
-      let scratch = Precedence.build ~tentative ~base in
-      let long_lived = Builder.create () in
-      let base_pre, base_rest = take split base in
-      Builder.add_all long_lived base_pre;
-      let fork = Builder.clone long_lived in
-      let tent_pre, tent_rest = take (split / 2) tentative in
-      Builder.add_all fork tent_pre;
-      Builder.add_all fork base_rest;
-      Builder.add_all fork tent_rest;
-      let pg = Builder.to_precedence fork in
-      edge_names pg = edge_names scratch
-      && Builder.is_acyclic fork = Precedence.is_acyclic scratch
-      && Builder.length long_lived = List.length base_pre)
-
-let test_builder_example1 () =
-  (* Example 1 through the builder, with base and tentative interleaved
-     the way a live window sees them. *)
-  let b = Builder.create () in
-  List.iter (Builder.add b)
-    (List.concat
-       [ Ex.example1_base; Ex.example1_tentative ]);
-  let pg = Builder.to_precedence b in
-  checkb "builder graph equals from-scratch graph" true
-    (edge_names pg = edge_names (example1 ()));
-  checkb "cyclic" false (Builder.is_acyclic b);
-  let bnb = Backout.compute ~strategy:Backout.Branch_and_bound pg in
-  checki "branch-and-bound finds the paper's minimum" 1 (Names.Set.cardinal bnb);
-  checkb "and it is feasible" true (Backout.breaks_all_cycles pg bnb)
-
-let test_builder_clone_isolation () =
-  let b = Builder.create () in
-  Builder.add_all b Ex.example1_base;
-  let fork = Builder.clone b in
-  Builder.add_all fork Ex.example1_tentative;
-  checki "fork grew" (List.length Ex.example1_base + List.length Ex.example1_tentative)
-    (Builder.length fork);
-  checki "original untouched" (List.length Ex.example1_base) (Builder.length b);
-  checkb "original still acyclic" true (Builder.is_acyclic b);
-  checkb "fork found the cycle" false (Builder.is_acyclic fork)
-
-let test_builder_duplicate_rejected () =
-  let b = Builder.create () in
-  Builder.add_all b Ex.example1_tentative;
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Builder.add: duplicate transaction name Tm1") (fun () ->
-      Builder.add b (List.hd Ex.example1_tentative))
+let test_scan_order_pins_bnb () =
+  (* Branch-and-bound follows edge order: a graph with the same edge set
+     but another insertion order backs out Tm3 here instead of Tm4. *)
+  let tentative, base =
+    Repro_workload.Gen.summaries (Repro_workload.Rng.create 673) ~n_items:12 ~tentative:8
+      ~base:8 ~reads:(1, 3) ~writes:(1, 2) ~skew:0.9 ~blind:0.3
+  in
+  let pg = Precedence.build ~tentative ~base in
+  Alcotest.check G.name_set "B on seed 673"
+    (names_of [ "Tm1"; "Tm2"; "Tm4"; "Tm5"; "Tm6"; "Tm7"; "Tm8" ])
+    (Backout.compute ~strategy:Backout.Branch_and_bound pg)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -445,6 +435,7 @@ let () =
           Alcotest.test_case "merged history Tb1 Tb2 Tm1 Tm2" `Quick test_example1_merge_order;
           Alcotest.test_case "duplicate names rejected" `Quick test_duplicate_names_rejected;
           Alcotest.test_case "dot export" `Quick test_dot_export;
+          Alcotest.test_case "branch-and-bound is minimal" `Quick test_example1_bnb_minimal;
         ] );
       ( "theorem1",
         qsuite
@@ -457,9 +448,7 @@ let () =
         qsuite [ prop_strategies_feasible; prop_exhaustive_minimal; prop_acyclic_empty_backout ]
       );
       ("branch-and-bound", qsuite [ prop_bnb_matches_oracle ]);
-      ( "builder",
-        Alcotest.test_case "Example 1 incrementally" `Quick test_builder_example1
-        :: Alcotest.test_case "clone isolation" `Quick test_builder_clone_isolation
-        :: Alcotest.test_case "duplicate names rejected" `Quick test_builder_duplicate_rejected
-        :: qsuite [ prop_builder_equals_build ] );
+      ( "oracle",
+        Alcotest.test_case "scan order pins branch-and-bound" `Quick test_scan_order_pins_bnb
+        :: qsuite [ prop_build_equals_scan ] );
     ]

@@ -7,6 +7,8 @@ open Repro_txn
 open Repro_history
 open Repro_replication
 module Engine = Repro_db.Engine
+module Obs = Repro_obs.Obs
+module Report = Repro_obs.Report
 module Banking = Repro_workload.Banking
 module Rng = Repro_workload.Rng
 module G = Test_support.Generators
@@ -65,7 +67,7 @@ let run_merge ?(config = Protocol.default_merge_config) ~tentative ~base () =
   in
   let report =
     Protocol.merge ~config ~params:Cost.default_params ~base:engine ~base_history ~origin:s0
-      ~tentative:(History.of_programs tentative) ()
+      ~tentative:(History.of_programs tentative)
   in
   (engine, report)
 
@@ -173,7 +175,7 @@ let prop_merge_state_replay =
           let config = { Protocol.default_merge_config with Protocol.algorithm; Protocol.strategy } in
           let report =
             Protocol.merge ~config ~params:Cost.default_params ~base:engine ~base_history
-              ~origin ~tentative ()
+              ~origin ~tentative
           in
           let replayed = Protocol.replay origin report.Protocol.new_history in
           State.equal replayed (Engine.state engine))
@@ -196,7 +198,7 @@ let test_merge_example1_programs () =
   let report =
     Protocol.merge ~config:Protocol.default_merge_config ~params:Cost.default_params
       ~base:engine ~base_history ~origin:Paper.example1_s0
-      ~tentative:(History.of_programs Paper.example1_programs_tentative) ()
+      ~tentative:(History.of_programs Paper.example1_programs_tentative)
   in
   checkb "conflict detected: some tentative work backed out" true
     (not (Names.Set.is_empty report.Protocol.backed_out));
@@ -235,7 +237,7 @@ let prop_merge_replay_with_blind_writes =
       let report =
         Protocol.merge ~config:Protocol.default_merge_config ~params:Cost.default_params
           ~base:engine ~base_history ~origin:s0
-          ~tentative:(History.of_programs tentative_programs) ()
+          ~tentative:(History.of_programs tentative_programs)
       in
       let replayed = Protocol.replay s0 report.Protocol.new_history in
       State.equal replayed (Engine.state engine))
@@ -344,6 +346,27 @@ let test_sync_reprocessing_baseline () =
   checki "nothing saved" 0 stats.Sync.saved;
   checkb "everything re-executed" true (stats.Sync.reexecuted > 0);
   checki "serializable" 0 stats.Sync.serializability_violations
+
+let test_sync_graph_telemetry () =
+  (* Every Strategy-2 merge builds its graph with Precedence.build, so the
+     graph counter and span see each one. *)
+  Obs.reset ();
+  let r = Obs.with_enabled true (fun () -> ignore (run_sync ()); Obs.snapshot ()) in
+  Obs.reset ();
+  let counter name =
+    match List.find_opt (fun (c : Report.counter) -> c.Report.c_name = name) r.Report.counters with
+    | Some c -> c.Report.value
+    | None -> 0
+  in
+  let entered name =
+    match List.find_opt (fun (s : Report.span) -> s.Report.s_name = name) r.Report.spans with
+    | Some s -> s.Report.entered
+    | None -> 0
+  in
+  let merges = counter "protocol.merges" in
+  checkb "some merges happened" true (merges > 0);
+  checki "one graph per merge" merges (counter "precedence.builds");
+  checki "one build span per merge" merges (entered "precedence.build")
 
 let test_sync_deterministic () =
   let a = run_sync ~seed:42 () and b = run_sync ~seed:42 () in
@@ -461,6 +484,7 @@ let () =
             test_sync_strategy1_detects_anomalies;
           Alcotest.test_case "reprocessing baseline" `Quick test_sync_reprocessing_baseline;
           Alcotest.test_case "deterministic" `Quick test_sync_deterministic;
+          Alcotest.test_case "graph telemetry covers every merge" `Quick test_sync_graph_telemetry;
           Alcotest.test_case "merging cheaper (commuting workload)" `Quick
             test_sync_merging_cheaper_on_commuting_workload;
           Alcotest.test_case "non-positive window or gap rejected" `Quick
