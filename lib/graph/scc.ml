@@ -1,6 +1,4 @@
 let components g =
-  let n = List.length (Digraph.nodes g) in
-  ignore n;
   let index = Hashtbl.create 64 in
   let lowlink = Hashtbl.create 64 in
   let on_stack = Hashtbl.create 64 in

@@ -47,7 +47,9 @@ let all_in_cycles pg = Precedence.tentative_on_cycles pg
 
 (* Greedy feedback vertex set restricted to tentative nodes: while the
    reduced graph has a cycle, remove the tentative node with the largest
-   (in+out) degree within its cyclic component. *)
+   (in+out) degree within its cyclic component. On a cone the degree
+   counts the full graph's left-out neighbours too, so the victim is the
+   one the full graph would pick. *)
 let greedy pg ~already_removed =
   let removed = ref already_removed in
   let rec loop () =
@@ -62,7 +64,9 @@ let greedy pg ~already_removed =
       | [] -> invalid_arg "Backout: cycle without tentative transaction"
       | _ ->
         let degree i =
-          List.length (Digraph.successors g i) + List.length (Digraph.predecessors g i)
+          List.length (Digraph.successors g i)
+          + List.length (Digraph.predecessors g i)
+          + Precedence.outside_degree pg i
         in
         let best =
           List.fold_left

@@ -50,7 +50,9 @@ val strategy_name : strategy -> string
 
 (** [compute ~strategy pg] — a set of tentative transaction names whose
     removal makes the graph acyclic. Returns the empty set when the graph
-    is already acyclic.
+    is already acyclic. It runs on whatever graph it is given: the merge
+    protocol passes {!Precedence.cone}, on which every strategy returns
+    what it returns on the full graph.
 
     @raise Invalid_argument if some cycle contains no tentative
     transaction (impossible for graphs built by {!Precedence.build}). *)

@@ -14,7 +14,10 @@ type t = {
   graph : Digraph.t;
   summaries : Summary.t array;
   index : (Names.t, int) Hashtbl.t;
-  mutable acyclic : bool option;  (* cached first Scc run over [graph] *)
+  tentative_count : int;  (* nodes [0, tentative_count) are the tentative block *)
+  outside : int array;  (* per node: edges to full-graph nodes a cone left out *)
+  acyclic : bool option ref;  (* cached first test; shared with the cone *)
+  mutable cone : t option;
 }
 
 (* For each node, the later nodes sharing an item with it where at least
@@ -105,7 +108,15 @@ let build ~tentative ~base =
       ~attrs:
         [ ("nodes", Obs.Event.Int n); ("edges", Obs.Event.Int (Digraph.edge_count graph)) ]
       "precedence.built";
-  { graph; summaries; index; acyclic = None }
+  {
+    graph;
+    summaries;
+    index;
+    tentative_count = m;
+    outside = Array.make n 0;
+    acyclic = ref None;
+    cone = None;
+  }
 
 let of_executions ~tentative ~base =
   build
@@ -120,22 +131,92 @@ let node_of t name =
 
 let summary_of_node t i = t.summaries.(i)
 
+let tentative_count t = t.tentative_count
+let outside_degree t i = t.outside.(i)
+
+(* Edges inside one history point forward, so every cycle takes a cross
+   edge and passes through the tentative block: a three-colour DFS rooted
+   at the tentative nodes alone meets every cycle there is. *)
 let is_acyclic t =
-  match t.acyclic with
+  match !(t.acyclic) with
   | Some a -> a
   | None ->
-    let a = Scc.is_acyclic t.graph in
-    t.acyclic <- Some a;
+    let color = Array.make (Array.length t.summaries) 0 in
+    let rec visit v =
+      match color.(v) with
+      | 1 -> false
+      | 2 -> true
+      | _ ->
+        color.(v) <- 1;
+        let ok = List.for_all visit (Digraph.successors t.graph v) in
+        color.(v) <- 2;
+        ok
+    in
+    let rec from i = i >= t.tentative_count || (visit i && from (i + 1)) in
+    let a = from 0 in
+    t.acyclic := Some a;
     if not a then Obs.Counter.incr obs_cyclic;
     a
 
+(* The tentative nodes plus every base node reachable from one and
+   reaching one. A node on a cycle through tentative [t] is reached from
+   [t] and reaches it, so the cone keeps every cycle, renumbered in
+   increasing order with each successor list in order; docs/PERFORMANCE.md
+   ("The conflict cone") shows why Tarjan then lists the cyclic
+   components exactly as on the full graph. *)
+let cone t =
+  match t.cone with
+  | Some c -> c
+  | None ->
+    let g = t.graph and n = Array.length t.summaries and m = t.tentative_count in
+    let reach next =
+      let seen = Array.make n false in
+      let rec visit v =
+        if not seen.(v) then begin
+          seen.(v) <- true;
+          List.iter visit (next g v)
+        end
+      in
+      Seq.iter visit (Seq.init m Fun.id);
+      seen
+    in
+    let fwd = reach Digraph.successors and bwd = reach Digraph.predecessors in
+    let old = Array.of_seq (Seq.filter (fun v -> v < m || (fwd.(v) && bwd.(v))) (Seq.init n Fun.id)) in
+    let k = Array.length old in
+    let node_of_old = Array.make n (-1) in
+    Array.iteri (fun u v -> node_of_old.(v) <- u) old;
+    let graph = Digraph.create k in
+    (* A left-out neighbour is a base node on no cycle, so back-out never
+       removes it; greedy adds the count to keep the full graph's degree. *)
+    let outside = Array.make k 0 in
+    let count_outside u w = if node_of_old.(w) < 0 then outside.(u) <- outside.(u) + 1 in
+    Array.iteri
+      (fun u v ->
+        List.iter
+          (fun w ->
+            if node_of_old.(w) >= 0 then Digraph.add_edge graph u node_of_old.(w);
+            count_outside u w)
+          (Digraph.successors g v);
+        List.iter (count_outside u) (Digraph.predecessors g v))
+      old;
+    let summaries = Array.map (fun v -> t.summaries.(v)) old in
+    let index = Hashtbl.create k in
+    Array.iteri (fun i (s : Summary.t) -> Hashtbl.replace index s.Summary.name i) summaries;
+    let c =
+      { graph; summaries; index; tentative_count = m; outside; acyclic = t.acyclic; cone = None }
+    in
+    c.cone <- Some c;
+    t.cone <- Some c;
+    c
+
 let tentative_on_cycles t =
+  let c = cone t in
   List.fold_left
     (fun acc i ->
-      let s = t.summaries.(i) in
+      let s = c.summaries.(i) in
       if Summary.is_tentative s then Names.Set.add s.Summary.name acc else acc)
     Names.Set.empty
-    (Scc.nodes_on_cycles t.graph)
+    (Scc.nodes_on_cycles c.graph)
 
 let reduced t ~removed =
   Digraph.induced t.graph (fun i ->

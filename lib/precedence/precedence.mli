@@ -55,11 +55,34 @@ val node_of : t -> Repro_history.Names.t -> int
 (** Summary of a node identifier (inverse of {!node_of}). *)
 val summary_of_node : t -> int -> Summary.t
 
-(** Theorem 1's mergeability test; the SCC run is cached on the value,
-    so repeated queries are free. *)
+(** Nodes [0 .. tentative_count t - 1] are the tentative block, the
+    rest the base block. *)
+val tentative_count : t -> int
+
+(** Theorem 1's mergeability test. Edges inside one history point
+    forward, so every cycle passes through the tentative block; a
+    three-colour DFS rooted at the tentative nodes alone decides it,
+    building no graph. Cached on the value (and shared with {!cone}), so
+    repeated queries are free. *)
 val is_acyclic : t -> bool
 
-(** Names of tentative transactions lying on at least one cycle. *)
+(** [cone t] — the session's conflict cone: the tentative nodes plus
+    every base node reachable from a tentative node that also reaches
+    one. It holds every cycle of [t], renumbered in increasing node order
+    with each successor list kept in order, so Tarjan lists the cyclic
+    components and their members as it does on [t], and every back-out
+    strategy picks the same B on it. Cached on [t]; the cone of a cone is
+    itself. *)
+val cone : t -> t
+
+(** [outside_degree t i] — edges between node [i] and the nodes of the
+    full graph that {!cone} left out (0 on a graph from {!build}). Those
+    nodes are base nodes on no cycle, never backed out, so greedy
+    back-out adds this to the degree it ranks victims by. *)
+val outside_degree : t -> int -> int
+
+(** Names of tentative transactions lying on at least one cycle (read
+    from {!cone}). *)
 val tentative_on_cycles : t -> Repro_history.Names.Set.t
 
 (** [reduced t ~removed] — the graph induced by dropping the named

@@ -87,51 +87,6 @@ let rec stmt_count_list stmts =
 
 let stmt_count (p : Program.t) = stmt_count_list p.Program.body
 
-(* A topological order of the reduced precedence graph that disturbs the
-   existing base history as little as possible: base transactions are
-   emitted in their original order whenever available, tentative ones only
-   when an edge forces them earlier (or at the end). *)
-let stable_merge_order pg ~removed =
-  let g = Precedence.reduced pg ~removed in
-  let nodes = Digraph.nodes g in
-  let indegree = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace indegree v (List.length (Digraph.predecessors g v))) nodes;
-  let better a b =
-    let ta = Summary.is_tentative (Precedence.summary_of_node pg a) in
-    let tb = Summary.is_tentative (Precedence.summary_of_node pg b) in
-    match (ta, tb) with
-    | false, true -> true
-    | true, false -> false
-    | _ -> a < b
-  in
-  let rec drain available acc remaining =
-    if remaining = 0 then List.rev acc
-    else
-      let next =
-        List.fold_left
-          (fun best v ->
-            match best with Some b when better b v -> best | _ -> Some v)
-          None available
-      in
-      match next with
-      | None -> invalid_arg "stable_merge_order: graph is cyclic"
-      | Some v ->
-        let available = List.filter (fun w -> w <> v) available in
-        let newly =
-          List.filter
-            (fun w ->
-              let d = Hashtbl.find indegree w - 1 in
-              Hashtbl.replace indegree w d;
-              d = 0)
-            (Digraph.successors g v)
-        in
-        drain (available @ newly) (v :: acc) (remaining - 1)
-  in
-  let initial = List.filter (fun v -> Hashtbl.find indegree v = 0) nodes in
-  List.map
-    (fun v -> (Precedence.summary_of_node pg v).Summary.name)
-    (drain initial [] (List.length nodes))
-
 let reexecute_one ?(durably = true) ~acceptance ~params ~base ~tentative_exec ~cost
     (program : Program.t) =
   let name = program.Program.name in
@@ -206,18 +161,16 @@ let analyze_graph ~strategy ~params ~cost ~base_history ~origin ~tentative =
         acc + Item.Set.cardinal s.Summary.readset + Item.Set.cardinal s.Summary.writeset)
       0 tent_summaries
   in
-  let tentative_names = History.name_set tentative in
-  let intra_tentative_edges =
-    List.length
-      (List.filter
-         (fun (u, v) ->
-           Names.Set.mem (Precedence.summary_of_node pg u).Summary.name tentative_names
-           && Names.Set.mem (Precedence.summary_of_node pg v).Summary.name tentative_names)
-         (Digraph.edges (Precedence.graph pg)))
-  in
+  let m = Precedence.tentative_count pg in
+  let intra_tentative_edges = ref 0 in
+  for u = 0 to m - 1 do
+    List.iter
+      (fun v -> if v < m then incr intra_tentative_edges)
+      (Digraph.successors (Precedence.graph pg) u)
+  done;
   cost.Cost.communication <-
     cost.Cost.communication
-    +. (params.Cost.comm_per_unit *. float_of_int (rwset_units + intra_tentative_edges));
+    +. (params.Cost.comm_per_unit *. float_of_int (rwset_units + !intra_tentative_edges));
   cost.Cost.base_cpu <-
     cost.Cost.base_cpu
     +. (params.Cost.graph_per_edge *. float_of_int (Digraph.edge_count (Precedence.graph pg)));
@@ -229,7 +182,7 @@ let analyze_graph ~strategy ~params ~cost ~base_history ~origin ~tentative =
         cost.Cost.base_cpu
         +. (params.Cost.backout_per_node
            *. float_of_int (Digraph.node_count (Precedence.graph pg)));
-      Backout.compute ~strategy pg
+      Backout.compute ~strategy (Precedence.cone pg)
     end
   in
   cost.Cost.communication <-
@@ -288,41 +241,93 @@ type plan = {
   pl_backed_out_programs : Program.t list;
 }
 
+module Int_set = Set.Make (Int)
+
+(* The merged serial order is Kahn's algorithm on the reduced graph (the
+   backed-out transactions dropped) under the priority "base before
+   tentative, then lower node id", which disturbs the base history as
+   little as possible. Under that priority a base node no saved tentative
+   reaches is never blocked, and no tentative goes before it: all such
+   nodes come first, in base order. Only the tail — the saved tentatives
+   and the base nodes they reach — needs ordering. Returns the tail's
+   nodes in merged order, and its membership. *)
+let merge_tail pg ~saved =
+  let g = Precedence.graph pg in
+  let n = Array.length (Precedence.summaries pg) and m = Precedence.tentative_count pg in
+  let in_tail = Array.make n false and tail = ref [] in
+  (* Every saved tentative is a root, so following base successors only
+     reaches through saved tentatives and never through backed-out ones. *)
+  let rec visit v =
+    if not in_tail.(v) then begin
+      in_tail.(v) <- true;
+      tail := v :: !tail;
+      List.iter (fun w -> if w >= m then visit w) (Digraph.successors g v)
+    end
+  in
+  Names.Set.iter (fun name -> visit (Precedence.node_of pg name)) saved;
+  let indegree = Array.make n 0 in
+  let successors v = List.filter (fun w -> in_tail.(w)) (Digraph.successors g v) in
+  List.iter (fun v -> List.iter (fun w -> indegree.(w) <- indegree.(w) + 1) (successors v)) !tail;
+  (* Base keys [m, n) sort before tentative keys [n, n + m). *)
+  let key v = if v < m then n + v else v and node k = if k >= n then k - n else k in
+  let rec drain ready acc =
+    match Int_set.min_elt_opt ready with
+    | None -> List.rev acc
+    | Some k ->
+      let v = node k in
+      let ready =
+        List.fold_left
+          (fun ready w ->
+            indegree.(w) <- indegree.(w) - 1;
+            if indegree.(w) = 0 then Int_set.add (key w) ready else ready)
+          (Int_set.remove k ready) (successors v)
+      in
+      drain ready (v :: acc)
+  in
+  let ready =
+    List.fold_left
+      (fun ready v -> if indegree.(v) = 0 then Int_set.add (key v) ready else ready)
+      Int_set.empty !tail
+  in
+  let order = drain ready [] in
+  if List.compare_lengths order !tail <> 0 then invalid_arg "merge order: graph is cyclic";
+  (order, in_tail)
+
 let plan_commit ~graph:g ~rewrite:r ~base_history ~tentative =
   let rw = r.rp_rewrite in
   (* New logical history: merged serial order over base ∪ repaired. *)
-  let merged_names = stable_merge_order g.gp_pg ~removed:r.rp_backed_out in
-  let base_by_name =
-    List.fold_left
-      (fun m bt -> Names.Map.add bt.program.Program.name bt m)
-      Names.Map.empty base_history
-  in
-  let merged_core =
+  let pg = g.gp_pg in
+  let m = Precedence.tentative_count pg in
+  let order, in_tail = merge_tail pg ~saved:rw.Rewrite.saved in
+  let base = Array.of_list base_history in
+  let tail =
     List.map
-      (fun name ->
-        match Names.Map.find_opt name base_by_name with
-        | Some bt -> bt
-        | None ->
+      (fun v ->
+        if v >= m then base.(v - m)
+        else
+          let name = (Precedence.summary_of_node pg v).Summary.name in
           {
             program = (History.find tentative name).History.program;
             record = History.record_of g.gp_tentative_exec name;
           })
-      merged_names
+      order
   in
+  let merged_core = List.filteri (fun k _ -> not in_tail.(m + k)) base_history @ tail in
   (* Step 5: forward final values of the repaired history's writes — but
      only for items whose last writer in the merged serial order is
      tentative. A base transaction's blind write may legitimately follow a
      repaired tentative write (edge Tm -> Tb only); overwriting it would
      lose a committed base update. With no blind writes the restriction is
      vacuous: any write-write overlap forms a two-cycle and is backed
-     out. *)
+     out. Every forwarded item has a saved writer in the tail, so its last
+     writer is in the tail too. *)
   let last_writer =
     List.fold_left
       (fun acc bt ->
         Item.Set.fold
           (fun x acc -> Item.Map.add x bt.program.Program.name acc)
           (Interp.dynamic_writeset bt.record) acc)
-      Item.Map.empty merged_core
+      Item.Map.empty tail
   in
   let forwarded_items =
     Names.Set.fold

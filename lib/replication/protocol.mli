@@ -116,7 +116,8 @@ type graph_phase = {
 
 (** Builds the graph with {!Repro_precedence.Precedence.build} from the
     summaries of [tentative], executed from [origin], and of
-    [base_history]. *)
+    [base_history], and computes {b B} on its
+    {!Repro_precedence.Precedence.cone}. *)
 val analyze_graph :
   strategy:Backout.strategy ->
   params:Cost.params ->
@@ -146,7 +147,9 @@ val rewrite_local :
 
 (** Base side, step 5 planning (pure): merged serial order, the
     last-writer-filtered forwarded item set, and the backed-out programs
-    to re-execute. *)
+    to re-execute. [base_history] is the one [graph] was analysed
+    against. The base transactions no saved tentative reaches keep their
+    order at the front; only the rest is ordered through the graph. *)
 type plan = {
   pl_merged_core : base_txn list;
   pl_forwarded_items : Repro_txn.Item.Set.t;

@@ -6,6 +6,7 @@ open Repro_txn
 open Repro_history
 open Repro_precedence
 module Digraph = Repro_graph.Digraph
+module Scc = Repro_graph.Scc
 module Ex = Test_support.Paper_examples
 module G = Test_support.Generators
 
@@ -415,9 +416,83 @@ let test_scan_order_pins_bnb () =
       ~base:8 ~reads:(1, 3) ~writes:(1, 2) ~skew:0.9 ~blind:0.3
   in
   let pg = Precedence.build ~tentative ~base in
-  Alcotest.check G.name_set "B on seed 673"
-    (names_of [ "Tm1"; "Tm2"; "Tm4"; "Tm5"; "Tm6"; "Tm7"; "Tm8" ])
-    (Backout.compute ~strategy:Backout.Branch_and_bound pg)
+  let expected = names_of [ "Tm1"; "Tm2"; "Tm4"; "Tm5"; "Tm6"; "Tm7"; "Tm8" ] in
+  Alcotest.check G.name_set "B on seed 673" expected
+    (Backout.compute ~strategy:Backout.Branch_and_bound pg);
+  Alcotest.check G.name_set "B on seed 673's cone" expected
+    (Backout.compute ~strategy:Backout.Branch_and_bound (Precedence.cone pg))
+
+(* ------------------------------------------------------------------ *)
+(* The conflict cone against the full graph. *)
+
+(* Sparse windows: a few tentative transactions among many base ones over
+   a wide item space. About a quarter come out acyclic, and the cone
+   averages 7 of 48 nodes. *)
+let sparse_case_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* tentative = int_range 2 4 in
+    let* base = int_range 30 60 in
+    let rng = Repro_workload.Rng.create seed in
+    let tentative, base =
+      Repro_workload.Gen.summaries rng ~n_items:64 ~tentative ~base ~reads:(1, 2) ~writes:(1, 1)
+        ~skew:0.3 ~blind:0.3
+    in
+    return (Precedence.build ~tentative ~base))
+
+let cone_agrees pg =
+  let full_acyclic = Scc.is_acyclic (Precedence.graph pg) in
+  let full_on_cycles =
+    List.fold_left
+      (fun acc i ->
+        let s = Precedence.summary_of_node pg i in
+        if Summary.is_tentative s then Names.Set.add s.Summary.name acc else acc)
+      Names.Set.empty
+      (Scc.nodes_on_cycles (Precedence.graph pg))
+  in
+  Precedence.is_acyclic pg = full_acyclic
+  && Names.Set.equal (Precedence.tentative_on_cycles pg) full_on_cycles
+  && List.for_all
+       (fun strategy ->
+         Names.Set.equal
+           (Backout.compute ~strategy (Precedence.cone pg))
+           (Backout.compute ~strategy pg))
+       Backout.all_strategies
+
+(* Both shapes stay within 14 tentative transactions, where [Exhaustive]
+   is affordable. *)
+let prop_cone_matches_full =
+  QCheck.Test.make ~count:300 ~name:"cone: acyclicity, cycle members and every B as on the graph"
+    (QCheck.make
+       ~print:(fun pg -> Format.asprintf "%a" Precedence.pp pg)
+       (QCheck.Gen.oneof [ wide_case_gen; sparse_case_gen ]))
+    cone_agrees
+
+(* Greedy's victim rule keeps the full graph's degree: ranking by the
+   cone's own degree changes B on these two windows. *)
+let test_cone_pins_greedy_degree () =
+  let pins =
+    [
+      ( Backout.Greedy_degree,
+        Repro_workload.Gen.summaries (Repro_workload.Rng.create 1298716) ~n_items:12
+          ~tentative:8 ~base:5 ~reads:(1, 3) ~writes:(1, 2) ~skew:0.9 ~blind:0.3,
+        [ "Tm1"; "Tm2"; "Tm3"; "Tm4"; "Tm5"; "Tm6"; "Tm7" ] );
+      ( Backout.Two_cycle_then_greedy,
+        Repro_workload.Gen.summaries (Repro_workload.Rng.create 1971832) ~n_items:15
+          ~tentative:14 ~base:8 ~reads:(1, 3) ~writes:(1, 2) ~skew:0.7 ~blind:0.3,
+        [ "Tm2"; "Tm3"; "Tm5"; "Tm6"; "Tm7"; "Tm8"; "Tm9"; "Tm10"; "Tm11"; "Tm12"; "Tm13"; "Tm14" ]
+      );
+    ]
+  in
+  List.iter
+    (fun (strategy, (tentative, base), expected) ->
+      let pg = Precedence.build ~tentative ~base in
+      let name = Backout.strategy_name strategy in
+      Alcotest.check G.name_set (name ^ " on the graph") (names_of expected)
+        (Backout.compute ~strategy pg);
+      Alcotest.check G.name_set (name ^ " on the cone") (names_of expected)
+        (Backout.compute ~strategy (Precedence.cone pg)))
+    pins
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -451,4 +526,7 @@ let () =
       ( "oracle",
         Alcotest.test_case "scan order pins branch-and-bound" `Quick test_scan_order_pins_bnb
         :: qsuite [ prop_build_equals_scan ] );
+      ( "cone",
+        Alcotest.test_case "full-graph degree pins greedy" `Quick test_cone_pins_greedy_degree
+        :: qsuite [ prop_cone_matches_full ] );
     ]

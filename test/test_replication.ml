@@ -7,6 +7,10 @@ open Repro_txn
 open Repro_history
 open Repro_replication
 module Engine = Repro_db.Engine
+module Precedence = Repro_precedence.Precedence
+module Backout = Repro_precedence.Backout
+module Summary = Repro_precedence.Summary
+module Digraph = Repro_graph.Digraph
 module Obs = Repro_obs.Obs
 module Report = Repro_obs.Report
 module Banking = Repro_workload.Banking
@@ -186,6 +190,164 @@ let prop_merge_state_replay =
           (Repro_rewrite.Rewrite.Commute_only, Repro_precedence.Backout.All_in_cycles);
         ])
 
+(* ------------------------------------------------------------------ *)
+(* The merge plan against the whole-window oracle *)
+
+(* A topological order of the reduced precedence graph that disturbs the
+   existing base history as little as possible: base transactions are
+   emitted in their original order whenever available, tentative ones only
+   when an edge forces them earlier (or at the end). *)
+let stable_merge_order pg ~removed =
+  let g = Precedence.reduced pg ~removed in
+  let nodes = Digraph.nodes g in
+  let indegree = Hashtbl.create 64 in
+  List.iter (fun v -> Hashtbl.replace indegree v (List.length (Digraph.predecessors g v))) nodes;
+  let better a b =
+    let ta = Summary.is_tentative (Precedence.summary_of_node pg a) in
+    let tb = Summary.is_tentative (Precedence.summary_of_node pg b) in
+    match (ta, tb) with
+    | false, true -> true
+    | true, false -> false
+    | _ -> a < b
+  in
+  let rec drain available acc remaining =
+    if remaining = 0 then List.rev acc
+    else
+      let next =
+        List.fold_left
+          (fun best v ->
+            match best with Some b when better b v -> best | _ -> Some v)
+          None available
+      in
+      match next with
+      | None -> invalid_arg "stable_merge_order: graph is cyclic"
+      | Some v ->
+        let available = List.filter (fun w -> w <> v) available in
+        let newly =
+          List.filter
+            (fun w ->
+              let d = Hashtbl.find indegree w - 1 in
+              Hashtbl.replace indegree w d;
+              d = 0)
+            (Digraph.successors g v)
+        in
+        drain (available @ newly) (v :: acc) (remaining - 1)
+  in
+  let initial = List.filter (fun v -> Hashtbl.find indegree v = 0) nodes in
+  List.map
+    (fun v -> (Precedence.summary_of_node pg v).Summary.name)
+    (drain initial [] (List.length nodes))
+
+(* The forwarded items filtered by each item's last writer over the whole
+   merged history. *)
+let whole_history_forwarded (g : Protocol.graph_phase) ~saved ~base_history ~tentative names =
+  let base_by_name =
+    List.fold_left
+      (fun m bt -> Names.Map.add bt.Protocol.program.Program.name bt m)
+      Names.Map.empty base_history
+  in
+  let merged_core =
+    List.map
+      (fun name ->
+        match Names.Map.find_opt name base_by_name with
+        | Some bt -> bt
+        | None ->
+          {
+            Protocol.program = (History.find tentative name).History.program;
+            record = History.record_of g.Protocol.gp_tentative_exec name;
+          })
+      names
+  in
+  let last_writer =
+    List.fold_left
+      (fun acc bt ->
+        Item.Set.fold
+          (fun x acc -> Item.Map.add x bt.Protocol.program.Program.name acc)
+          (Interp.dynamic_writeset bt.Protocol.record) acc)
+      Item.Map.empty merged_core
+  in
+  let forwarded_items =
+    Names.Set.fold
+      (fun name acc ->
+        Item.Set.union acc
+          (Interp.dynamic_writeset (History.record_of g.Protocol.gp_tentative_exec name)))
+      saved Item.Set.empty
+  in
+  Item.Set.filter
+    (fun x ->
+      match Item.Map.find_opt x last_writer with
+      | Some w -> Names.Set.mem w saved
+      | None -> true)
+    forwarded_items
+
+(* The phases [Protocol.merge] composes, against the oracles: B as the
+   full graph gives it, the merged order as [stable_merge_order] gives it,
+   and the forwarded items as the whole-history filter gives them. *)
+let plan_matches_oracle ~origin ~tentative ~base_programs (algorithm, strategy) =
+  let engine = Engine.create origin in
+  let base_history =
+    List.map (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p }) base_programs
+  in
+  let config = { Protocol.default_merge_config with Protocol.algorithm; Protocol.strategy } in
+  let params = Cost.default_params and cost = Cost.zero () in
+  let g = Protocol.analyze_graph ~strategy ~params ~cost ~base_history ~origin ~tentative in
+  let r =
+    Protocol.rewrite_local ~config ~params ~cost ~origin ~tentative ~bad:g.Protocol.gp_bad
+  in
+  let plan = Protocol.plan_commit ~graph:g ~rewrite:r ~base_history ~tentative in
+  let saved = r.Protocol.rp_rewrite.Repro_rewrite.Rewrite.saved in
+  let names = stable_merge_order g.Protocol.gp_pg ~removed:r.Protocol.rp_backed_out in
+  Names.Set.equal g.Protocol.gp_bad (Backout.compute ~strategy g.Protocol.gp_pg)
+  && List.map (fun bt -> bt.Protocol.program.Program.name) plan.Protocol.pl_merged_core = names
+  && Item.Set.equal plan.Protocol.pl_forwarded_items
+       (whole_history_forwarded g ~saved ~base_history ~tentative names)
+
+let plan_configs =
+  [
+    (Repro_rewrite.Rewrite.Can_follow_precede, Backout.Two_cycle_then_greedy);
+    (Repro_rewrite.Rewrite.Can_follow, Backout.Greedy_degree);
+    (Repro_rewrite.Rewrite.Closure, Backout.Greedy_damage);
+    (Repro_rewrite.Rewrite.Can_follow_precede, Backout.Branch_and_bound);
+    (Repro_rewrite.Rewrite.Commute_only, Backout.All_in_cycles);
+  ]
+
+(* Base histories of 20-40 transactions, so the tail the merge orders is
+   a proper part of the window. *)
+let prop_plan_matches_oracle =
+  QCheck.Test.make ~count:100 ~name:"merge plan = whole-window oracle (random workloads)"
+    QCheck.(make Gen.(pair (int_bound 1_000_000) (int_range 20 40)))
+    (fun (seed, base_len) ->
+      let rng = Rng.create seed in
+      let pool = Repro_workload.Gen.pool Repro_workload.Gen.default_profile in
+      let origin = Repro_workload.Gen.initial_state pool rng in
+      let tentative, base_h =
+        Repro_workload.Gen.mobile_base_pair pool rng ~tentative_len:10 ~base_len
+      in
+      List.for_all
+        (plan_matches_oracle ~origin ~tentative ~base_programs:(History.programs base_h))
+        plan_configs)
+
+let blind_pair_gen =
+  QCheck.Gen.(
+    let* s0 = G.state_gen in
+    let* m =
+      flatten_l (List.init 5 (fun i -> G.blind_program_gen ~name:(Printf.sprintf "Tm%d" (i + 1))))
+    in
+    let* b =
+      flatten_l (List.init 3 (fun i -> G.blind_program_gen ~name:(Printf.sprintf "Tb%d" (i + 1))))
+    in
+    return (s0, m, b))
+
+let prop_plan_matches_oracle_blind =
+  QCheck.Test.make ~count:150 ~name:"merge plan = whole-window oracle (blind-write histories)"
+    (QCheck.make blind_pair_gen)
+    (fun (s0, tentative_programs, base_programs) ->
+      List.for_all
+        (plan_matches_oracle ~origin:s0
+           ~tentative:(History.of_programs tentative_programs)
+           ~base_programs)
+        plan_configs)
+
 let test_merge_example1_programs () =
   (* The paper's Example 1, end to end at the program level. *)
   let module Paper = Repro_core.Paper in
@@ -213,20 +375,7 @@ let test_merge_example1_programs () =
    a serial replay. *)
 let prop_merge_replay_with_blind_writes =
   QCheck.Test.make ~count:150 ~name:"merge state = replay (blind-write histories)"
-    (QCheck.make
-       QCheck.Gen.(
-         let* s0 = G.state_gen in
-         let* m =
-           flatten_l
-             (List.init 5 (fun i ->
-                  G.blind_program_gen ~name:(Printf.sprintf "Tm%d" (i + 1))))
-         in
-         let* b =
-           flatten_l
-             (List.init 3 (fun i ->
-                  G.blind_program_gen ~name:(Printf.sprintf "Tb%d" (i + 1))))
-         in
-         return (s0, m, b)))
+    (QCheck.make blind_pair_gen)
     (fun (s0, tentative_programs, base_programs) ->
       let engine = Engine.create s0 in
       let base_history =
@@ -476,7 +625,13 @@ let () =
           Alcotest.test_case "merge cheaper when all saved" `Quick
             test_merge_cheaper_when_everything_saved;
         ]
-        @ qsuite [ prop_merge_state_replay; prop_merge_replay_with_blind_writes ] );
+        @ qsuite
+            [
+              prop_merge_state_replay;
+              prop_merge_replay_with_blind_writes;
+              prop_plan_matches_oracle;
+              prop_plan_matches_oracle_blind;
+            ] );
       ( "sync",
         [
           Alcotest.test_case "Strategy 2 serializable" `Slow test_sync_strategy2_serializable;
