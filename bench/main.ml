@@ -89,6 +89,25 @@ let bench_tests () =
                ignore (Precedence.of_executions ~tentative ~base))))
       cases
   in
+  (* The per-merge graph of a one-transaction session against a window
+     index already holding n linked base transactions, indexed outside the
+     timed closure. Uniform picks over n items keep the base transactions the
+     session meets about equal at every n, so this stays roughly flat
+     while precedence-graph/n, which indexes the whole window, grows. *)
+  let window_tests =
+    List.map
+      (fun n ->
+        let tentative, base =
+          Gen_wl.summaries (Rng.create (700 + n)) ~n_items:n ~tentative:1 ~base:n ~reads:(1, 3)
+            ~writes:(1, 2) ~skew:0.0 ~blind:0.3
+        in
+        let index = Precedence.Index.of_summaries base in
+        Precedence.Index.settle index;
+        Bechamel.Test.make
+          ~name:(Printf.sprintf "precedence-window/n=%d" n)
+          (Bechamel.Staged.stage (fun () -> ignore (Precedence.build ~tentative ~base:index))))
+      [ 64; 256; 1024 ]
+  in
   let backout_tests =
     List.map
       (fun (n, case) ->
@@ -137,9 +156,10 @@ let bench_tests () =
         let run_merge () =
           let engine = Engine.create s0 in
           let base_history =
-            List.map
-              (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p })
-              base_programs
+            Protocol.index_history
+              (List.map
+                 (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p })
+                 base_programs)
           in
           ignore
             (Protocol.merge ~config:Protocol.default_merge_config ~params:Cost.default_params
@@ -236,7 +256,7 @@ let bench_tests () =
         (Bechamel.Staged.stage (wal_run ~grouped:true));
     ]
   in
-  graph_tests @ backout_tests @ damage_backout_tests
+  graph_tests @ window_tests @ backout_tests @ damage_backout_tests
   @ bnb_backout_tests
   @ rewrite_tests Rewrite.Can_follow "alg1"
   @ rewrite_tests Rewrite.Can_follow_precede "alg2"

@@ -146,8 +146,9 @@ let e1_cmd =
   let run csv dot =
     if dot then
       let pg =
-        Repro_precedence.Precedence.build ~tentative:Repro_core.Paper.example1_tentative
-          ~base:Repro_core.Paper.example1_base
+        Repro_precedence.Precedence.(
+          build ~tentative:Repro_core.Paper.example1_tentative
+            ~base:(Index.of_summaries Repro_core.Paper.example1_base))
       in
       print_string
         (Repro_precedence.Dot.render

@@ -19,7 +19,10 @@ let section title = Format.printf "@.== %s ==@.@." title
 
 let example1 () =
   section "Example 1: precedence graph, cycle, back-out";
-  let pg = Precedence.build ~tentative:Paper.example1_tentative ~base:Paper.example1_base in
+  let pg =
+    Precedence.build ~tentative:Paper.example1_tentative
+      ~base:(Precedence.Index.of_summaries Paper.example1_base)
+  in
   Format.printf "%a@.@." Precedence.pp pg;
   Format.printf "acyclic? %b (the paper's cycle: Tm1 -> Tm2 -> Tm3 -> Tb1 -> Tb2 -> Tm1)@."
     (Precedence.is_acyclic pg);

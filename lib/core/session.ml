@@ -29,6 +29,7 @@ let merge_once ?(config = Protocol.default_merge_config) ?(params = Cost.default
   Obs.Span.with_ ~name:"session.merge_once" @@ fun () ->
   Obs.Counter.incr obs_merges;
   let engine, base_history = base_setup ~s0 ~base in
+  let base_history = Protocol.index_history base_history in
   let tentative_history = history tentative in
   let tentative_exec = History.execute s0 tentative_history in
   let precedence =
@@ -36,12 +37,7 @@ let merge_once ?(config = Protocol.default_merge_config) ?(params = Cost.default
       ~tentative:
         (Repro_precedence.Summary.of_execution ~kind:Repro_precedence.Summary.Tentative
            tentative_exec)
-      ~base:
-        (List.map
-           (fun (bt : Protocol.base_txn) ->
-             Repro_precedence.Summary.of_record ~kind:Repro_precedence.Summary.Base
-               bt.Protocol.record)
-           base_history)
+      ~base:base_history
   in
   let report =
     Protocol.merge ~config ~params ~base:engine ~base_history ~origin:s0

@@ -14,7 +14,10 @@ type result = {
 }
 
 let run () =
-  let pg = Precedence.build ~tentative:Paper.example1_tentative ~base:Paper.example1_base in
+  let pg =
+    Precedence.build ~tentative:Paper.example1_tentative
+      ~base:(Precedence.Index.of_summaries Paper.example1_base)
+  in
   let name i = (Precedence.summary_of_node pg i).Summary.name in
   let edges = List.map (fun (u, v) -> (name u, name v)) (Digraph.edges (Precedence.graph pg)) in
   let strategies =

@@ -60,7 +60,8 @@ let one_case ~seed ~tentative_len ~base_len ~overlap =
   (* Merge side. *)
   let engine = Engine.create s0 in
   let base_history =
-    List.map (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p }) base
+    Protocol.index_history
+      (List.map (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p }) base)
   in
   let merge_report =
     Protocol.merge ~config:Protocol.default_merge_config ~params:Cost.default_params

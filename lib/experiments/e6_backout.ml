@@ -20,7 +20,8 @@ let run ?(seeds = 40) ?(tentative = 12) ?(base = 8) ?(blind = 0.3) ~skews () =
               Gen.summaries rng ~n_items:15 ~tentative ~base ~reads:(1, 3) ~writes:(1, 2)
                 ~skew ~blind
             in
-            (Precedence.build ~tentative:tentative_s ~base:base_s, tentative_s))
+            ( Precedence.build ~tentative:tentative_s ~base:(Precedence.Index.of_summaries base_s),
+              tentative_s ))
       in
       let cyclic = List.filter (fun (pg, _) -> not (Precedence.is_acyclic pg)) cases in
       (* Every strategy is run once per cyclic case — including the two

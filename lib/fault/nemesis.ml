@@ -109,7 +109,7 @@ let check_case ?disk ~seed ~schedule () =
   let ref_engine, ref_history = mk_engine () in
   let ref_report =
     P.merge ~config:P.default_merge_config ~params:Cost.default_params ~base:ref_engine
-      ~base_history:ref_history ~origin:s0 ~tentative
+      ~base_history:(P.index_history ref_history) ~origin:s0 ~tentative
   in
   let ref_state = Engine.state ref_engine in
   let device = Option.map (fun sched -> Block.create ~seed:(seed + 2) sched) disk in
@@ -119,7 +119,8 @@ let check_case ?disk ~seed ~schedule () =
   let net = Net.create ~seed:(seed + 1) schedule in
   match
     Session.run_merge ~sid:1 ~net ~session:Session.default_config ~config:P.default_merge_config
-      ~params:Cost.default_params ~base:engine ~base_history ~origin:s0 ~tentative ()
+      ~params:Cost.default_params ~base:engine ~base_history:(P.index_history base_history)
+      ~origin:s0 ~tentative ()
   with
   | exception e -> Error (Printf.sprintf "exception: %s" (Printexc.to_string e))
   | res -> (

@@ -112,7 +112,7 @@ val run_merge :
   config:Protocol.merge_config ->
   params:Cost.params ->
   base:Repro_db.Engine.t ->
-  base_history:Protocol.base_txn list ->
+  base_history:Protocol.history ->
   origin:State.t ->
   tentative:History.t ->
   unit ->

@@ -188,7 +188,8 @@ let mobile_session t ~mobile ~base ~length ~schedule ~seed =
     match
       Session.run_merge ~sid ~retry_seed:(seed lxor 0x5eed) ~net ~session:t.session
         ~config:t.config.Mbase.merge ~params:t.config.Mbase.params ~base:(Mbase.engine b)
-        ~base_history:(Mbase.tentative_view b) ~origin:(Mbase.stable_state b) ~tentative ()
+        ~base_history:(P.index_history (Mbase.tentative_view b))
+        ~origin:(Mbase.stable_state b) ~tentative ()
     with
     | { Session.outcome = Session.Completed report; storage_failure; _ } ->
       ignore (Mbase.integrate_history b report.P.new_history);

@@ -297,7 +297,7 @@ let integrate (t : t) (txns : Gtxn.t list) =
            (fun (g : Gtxn.t) -> { History.program = g.Gtxn.program; fix = g.Gtxn.fix })
            fresh)
     in
-    let base_history = tentative_view t in
+    let base_history = P.index_history (tentative_view t) in
     let cfg = { t.config.merge with P.acceptance = P.accept_always } in
     let report =
       P.merge ~config:cfg ~params:t.config.params ~base:t.engine ~base_history

@@ -10,129 +10,524 @@ let obs_cyclic = Obs.Counter.make "precedence.cyclic_graphs"
 let obs_nodes = Obs.Dist.make "precedence.nodes"
 let obs_edges = Obs.Dist.make "precedence.edges"
 
-type t = {
-  graph : Digraph.t;
+(* ------------------------------------------------------------------ *)
+(* The per-window conflict index. *)
+
+(* One transaction of an indexed history. Its conflict partners are split
+   by position: an intra-history edge runs from the earlier of two
+   conflicting transactions to the later, and a merged order never swaps
+   a conflicting pair (docs/PERFORMANCE.md §3), so a partner stays on its
+   side for as long as both are in the window. *)
+type node = {
+  summary : Summary.t Lazy.t;  (* forced when the node is linked *)
+  slot : int;  (* entry order: where the payload lives *)
+  mutable pos : int;
+  mutable before : node list;  (* conflict partners at lower positions *)
+  mutable after : node list;  (* conflict partners at higher positions *)
+  mutable n_after : int;
+  mutable seen : int;  (* stamp of the last lookup that met the node *)
+}
+
+(* Readers and writers of every item. *)
+type items = {
+  readers : (Item.t, node list ref) Hashtbl.t;
+  writers : (Item.t, node list ref) Hashtbl.t;
+  mutable stamp : int;
+}
+
+let new_items () = { readers = Hashtbl.create 16; writers = Hashtbl.create 16; stamp = 0 }
+
+let make_node summary ~slot ~pos =
+  { summary; slot; pos; before = []; after = []; n_after = 0; seen = 0 }
+
+(* [f] on every node of [items] sharing an item with [s] that one of the
+   two writes — exactly the nodes [s] conflicts with ({!Summary.conflicts})
+   and the only ones an edge rule can fire on — once each. *)
+let iter_conflicting items (s : Summary.t) f =
+  items.stamp <- items.stamp + 1;
+  let stamp = items.stamp in
+  let meet nd =
+    if nd.seen <> stamp then begin
+      nd.seen <- stamp;
+      f nd
+    end
+  in
+  let each tbl x = Option.iter (fun l -> List.iter meet !l) (Hashtbl.find_opt tbl x) in
+  Item.Set.iter (each items.writers) s.Summary.readset;
+  Item.Set.iter
+    (fun x ->
+      each items.writers x;
+      each items.readers x)
+    s.Summary.writeset
+
+(* Link [nd] to the nodes of [items] it conflicts with, each on the side
+   its position puts it, then add [nd] to the item lists. Returns the
+   number of conflicting pairs found. Pairs of nodes entering in any order
+   are each found once, from the end that enters second. *)
+let enter items nd =
+  let pairs = ref 0 in
+  let s = Lazy.force nd.summary in
+  iter_conflicting items s (fun p ->
+      incr pairs;
+      let lo, hi = if p.pos < nd.pos then (p, nd) else (nd, p) in
+      lo.after <- hi :: lo.after;
+      lo.n_after <- lo.n_after + 1;
+      hi.before <- lo :: hi.before);
+  let push tbl x =
+    match Hashtbl.find_opt tbl x with
+    | Some l -> l := nd :: !l
+    | None -> Hashtbl.add tbl x (ref [ nd ])
+  in
+  Item.Set.iter (push items.readers) s.Summary.readset;
+  Item.Set.iter (push items.writers) s.Summary.writeset;
+  !pairs
+
+(* What a graph reads of an index, whatever its payload type. *)
+type core = {
+  items : items;
+  names : (Names.t, node list ref) Hashtbl.t;
+  mutable dups : Names.t list;  (* names two or more nodes hold *)
+  mutable nodes : node array;  (* by position, [0, len) *)
+  mutable len : int;
+  mutable pairs : int;  (* conflicting pairs among the linked nodes *)
+  mutable pending : node list;  (* entered, not yet linked *)
+  mutable version : int;  (* bumped by every change, so a stale graph is caught *)
+}
+
+let add_name c nd =
+  let name = (Lazy.force nd.summary).Summary.name in
+  match Hashtbl.find_opt c.names name with
+  | None -> Hashtbl.add c.names name (ref [ nd ])
+  | Some l ->
+    if List.compare_length_with !l 1 = 0 then c.dups <- name :: c.dups;
+    l := nd :: !l
+
+(* Link the nodes that entered since the last call. Linking waits for a
+   graph that reads them, so the transactions a window commits after its
+   last merge cost one node each. *)
+let settle c =
+  if c.pending <> [] then begin
+    List.iter
+      (fun nd ->
+        c.pairs <- c.pairs + enter c.items nd;
+        add_name c nd)
+      c.pending;
+    c.pending <- []
+  end
+
+(* Intra-history edges among the positions [from, len), each counted at
+   its earlier end. *)
+let suffix_pairs c ~from =
+  if from = 0 then c.pairs
+  else begin
+    let k = ref 0 in
+    for p = from to c.len - 1 do
+      k := !k + c.nodes.(p).n_after
+    done;
+    !k
+  end
+
+module Index = struct
+  type 'a store = {
+    core : core;
+    name : 'a -> Names.t;
+    summary : 'a -> Summary.t;
+    mutable payloads : 'a array;  (* by slot *)
+  }
+
+  type 'a t = { store : 'a store; from : int }
+
+  let create ~name ~summary =
+    {
+      store =
+        {
+          core =
+            {
+              items = new_items ();
+              names = Hashtbl.create 16;
+              dups = [];
+              nodes = [||];
+              len = 0;
+              pairs = 0;
+              pending = [];
+              version = 0;
+            };
+          name;
+          summary;
+          payloads = [||];
+        };
+      from = 0;
+    }
+
+  let length t = t.store.core.len - t.from
+
+  let get t i =
+    if i < 0 || i >= length t then invalid_arg "Precedence.Index.get: position out of range";
+    t.store.payloads.(t.store.core.nodes.(t.from + i).slot)
+
+  let to_list ?upto t =
+    let c = t.store.core in
+    let hi = match upto with None -> c.len | Some u -> max t.from (min c.len (t.from + u)) in
+    let rec go p acc =
+      if p < t.from then acc else go (p - 1) (t.store.payloads.(c.nodes.(p).slot) :: acc)
+    in
+    go (hi - 1) []
+
+  let suffix t ~from =
+    if from < 0 || from > length t then invalid_arg "Precedence.Index.suffix: from out of range";
+    { t with from = t.from + from }
+
+  (* Room for [len] nodes and payloads; [nd] and [x] fill the new cells.
+     A replace fills slots past [c.len] before it lays the nodes out, so
+     the whole arrays are kept. *)
+  let reserve st len nd x =
+    let c = st.core in
+    let cap = Array.length c.nodes in
+    if len > cap then begin
+      let nodes = Array.make (max len (max 16 (2 * cap))) nd in
+      let payloads = Array.make (Array.length nodes) x in
+      Array.blit c.nodes 0 nodes 0 cap;
+      Array.blit st.payloads 0 payloads 0 cap;
+      c.nodes <- nodes;
+      st.payloads <- payloads
+    end
+
+  (* A new node at [pos] holding [x] in [slot], the next free one,
+     waiting to be linked. *)
+  let fresh st ~slot ~pos x =
+    let nd = make_node (lazy (st.summary x)) ~slot ~pos in
+    reserve st (slot + 1) nd x;
+    st.payloads.(slot) <- x;
+    st.core.pending <- nd :: st.core.pending;
+    nd
+
+  let settle t = settle t.store.core
+
+  let push t x =
+    let st = t.store in
+    let c = st.core in
+    let nd = fresh st ~slot:c.len ~pos:c.len x in
+    c.nodes.(c.len) <- nd;
+    c.len <- c.len + 1;
+    c.version <- c.version + 1
+
+  let replace t xs =
+    let st = t.store in
+    let c = st.core in
+    settle t;
+    let held nd = st.payloads.(nd.slot) in
+    (* Leading transactions still in place keep their nodes untouched. *)
+    let rec skip p = function
+      | x :: rest when p < c.len && held c.nodes.(p) == x -> skip (p + 1) rest
+      | rest -> (p, rest)
+    in
+    let d, rest = skip t.from xs in
+    if d < c.len || rest <> [] then begin
+      (* Re-position the moved nodes; a payload no node holds is new. *)
+      c.items.stamp <- c.items.stamp + 1;
+      let stamp = c.items.stamp in
+      let moved nd = nd.seen <> stamp && nd.pos >= d in
+      let old_len = c.len and slot = ref c.len and placed = ref 0 in
+      let layout =
+        List.mapi
+          (fun k x ->
+            let pos = d + k in
+            let same =
+              match Hashtbl.find_opt c.names (st.name x) with
+              | Some l -> List.find_opt (fun nd -> held nd == x && moved nd) !l
+              | None -> None
+            in
+            match same with
+            | Some nd ->
+              nd.seen <- stamp;
+              nd.pos <- pos;
+              incr placed;
+              nd
+            | None ->
+              let nd = fresh st ~slot:!slot ~pos x in
+              incr slot;
+              nd)
+          rest
+      in
+      if !placed <> old_len - d then
+        invalid_arg "Precedence.Index.replace: the new history drops a transaction";
+      (* [fresh] made room for every slot, hence for every position. *)
+      List.iteri (fun k nd -> c.nodes.(d + k) <- nd) layout;
+      c.len <- d + List.length layout;
+      c.version <- c.version + 1
+    end
+
+  let clear t =
+    let c = t.store.core in
+    Hashtbl.reset c.items.readers;
+    Hashtbl.reset c.items.writers;
+    Hashtbl.reset c.names;
+    c.dups <- [];
+    c.nodes <- [||];
+    t.store.payloads <- [||];
+    c.len <- 0;
+    c.pairs <- 0;
+    c.pending <- [];
+    c.version <- c.version + 1
+
+  let of_list ~name ~summary xs =
+    let t = create ~name ~summary in
+    List.iter (push t) xs;
+    t
+
+  let of_summaries l = of_list ~name:(fun (s : Summary.t) -> s.Summary.name) ~summary:Fun.id l
+end
+
+(* ------------------------------------------------------------------ *)
+(* Graphs. *)
+
+(* A materialised graph: a cone. *)
+type graph = {
+  digraph : Digraph.t;
   summaries : Summary.t array;
   index : (Names.t, int) Hashtbl.t;
-  tentative_count : int;  (* nodes [0, tentative_count) are the tentative block *)
   outside : int array;  (* per node: edges to full-graph nodes a cone left out *)
+}
+
+(* The session's part of G(H_m, H_b): the tentative block and its cross
+   edges. Base-to-base adjacency is read from the index on demand. *)
+type session = {
+  core : core;
+  from : int;  (* base node [m + k] is the index's position [from + k] *)
+  version : int;
+  tentative : Summary.t array;
+  tentative_index : (Names.t, int) Hashtbl.t;
+  t_succ : int list array;  (* per tentative node, in edge order *)
+  t_pred : int list array;
+  cross : (int * bool * bool) list array;
+      (* per tentative [i]: base partners [b] ascending, with [i -> b], [b -> i] *)
+  cross_out : (int, int list) Hashtbl.t;  (* base node -> its tentative successors *)
+  mutable full : Digraph.t option;
+}
+
+type shape = Built of graph | Session of session
+
+type t = {
+  n : int;
+  tentative_count : int;  (* nodes [0, tentative_count) are the tentative block *)
+  edges : int;
+  shape : shape;
   acyclic : bool option ref;  (* cached first test; shared with the cone *)
   mutable cone : t option;
 }
 
-(* For each node, the later nodes sharing an item with it where at least
-   one side writes: exactly the pairs an edge rule of [build] can fire on,
-   since every rule needs such an item. Filled from the last node back, so
-   each item's reader and writer lists hold only later nodes; each list
-   comes out in increasing order. *)
-let later_partners summaries =
-  let n = Array.length summaries in
-  let readers = Hashtbl.create 64 and writers = Hashtbl.create 64 in
-  let touching tbl x = Option.value (Hashtbl.find_opt tbl x) ~default:[] in
-  let seen = Array.make n (-1) in
-  let partners = Array.make n [] in
-  for i = n - 1 downto 0 do
-    let s = summaries.(i) in
-    let found = ref [] in
-    let consider j =
-      if seen.(j) <> i then begin
-        seen.(j) <- i;
-        found := j :: !found
-      end
-    in
-    Item.Set.iter
-      (fun x ->
-        List.iter consider (touching writers x);
-        List.iter consider (touching readers x))
-      s.Summary.writeset;
-    Item.Set.iter (fun x -> List.iter consider (touching writers x)) s.Summary.readset;
-    partners.(i) <- List.sort Int.compare !found;
-    let push tbl x = Hashtbl.replace tbl x (i :: touching tbl x) in
-    Item.Set.iter (push readers) s.Summary.readset;
-    Item.Set.iter (push writers) s.Summary.writeset
-  done;
-  partners
+let check_current s =
+  if s.core.version <> s.version then
+    invalid_arg "Precedence: the index changed after this graph was built"
 
-let build ~tentative ~base =
-  Obs.Span.with_ ~lane:Obs.Event.Base ~name:"precedence.build" @@ fun () ->
-  let summaries = Array.of_list (tentative @ base) in
-  let n = Array.length summaries in
-  let index = Hashtbl.create n in
+let base_node s v =
+  check_current s;
+  s.core.nodes.(s.from + v - Array.length s.tentative)
+
+let id_of s nd = nd.pos - s.from + Array.length s.tentative
+let crossing tbl v = Option.value (Hashtbl.find_opt tbl v) ~default:[]
+
+(* The first node of [tentative @ suffix] whose name an earlier one holds:
+   a tentative name met again, or the second suffix holder of a name. *)
+let check_names c ~from (tentative : Summary.t array) =
+  let seen = Hashtbl.create (max 16 (2 * Array.length tentative)) in
+  let fail name = invalid_arg ("Precedence.build: duplicate transaction name " ^ name) in
   Array.iteri
     (fun i (s : Summary.t) ->
-      if Hashtbl.mem index s.Summary.name then
-        invalid_arg ("Precedence.build: duplicate transaction name " ^ s.Summary.name);
-      Hashtbl.replace index s.Summary.name i)
-    summaries;
-  let graph = Digraph.create n in
-  let m = List.length tentative in
-  let later = later_partners summaries in
-  (* [for j = lo to hi] restricted to the pairs that can gain an edge, in
-     increasing order, so edges enter [graph] — and every successor and
-     predecessor list — exactly as a pairwise scan adds them. *)
-  let partners i lo hi f = List.iter (fun j -> if lo <= j && j <= hi then f j) later.(i) in
-  (* Intra-history edges: earlier conflicting transaction -> later one. *)
-  let intra lo hi =
-    for i = lo to hi - 1 do
-      partners i (i + 1) hi (fun j ->
-          if Summary.conflicts summaries.(i) summaries.(j) then Digraph.add_edge graph i j)
-    done
+      if Hashtbl.mem seen s.Summary.name then fail s.Summary.name;
+      Hashtbl.replace seen s.Summary.name i)
+    tentative;
+  let first = ref max_int in
+  let holders name =
+    match Hashtbl.find_opt c.names name with
+    | None -> []
+    | Some l ->
+      List.sort Int.compare
+        (List.filter_map (fun nd -> if nd.pos >= from then Some nd.pos else None) !l)
   in
-  intra 0 (m - 1);
-  intra m (n - 1);
-  (* Cross edges: a transaction that read an item the other history's
-     transaction updated saw the common original value, hence precedes. *)
-  for i = 0 to m - 1 do
-    partners i m (n - 1) (fun j ->
-        let tm = summaries.(i) and tb = summaries.(j) in
-        if not (Item.Set.disjoint tm.Summary.readset tb.Summary.writeset) then
-          Digraph.add_edge graph i j;
-        if not (Item.Set.disjoint tb.Summary.readset tm.Summary.writeset) then
-          Digraph.add_edge graph j i;
-        (* Blind-write adaptation: a write-write overlap with no read on
-           either side produces no edge under the paper's literal rules,
-           leaving the merged order of the two writes ambiguous. Order the
-           base transaction first (the tentative write wins, matching the
-           protocol's forwarded updates). With no blind writes this never
-           fires: writeset ⊆ readset makes the overlap a two-cycle above. *)
-        if
-          (not (Item.Set.disjoint tm.Summary.writeset tb.Summary.writeset))
-          && not (Digraph.mem_edge graph i j)
-        then Digraph.add_edge graph j i)
+  Hashtbl.iter
+    (fun name _ -> match holders name with p :: _ -> first := min !first p | [] -> ())
+    seen;
+  List.iter
+    (fun name -> match holders name with _ :: p :: _ -> first := min !first p | _ -> ())
+    c.dups;
+  if !first < max_int then fail (Lazy.force c.nodes.(!first).summary).Summary.name;
+  seen
+
+let build ~tentative ~(base : _ Index.t) =
+  Obs.Span.with_ ~lane:Obs.Event.Base ~name:"precedence.build" @@ fun () ->
+  let c = base.Index.store.Index.core and from = base.Index.from in
+  settle c;
+  let tentative = Array.of_list tentative in
+  let m = Array.length tentative in
+  let n = m + c.len - from in
+  let tentative_index = check_names c ~from tentative in
+  (* Intra-tentative edges, through a scratch index of the block. *)
+  let block = new_items () in
+  let tnodes = Array.mapi (fun i s -> make_node (Lazy.from_val s) ~slot:i ~pos:i) tentative in
+  let intra = Array.fold_left (fun k nd -> k + enter block nd) 0 tnodes in
+  (* Cross edges, through the window's item lists: a transaction that
+     read an item the other history's transaction updated saw the common
+     original value, hence precedes. *)
+  let cross_edges = ref 0 in
+  let cross =
+    Array.map
+      (fun (tm : Summary.t) ->
+        let found = ref [] in
+        iter_conflicting c.items tm (fun nd ->
+            if nd.pos >= from then begin
+              let tb = Lazy.force nd.summary in
+              let out = not (Item.Set.disjoint tm.Summary.readset tb.Summary.writeset) in
+              (* Blind-write adaptation: a write-write overlap with no read
+                 on either side produces no edge under the paper's literal
+                 rules, leaving the merged order of the two writes
+                 ambiguous. Order the base transaction first (the
+                 tentative write wins, matching the protocol's forwarded
+                 updates). With no blind writes this never fires:
+                 writeset ⊆ readset makes the overlap a two-cycle. *)
+              let into =
+                (not (Item.Set.disjoint tb.Summary.readset tm.Summary.writeset))
+                || ((not out) && not (Item.Set.disjoint tm.Summary.writeset tb.Summary.writeset))
+              in
+              found := (m + nd.pos - from, out, into) :: !found;
+              cross_edges := !cross_edges + Bool.to_int out + Bool.to_int into
+            end);
+        List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !found)
+      tentative
+  in
+  let positions l = List.sort Int.compare (List.map (fun nd -> nd.pos) l) in
+  let t_succ =
+    Array.mapi
+      (fun i nd ->
+        positions nd.after
+        @ List.filter_map (fun (b, out, _) -> if out then Some b else None) cross.(i))
+      tnodes
+  and t_pred =
+    Array.mapi
+      (fun i nd ->
+        positions nd.before
+        @ List.filter_map (fun (b, _, into) -> if into then Some b else None) cross.(i))
+      tnodes
+  in
+  let cross_out = Hashtbl.create 16 in
+  for i = m - 1 downto 0 do
+    List.iter
+      (fun (b, _, into) -> if into then Hashtbl.replace cross_out b (i :: crossing cross_out b))
+      cross.(i)
   done;
+  let edges = intra + !cross_edges + suffix_pairs c ~from in
   Obs.Counter.incr obs_builds;
   Obs.Dist.observe_int obs_nodes n;
-  Obs.Dist.observe_int obs_edges (Digraph.edge_count graph);
+  Obs.Dist.observe_int obs_edges edges;
   if Obs.Event.capturing () then
     Obs.Event.emit ~lane:Obs.Event.Base
-      ~attrs:
-        [ ("nodes", Obs.Event.Int n); ("edges", Obs.Event.Int (Digraph.edge_count graph)) ]
+      ~attrs:[ ("nodes", Obs.Event.Int n); ("edges", Obs.Event.Int edges) ]
       "precedence.built";
-  {
-    graph;
-    summaries;
-    index;
-    tentative_count = m;
-    outside = Array.make n 0;
-    acyclic = ref None;
-    cone = None;
-  }
+  let session =
+    {
+      core = c;
+      from;
+      version = c.version;
+      tentative;
+      tentative_index;
+      t_succ;
+      t_pred;
+      cross;
+      cross_out;
+      full = None;
+    }
+  in
+  { n; tentative_count = m; edges; shape = Session session; acyclic = ref None; cone = None }
 
 let of_executions ~tentative ~base =
   build
     ~tentative:(Summary.of_execution ~kind:Summary.Tentative tentative)
-    ~base:(Summary.of_execution ~kind:Summary.Base base)
+    ~base:(Index.of_summaries (Summary.of_execution ~kind:Summary.Base base))
 
-let graph t = t.graph
-let summaries t = t.summaries
+let node_count t = t.n
+let edge_count t = t.edges
+let tentative_count t = t.tentative_count
+
+let summary_of_node t v =
+  match t.shape with
+  | Built g -> g.summaries.(v)
+  | Session s ->
+    if v < t.tentative_count then s.tentative.(v) else Lazy.force (base_node s v).summary
+
+let summaries t =
+  match t.shape with Built g -> g.summaries | Session _ -> Array.init t.n (summary_of_node t)
 
 let node_of t name =
-  match Hashtbl.find_opt t.index name with Some i -> i | None -> raise Not_found
+  match t.shape with
+  | Built g -> ( match Hashtbl.find_opt g.index name with Some i -> i | None -> raise Not_found)
+  | Session s -> (
+    match Hashtbl.find_opt s.tentative_index name with
+    | Some i -> i
+    | None -> (
+      check_current s;
+      match Hashtbl.find_opt s.core.names name with
+      | None -> raise Not_found
+      | Some l -> (
+        match List.find_opt (fun nd -> nd.pos >= s.from) !l with
+        | Some nd -> id_of s nd
+        | None -> raise Not_found)))
 
-let summary_of_node t i = t.summaries.(i)
+(* A base node's successors are its later partners, then the tentative
+   nodes it reaches; a tentative node's are listed in [t_succ]. Both in
+   the full graph's edge order. *)
+let successors t v =
+  match t.shape with
+  | Built g -> Digraph.successors g.digraph v
+  | Session s ->
+    if v < t.tentative_count then s.t_succ.(v)
+    else
+      List.sort Int.compare (List.map (id_of s) (base_node s v).after) @ crossing s.cross_out v
 
-let tentative_count t = t.tentative_count
-let outside_degree t i = t.outside.(i)
+(* Successors in no particular order, for walks. *)
+let for_all_successors t v f =
+  match t.shape with
+  | Built g -> List.for_all f (Digraph.successors g.digraph v)
+  | Session s ->
+    if v < t.tentative_count then List.for_all f s.t_succ.(v)
+    else
+      List.for_all (fun nd -> f (id_of s nd)) (base_node s v).after
+      && List.for_all f (crossing s.cross_out v)
+
+let iter_successors t v f = ignore (for_all_successors t v (fun w -> f w; true))
+
+(* Predecessors, leaving out a base node's tentative ones: the cone
+   holds every tentative node, so the walk and the outside count that
+   read this never need them. *)
+let iter_predecessors t s v f =
+  if v < t.tentative_count then List.iter f s.t_pred.(v)
+  else List.iter (fun nd -> if nd.pos >= s.from then f (id_of s nd)) (base_node s v).before
+
+(* The full graph, with edges added in the pairwise scan's order: the
+   tentative block, then the base block, then the cross pairs. *)
+let graph t =
+  match t.shape with
+  | Built g -> g.digraph
+  | Session { full = Some g; _ } -> g
+  | Session s ->
+    let m = t.tentative_count in
+    let g = Digraph.create t.n in
+    for i = 0 to m - 1 do
+      List.iter (fun j -> if j < m then Digraph.add_edge g i j) s.t_succ.(i)
+    done;
+    for v = m to t.n - 1 do
+      List.iter (fun w -> if w >= m then Digraph.add_edge g v w) (successors t v)
+    done;
+    for i = 0 to m - 1 do
+      List.iter
+        (fun (b, out, into) ->
+          if out then Digraph.add_edge g i b;
+          if into then Digraph.add_edge g b i)
+        s.cross.(i)
+    done;
+    s.full <- Some g;
+    g
+
+let outside_degree t i = match t.shape with Built g -> g.outside.(i) | Session _ -> 0
 
 (* Edges inside one history point forward, so every cycle takes a cross
    edge and passes through the tentative block: a three-colour DFS rooted
@@ -141,14 +536,14 @@ let is_acyclic t =
   match !(t.acyclic) with
   | Some a -> a
   | None ->
-    let color = Array.make (Array.length t.summaries) 0 in
+    let color = Array.make t.n 0 in
     let rec visit v =
       match color.(v) with
       | 1 -> false
       | 2 -> true
       | _ ->
         color.(v) <- 1;
-        let ok = List.for_all visit (Digraph.successors t.graph v) in
+        let ok = for_all_successors t v visit in
         color.(v) <- 2;
         ok
     in
@@ -163,47 +558,63 @@ let is_acyclic t =
    [t] and reaches it, so the cone keeps every cycle, renumbered in
    increasing order with each successor list in order; docs/PERFORMANCE.md
    ("The conflict cone") shows why Tarjan then lists the cyclic
-   components exactly as on the full graph. *)
+   components exactly as on the full graph. Every node on a path from a
+   tentative node to a cone node is reached and reaches, so the backward
+   walk stays inside the forward one. *)
 let cone t =
-  match t.cone with
-  | Some c -> c
-  | None ->
-    let g = t.graph and n = Array.length t.summaries and m = t.tentative_count in
-    let reach next =
-      let seen = Array.make n false in
-      let rec visit v =
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          List.iter visit (next g v)
-        end
-      in
-      Seq.iter visit (Seq.init m Fun.id);
-      seen
+  match (t.cone, t.shape) with
+  | Some c, _ -> c
+  | None, Built _ -> t
+  | None, Session s ->
+    let n = t.n and m = t.tentative_count in
+    let reached = Array.make n false in
+    let rec forward v =
+      if not reached.(v) then begin
+        reached.(v) <- true;
+        iter_successors t v forward
+      end
     in
-    let fwd = reach Digraph.successors and bwd = reach Digraph.predecessors in
-    let old = Array.of_seq (Seq.filter (fun v -> v < m || (fwd.(v) && bwd.(v))) (Seq.init n Fun.id)) in
+    let member = Array.make n false in
+    let rec backward v =
+      if reached.(v) && not member.(v) then begin
+        member.(v) <- true;
+        iter_predecessors t s v backward
+      end
+    in
+    for i = 0 to m - 1 do
+      forward i
+    done;
+    for i = 0 to m - 1 do
+      backward i
+    done;
+    let old = Array.of_seq (Seq.filter (fun v -> member.(v)) (Seq.init n Fun.id)) in
     let k = Array.length old in
     let node_of_old = Array.make n (-1) in
     Array.iteri (fun u v -> node_of_old.(v) <- u) old;
-    let graph = Digraph.create k in
+    let digraph = Digraph.create k in
     (* A left-out neighbour is a base node on no cycle, so back-out never
        removes it; greedy adds the count to keep the full graph's degree. *)
     let outside = Array.make k 0 in
-    let count_outside u w = if node_of_old.(w) < 0 then outside.(u) <- outside.(u) + 1 in
     Array.iteri
       (fun u v ->
+        let count w = if not member.(w) then outside.(u) <- outside.(u) + 1 in
         List.iter
-          (fun w ->
-            if node_of_old.(w) >= 0 then Digraph.add_edge graph u node_of_old.(w);
-            count_outside u w)
-          (Digraph.successors g v);
-        List.iter (count_outside u) (Digraph.predecessors g v))
+          (fun w -> if member.(w) then Digraph.add_edge digraph u node_of_old.(w) else count w)
+          (successors t v);
+        iter_predecessors t s v count)
       old;
-    let summaries = Array.map (fun v -> t.summaries.(v)) old in
+    let summaries = Array.map (summary_of_node t) old in
     let index = Hashtbl.create k in
     Array.iteri (fun i (s : Summary.t) -> Hashtbl.replace index s.Summary.name i) summaries;
     let c =
-      { graph; summaries; index; tentative_count = m; outside; acyclic = t.acyclic; cone = None }
+      {
+        n = k;
+        tentative_count = m;
+        edges = Digraph.edge_count digraph;
+        shape = Built { digraph; summaries; index; outside };
+        acyclic = t.acyclic;
+        cone = None;
+      }
     in
     c.cone <- Some c;
     t.cone <- Some c;
@@ -213,26 +624,25 @@ let tentative_on_cycles t =
   let c = cone t in
   List.fold_left
     (fun acc i ->
-      let s = c.summaries.(i) in
+      let s = summary_of_node c i in
       if Summary.is_tentative s then Names.Set.add s.Summary.name acc else acc)
     Names.Set.empty
-    (Scc.nodes_on_cycles c.graph)
+    (Scc.nodes_on_cycles (graph c))
 
 let reduced t ~removed =
-  Digraph.induced t.graph (fun i ->
-      not (Names.Set.mem t.summaries.(i).Summary.name removed))
+  Digraph.induced (graph t) (fun i ->
+      not (Names.Set.mem (summary_of_node t i).Summary.name removed))
 
 let merge_order t ~removed =
   Option.map
-    (List.map (fun i -> t.summaries.(i).Summary.name))
+    (List.map (fun i -> (summary_of_node t i).Summary.name))
     (Topo.sort (reduced t ~removed))
 
 let pp ppf t =
-  let pp_edge ppf (u, v) =
-    Format.fprintf ppf "%s->%s" t.summaries.(u).Summary.name t.summaries.(v).Summary.name
-  in
+  let name i = (summary_of_node t i).Summary.name in
+  let pp_edge ppf (u, v) = Format.fprintf ppf "%s->%s" (name u) (name v) in
   Format.fprintf ppf "@[<v 2>precedence graph:@ %a@ edges: %a@]"
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut Summary.pp)
-    (Array.to_list t.summaries)
+    (Array.to_list (summaries t))
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ") pp_edge)
-    (Digraph.edges t.graph)
+    (Digraph.edges (graph t))

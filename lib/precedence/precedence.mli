@@ -20,19 +20,89 @@
     [base -> tentative] is added so the merged serial order agrees with
     the protocol's forwarded updates (the tentative write wins). *)
 
+(** A window's history, indexed for conflict queries: the per-window
+    conflict index that {!build} reads, and the store the window keeps its
+    history in.
+
+    Each transaction's {!Summary.t} is computed once, when it is linked.
+    The index keeps the readers and writers of every item, each
+    transaction's conflict partners split into those before and those
+    after it, current positions, and a running count of the intra-history
+    edges. Linking a transaction meets only the transactions it
+    conflicts with ({!Summary.conflicts}): the writers of the items it
+    touches and the readers of the items it writes. It waits until a
+    graph needs the transaction ({!settle}), so transactions no later
+    merge reads cost one node each. After a merge only the transactions
+    whose position changed are touched: a merged order keeps every
+    conflicting pair's relative order, so no old edge changes direction
+    and no partner changes side (docs/PERFORMANCE.md §3).
+
+    A value is a view: the history from some position on ({!suffix}),
+    sharing one store with every other view of it. *)
+module Index : sig
+  type 'a t
+
+  (** [create ~name ~summary] — an empty history of ['a]s. [summary x]
+      (computed once per linked transaction) must be a {!Summary.Base}
+      summary named [name x]; [name] must be cheap. *)
+  val create : name:('a -> Repro_history.Names.t) -> summary:('a -> Summary.t) -> 'a t
+
+  (** [of_list ~name ~summary xs] — [xs] pushed in order. *)
+  val of_list :
+    name:('a -> Repro_history.Names.t) -> summary:('a -> Summary.t) -> 'a list -> 'a t
+
+  (** A history of summaries (their own names). *)
+  val of_summaries : Summary.t list -> Summary.t t
+
+  (** Transactions in the view. *)
+  val length : 'a t -> int
+
+  (** [get t i] — the view's [i]th transaction, from 0.
+      @raise Invalid_argument out of range. *)
+  val get : 'a t -> int -> 'a
+
+  (** The view's transactions, oldest first; [~upto:n]: its first [n]. *)
+  val to_list : ?upto:int -> 'a t -> 'a list
+
+  (** [suffix t ~from] — the view from its position [from] on.
+      @raise Invalid_argument unless [0 <= from <= length t]. *)
+  val suffix : 'a t -> from:int -> 'a t
+
+  (** Append a transaction at the end of the history. *)
+  val push : 'a t -> 'a -> unit
+
+  (** Link the transactions that entered since the last {!settle}.
+      {!build} links first; settling beforehand keeps that work out of
+      the [precedence.build] span. *)
+  val settle : 'a t -> unit
+
+  (** [replace t xs] — replace the view's transactions by [xs], the
+      merged order of a merge against [t]: every transaction of [t]
+      (physically the same values) plus new ones, with each conflicting
+      pair of old transactions in its old relative order. Transactions
+      before the first that moved keep their nodes untouched; the new
+      ones wait to be linked.
+      @raise Invalid_argument if [xs] leaves out a transaction of [t]. *)
+  val replace : 'a t -> 'a list -> unit
+
+  (** Empty the whole history. *)
+  val clear : 'a t -> unit
+end
+
 type t
 
-(** [build ~tentative ~base] constructs the graph; list order is history
-    order. All names must be distinct across both lists.
+(** [build ~tentative ~base] constructs G(H_m, H_b) of the [tentative]
+    summaries (history order) against the indexed history [base]. All
+    names must be distinct across the tentative block and [base].
 
-    One pass indexes the readers and writers of every item, so each
-    transaction is tested only against the transactions sharing an item
-    with it where at least one side writes, not against every node. Edges
-    enter the graph in the order of the pairwise scan over the tentative
-    block, then the base block, then the cross pairs, so every
-    successor and predecessor list — which back-out, SCC and DOT
-    rendering read — is the scan's. *)
-val build : tentative:Summary.t list -> base:Summary.t list -> t
+    A build constructs only the session's part: the tentative block, its
+    cross edges found through the index's item lists, and the edge count
+    as intra-tentative + cross + the index's intra-history count over
+    [base]. Base-to-base adjacency is read from the index on demand, so
+    the graph is valid until the index next changes (a query after that
+    raises [Invalid_argument]). Node [i < m] is the [i]th tentative
+    transaction, node [m + k] is [Index.get base k]. *)
+val build : tentative:Summary.t list -> base:_ Index.t -> t
 
 (** [of_executions ~tentative ~base] builds from the dynamic read/write
     sets of two executions. *)
@@ -41,8 +111,21 @@ val of_executions :
   base:Repro_history.History.execution ->
   t
 
-(** The underlying digraph; node [i] is [(summaries t).(i)]. *)
+(** The full digraph; node [i] is [(summaries t).(i)]. Materialised on
+    first use, with edges entered in the order of the pairwise scan over
+    the tentative block, then the base block, then the cross pairs, so
+    every successor and predecessor list — which back-out, SCC and DOT
+    rendering read — is the scan's. The merge path never needs it. *)
 val graph : t -> Repro_graph.Digraph.t
+
+(** Nodes and edges of the full graph, without materialising it. *)
+val node_count : t -> int
+
+val edge_count : t -> int
+
+(** [successors t v] — as [Digraph.successors (graph t) v], read from the
+    index. *)
+val successors : t -> int -> int list
 
 (** All transaction summaries, tentative block first then base block,
     each in history order — the node numbering of {!graph}. *)
@@ -62,17 +145,20 @@ val tentative_count : t -> int
 (** Theorem 1's mergeability test. Edges inside one history point
     forward, so every cycle passes through the tentative block; a
     three-colour DFS rooted at the tentative nodes alone decides it,
-    building no graph. Cached on the value (and shared with {!cone}), so
-    repeated queries are free. *)
+    reading base adjacency from the index and building no graph. Cached
+    on the value (and shared with {!cone}), so repeated queries are
+    free. *)
 val is_acyclic : t -> bool
 
 (** [cone t] — the session's conflict cone: the tentative nodes plus
     every base node reachable from a tentative node that also reaches
-    one. It holds every cycle of [t], renumbered in increasing node order
-    with each successor list kept in order, so Tarjan lists the cyclic
-    components and their members as it does on [t], and every back-out
-    strategy picks the same B on it. Cached on [t]; the cone of a cone is
-    itself. *)
+    one, found by a forward walk from the tentative nodes and a backward
+    walk inside it over the index. It holds every cycle of [t],
+    renumbered in increasing node order with each successor list kept in
+    order, so Tarjan lists the cyclic components and their members as it
+    does on [t], and every back-out strategy picks the same B on it. A
+    materialised graph, valid after the index changes. Cached on [t]; the
+    cone of a cone is itself. *)
 val cone : t -> t
 
 (** [outside_degree t i] — edges between node [i] and the nodes of the

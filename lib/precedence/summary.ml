@@ -26,7 +26,8 @@ let of_execution ~kind (exec : Repro_history.History.execution) =
 let is_tentative t = t.kind = Tentative
 
 let conflicts a b =
-  (not (Item.Set.disjoint a.writeset (Item.Set.union b.readset b.writeset)))
+  (not (Item.Set.disjoint a.writeset b.readset))
+  || (not (Item.Set.disjoint a.writeset b.writeset))
   || not (Item.Set.disjoint b.writeset a.readset)
 
 let pp ppf t =

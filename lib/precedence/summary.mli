@@ -32,7 +32,7 @@ val of_execution : kind:kind -> Repro_history.History.execution -> t list
 val is_tentative : t -> bool
 
 (** [conflicts a b] — some item is written by one and read or written by
-    the other. *)
+    the other. Three disjointness tests; allocates nothing. *)
 val conflicts : t -> t -> bool
 
 (** Debug printer: name, kind and both item sets. *)

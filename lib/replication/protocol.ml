@@ -3,7 +3,6 @@ open Repro_history
 open Repro_precedence
 open Repro_rewrite
 module Engine = Repro_db.Engine
-module Digraph = Repro_graph.Digraph
 module Obs = Repro_obs.Obs
 
 let obs_merges = Obs.Counter.make "protocol.merges"
@@ -37,6 +36,13 @@ type outcome = Merged | Reexecuted | Rejected
 type txn_report = { name : Names.t; outcome : outcome }
 
 let replay s0 history = List.fold_left (fun s bt -> Interp.apply s bt.program) s0 history
+
+type history = base_txn Precedence.Index.t
+
+let index_history =
+  Precedence.Index.of_list
+    ~name:(fun bt -> bt.record.Interp.program.Program.name)
+    ~summary:(fun bt -> Summary.of_record ~kind:Summary.Base bt.record)
 
 type merge_config = {
   theory : Semantics.theory;
@@ -150,10 +156,7 @@ type graph_phase = {
 let analyze_graph ~strategy ~params ~cost ~base_history ~origin ~tentative =
   let tentative_exec = History.execute origin tentative in
   let tent_summaries = Summary.of_execution ~kind:Summary.Tentative tentative_exec in
-  let pg =
-    Precedence.build ~tentative:tent_summaries
-      ~base:(List.map (fun bt -> Summary.of_record ~kind:Summary.Base bt.record) base_history)
-  in
+  let pg = Precedence.build ~tentative:tent_summaries ~base:base_history in
   (* Step 1: ship read/write sets and G(H_m); build G(H_m, H_b). *)
   let rwset_units =
     List.fold_left
@@ -164,24 +167,21 @@ let analyze_graph ~strategy ~params ~cost ~base_history ~origin ~tentative =
   let m = Precedence.tentative_count pg in
   let intra_tentative_edges = ref 0 in
   for u = 0 to m - 1 do
-    List.iter
-      (fun v -> if v < m then incr intra_tentative_edges)
-      (Digraph.successors (Precedence.graph pg) u)
+    List.iter (fun v -> if v < m then incr intra_tentative_edges) (Precedence.successors pg u)
   done;
   cost.Cost.communication <-
     cost.Cost.communication
     +. (params.Cost.comm_per_unit *. float_of_int (rwset_units + !intra_tentative_edges));
   cost.Cost.base_cpu <-
     cost.Cost.base_cpu
-    +. (params.Cost.graph_per_edge *. float_of_int (Digraph.edge_count (Precedence.graph pg)));
+    +. (params.Cost.graph_per_edge *. float_of_int (Precedence.edge_count pg));
   (* Step 2: compute B. *)
   let bad =
     if Precedence.is_acyclic pg then Names.Set.empty
     else begin
       cost.Cost.base_cpu <-
         cost.Cost.base_cpu
-        +. (params.Cost.backout_per_node
-           *. float_of_int (Digraph.node_count (Precedence.graph pg)));
+        +. (params.Cost.backout_per_node *. float_of_int (Precedence.node_count pg));
       Backout.compute ~strategy (Precedence.cone pg)
     end
   in
@@ -252,22 +252,22 @@ module Int_set = Set.Make (Int)
    and the base nodes they reach — needs ordering. Returns the tail's
    nodes in merged order, and its membership. *)
 let merge_tail pg ~saved =
-  let g = Precedence.graph pg in
-  let n = Array.length (Precedence.summaries pg) and m = Precedence.tentative_count pg in
-  let in_tail = Array.make n false and tail = ref [] in
+  let n = Precedence.node_count pg and m = Precedence.tentative_count pg in
+  let in_tail = Array.make n false and tail = ref [] and successors = Array.make n [] in
   (* Every saved tentative is a root, so following base successors only
      reaches through saved tentatives and never through backed-out ones. *)
   let rec visit v =
     if not in_tail.(v) then begin
       in_tail.(v) <- true;
       tail := v :: !tail;
-      List.iter (fun w -> if w >= m then visit w) (Digraph.successors g v)
+      successors.(v) <- Precedence.successors pg v;
+      List.iter (fun w -> if w >= m then visit w) successors.(v)
     end
   in
   Names.Set.iter (fun name -> visit (Precedence.node_of pg name)) saved;
+  List.iter (fun v -> successors.(v) <- List.filter (fun w -> in_tail.(w)) successors.(v)) !tail;
   let indegree = Array.make n 0 in
-  let successors v = List.filter (fun w -> in_tail.(w)) (Digraph.successors g v) in
-  List.iter (fun v -> List.iter (fun w -> indegree.(w) <- indegree.(w) + 1) (successors v)) !tail;
+  List.iter (fun v -> List.iter (fun w -> indegree.(w) <- indegree.(w) + 1) successors.(v)) !tail;
   (* Base keys [m, n) sort before tentative keys [n, n + m). *)
   let key v = if v < m then n + v else v and node k = if k >= n then k - n else k in
   let rec drain ready acc =
@@ -280,7 +280,7 @@ let merge_tail pg ~saved =
           (fun ready w ->
             indegree.(w) <- indegree.(w) - 1;
             if indegree.(w) = 0 then Int_set.add (key w) ready else ready)
-          (Int_set.remove k ready) (successors v)
+          (Int_set.remove k ready) successors.(v)
       in
       drain ready (v :: acc)
   in
@@ -299,11 +299,10 @@ let plan_commit ~graph:g ~rewrite:r ~base_history ~tentative =
   let pg = g.gp_pg in
   let m = Precedence.tentative_count pg in
   let order, in_tail = merge_tail pg ~saved:rw.Rewrite.saved in
-  let base = Array.of_list base_history in
   let tail =
     List.map
       (fun v ->
-        if v >= m then base.(v - m)
+        if v >= m then Precedence.Index.get base_history (v - m)
         else
           let name = (Precedence.summary_of_node pg v).Summary.name in
           {
@@ -312,7 +311,9 @@ let plan_commit ~graph:g ~rewrite:r ~base_history ~tentative =
           })
       order
   in
-  let merged_core = List.filteri (fun k _ -> not in_tail.(m + k)) base_history @ tail in
+  let merged_core =
+    List.filteri (fun k _ -> not in_tail.(m + k)) (Precedence.Index.to_list base_history) @ tail
+  in
   (* Step 5: forward final values of the repaired history's writes — but
      only for items whose last writer in the merged serial order is
      tentative. A base transaction's blind write may legitimately follow a

@@ -14,7 +14,9 @@
 
     Both return the new {e logical} base history — the serial order the
     merged transactions are equivalent to — which a {!Window} maintains
-    across successive mergers (Section 2.2, Strategy 2). *)
+    across successive mergers (Section 2.2, Strategy 2). A merge reads
+    that history as a {!history}: indexed for conflict queries, so it
+    builds only its session's part of [G(H_m, H_b)]. *)
 
 open Repro_txn
 open Repro_history
@@ -43,6 +45,16 @@ type base_txn = { program : Program.t; record : Interp.record }
 (** [replay s0 history] — the ground-truth oracle: a fold of
     {!Interp.apply} over the programs from [s0], never touching an engine. *)
 val replay : State.t -> base_txn list -> State.t
+
+(** A logical base history indexed for conflict queries
+    ({!Repro_precedence.Precedence.Index}): what a merge is run against.
+    A {!Window} keeps its history in one, adding each committed
+    transaction once. *)
+type history = base_txn Precedence.Index.t
+
+(** [index_history l] — [l] indexed, for a caller that holds a list: each
+    transaction's summary is computed once, here. *)
+val index_history : base_txn list -> history
 
 type outcome =
   | Merged  (** saved by the rewrite; updates forwarded *)
@@ -87,12 +99,13 @@ type merge_report = {
     [tentative] (executed from [origin] on the mobile) into the base,
     whose logical history since the common [origin] is [base_history].
     The base engine's state is updated (forwarded updates plus
-    re-executions). *)
+    re-executions); [base_history] is not (a {!Window} replaces it by the
+    report's [new_history]). *)
 val merge :
   config:merge_config ->
   params:Cost.params ->
   base:Repro_db.Engine.t ->
-  base_history:base_txn list ->
+  base_history:history ->
   origin:State.t ->
   tentative:History.t ->
   merge_report
@@ -114,15 +127,17 @@ type graph_phase = {
   gp_bad : Names.Set.t;
 }
 
-(** Builds the graph with {!Repro_precedence.Precedence.build} from the
-    summaries of [tentative], executed from [origin], and of
-    [base_history], and computes {b B} on its
+(** Builds the session's part of the graph with
+    {!Repro_precedence.Precedence.build} from the summaries of
+    [tentative], executed from [origin], against the indexed
+    [base_history], charges the §7.1 costs of the full graph's nodes and
+    edges (counted, not materialised), and computes {b B} on its
     {!Repro_precedence.Precedence.cone}. *)
 val analyze_graph :
   strategy:Backout.strategy ->
   params:Cost.params ->
   cost:Cost.tally ->
-  base_history:base_txn list ->
+  base_history:history ->
   origin:State.t ->
   tentative:History.t ->
   graph_phase
@@ -159,7 +174,7 @@ type plan = {
 val plan_commit :
   graph:graph_phase ->
   rewrite:rewrite_phase ->
-  base_history:base_txn list ->
+  base_history:history ->
   tentative:History.t ->
   plan
 

@@ -36,8 +36,10 @@ let disposition_name = function
 
 (* Fellow members of the transaction's cyclic SCC in G(H_m, H_b): the
    cycle company that made it a back-out candidate. Empty when the graph
-   put it on no cycle. *)
+   put it on no cycle. The cone holds every cycle, so its cyclic
+   components are the graph's (docs/PERFORMANCE.md §4). *)
 let cycle_peers_of pg =
+  let cone = Precedence.cone pg in
   let peers = Hashtbl.create 16 in
   List.iter
     (fun component ->
@@ -46,10 +48,10 @@ let cycle_peers_of pg =
       | _ ->
         let names =
           Names.Set.of_names
-            (List.map (fun v -> (Precedence.summary_of_node pg v).Summary.name) component)
+            (List.map (fun v -> (Precedence.summary_of_node cone v).Summary.name) component)
         in
         Names.Set.iter (fun n -> Hashtbl.replace peers n (Names.Set.remove n names)) names)
-    (Scc.components (Precedence.graph pg));
+    (Scc.components (Precedence.graph cone));
   fun name -> Option.value ~default:Names.Set.empty (Hashtbl.find_opt peers name)
 
 let of_merge ~pg ~tentative ~(report : Protocol.merge_report) =

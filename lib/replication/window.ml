@@ -1,6 +1,7 @@
 open Repro_txn
 open Repro_history
 module Engine = Repro_db.Engine
+module Index = Repro_precedence.Precedence.Index
 
 type protocol = Merging of Protocol.merge_config | Reprocessing
 
@@ -12,7 +13,7 @@ type merge_runner =
   config:Protocol.merge_config ->
   params:Cost.params ->
   base:Engine.t ->
-  base_history:Protocol.base_txn list ->
+  base_history:Protocol.history ->
   origin:State.t ->
   tentative:History.t ->
   merge_attempt
@@ -32,7 +33,7 @@ type t = {
   protocol : protocol;
   params : Cost.params;
   runner : merge_runner option;
-  mutable rev_history : Protocol.base_txn list;  (* newest first *)
+  history : Protocol.history;
   cost : Cost.tally;
   mutable counts : counts;
 }
@@ -42,27 +43,21 @@ let create ?runner ~protocol ~params engine =
     { merges = 0; saved = 0; reexecuted = 0; rejected = 0; late_sessions = 0; late_txns = 0;
       aborted_merges = 0 }
   in
-  { engine; protocol; params; runner; rev_history = []; cost = Cost.zero (); counts }
+  {
+    engine;
+    protocol;
+    params;
+    runner;
+    history = Protocol.index_history [];
+    cost = Cost.zero ();
+    counts;
+  }
 
 let engine w = w.engine
-let length w = List.length w.rev_history
+let length w = Index.length w.history
 let cost w = w.cost
 let counts w = w.counts
-
-(* The newest [k] transactions, oldest first, and the rest, newest first. *)
-let split_newest k rev =
-  let rec go k acc = function
-    | x :: tl when k > 0 -> go (k - 1) (x :: acc) tl
-    | rest -> (acc, rest)
-  in
-  go k [] rev
-
-let history ?upto w =
-  match upto with
-  | None -> List.rev w.rev_history
-  | Some n -> List.rev (snd (split_newest (length w - n) w.rev_history))
-
-let append w txns = w.rev_history <- List.rev_append txns w.rev_history
+let history ?upto w = Index.to_list ?upto w.history
 
 let count_txns w txns =
   w.counts <-
@@ -76,7 +71,7 @@ let count_txns w txns =
 
 let base_txn w program =
   let record = Engine.execute w.engine program in
-  append w [ { Protocol.program; record } ];
+  Index.push w.history { Protocol.program; record };
   record
 
 let reprocess w ~origin tentative =
@@ -86,7 +81,7 @@ let reprocess w ~origin tentative =
     | Reprocessing -> Protocol.accept_always
   in
   let report = Protocol.reprocess ~acceptance ~params:w.params ~base:w.engine ~origin ~tentative in
-  append w report.Protocol.appended;
+  List.iter (Index.push w.history) report.Protocol.appended;
   count_txns w report.Protocol.txns;
   Cost.add w.cost report.Protocol.cost;
   report
@@ -97,7 +92,10 @@ let merge ?(from = 0) w ~origin tentative =
     | Merging mc -> mc
     | Reprocessing -> invalid_arg "Window.merge: a reprocessing window does not merge"
   in
-  let base_history, older = split_newest (length w - from) w.rev_history in
+  (* Link what entered since the last merge here, in the window's own
+     time, not in the merge's [precedence.build]. *)
+  Index.settle w.history;
+  let base_history = Index.suffix w.history ~from in
   let attempt =
     match w.runner with
     | None ->
@@ -110,7 +108,7 @@ let merge ?(from = 0) w ~origin tentative =
     w.counts <- { w.counts with aborted_merges = w.counts.aborted_merges + 1 };
     None
   | Merge_completed report ->
-    w.rev_history <- List.rev_append report.Protocol.new_history older;
+    Index.replace base_history report.Protocol.new_history;
     w.counts <- { w.counts with merges = w.counts.merges + 1 };
     count_txns w report.Protocol.txns;
     Cost.add w.cost report.Protocol.cost;
@@ -130,4 +128,4 @@ let reconnect ?from w ~late ~origin tentative =
     | Some report -> report.Protocol.txns
     | None -> reprocess ())
 
-let reset w = w.rev_history <- []
+let reset w = Index.clear w.history

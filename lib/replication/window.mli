@@ -3,7 +3,12 @@
     scenarios and experiment E8 all run. A window owns a base engine, the
     {e logical} history committed at it since it opened, and its handlers'
     costs and verdict counts; {!Protocol.replay} of {!history} from the
-    window's origin is the ground truth for the engine's state. *)
+    window's origin is the ground truth for the engine's state.
+
+    The history lives in a per-window conflict index
+    ({!Repro_precedence.Precedence.Index}): each transaction is linked
+    into it once, before the first merge that reads it, so a merge
+    builds only its session's part of [G(H_m, H_b)]. *)
 
 open Repro_txn
 open Repro_history
@@ -18,12 +23,15 @@ type merge_attempt =
 
 (** How a merge is carried out: without one, {!merge} calls
     {!Protocol.merge} (a perfect atomic exchange); {!Repro_fault.Session.sync_runner}
-    runs a resumable session over an unreliable transport. *)
+    runs a resumable session over an unreliable transport. [base_history]
+    is the window's indexed history from the merge's [from] on; it must
+    not change during the call, and the window replaces it by the
+    report's [new_history] afterwards. *)
 type merge_runner =
   config:Protocol.merge_config ->
   params:Cost.params ->
   base:Repro_db.Engine.t ->
-  base_history:Protocol.base_txn list ->
+  base_history:Protocol.history ->
   origin:State.t ->
   tentative:History.t ->
   merge_attempt
@@ -68,8 +76,10 @@ val reprocess : t -> origin:State.t -> History.t -> Protocol.reprocess_report
 
 (** Merge a tentative history begun at [origin] against the history from
     position [from] on (default [0]; a Strategy-1 snapshot starts later),
-    replacing that suffix by the merged order. [None]: the runner
-    aborted. @raise Invalid_argument on a [Reprocessing] window. *)
+    replacing that suffix by the merged order: the index re-positions
+    only the transactions the merged order moved and adds the saved and
+    re-executed ones. [None]: the runner aborted.
+    @raise Invalid_argument on a [Reprocessing] window. *)
 val merge : ?from:int -> t -> origin:State.t -> History.t -> Protocol.merge_report option
 
 (** The reconnect rule: reprocess under [Reprocessing] or when [late]

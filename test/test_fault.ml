@@ -109,7 +109,7 @@ let fixture seed =
     let history =
       List.map2 (fun p record -> { P.program = p; record }) (History.programs base_h) records
     in
-    (e, history)
+    (e, P.index_history history)
   in
   (s0, tentative, mk)
 
@@ -228,7 +228,8 @@ let test_session_storage_loss_aborts_untouched () =
   let engine = Engine.create ~device s0 in
   let records = Engine.execute_batch engine (History.entries base_h) in
   let base_history =
-    List.map2 (fun p record -> { P.program = p; record }) (History.programs base_h) records
+    P.index_history
+      (List.map2 (fun p record -> { P.program = p; record }) (History.programs base_h) records)
   in
   let pre = Engine.state engine in
   let net = Net.create ~seed:3 { Net.ideal with Net.crashes = [ Net.Base_after_commit ] } in
@@ -478,7 +479,8 @@ let prop_two_sessions_exactly_once =
         let net = Net.create ~seed:(seed + (7919 * sid)) schedule in
         Session.run_merge ~sid ~retry_seed:(seed + (31 * sid)) ~net
           ~session:Session.default_config ~config:P.default_merge_config
-          ~params:Cost.default_params ~base:engine ~base_history ~origin:s0 ~tentative ()
+          ~params:Cost.default_params ~base:engine ~base_history:(P.index_history base_history)
+          ~origin:s0 ~tentative ()
       in
       let check cond msg = if cond then true else QCheck.Test.fail_report msg in
       let r1 = run ~sid:1 ~schedule:sched1 ~tentative:t1 ~base_history:history0 in

@@ -9,11 +9,16 @@ module Digraph = Repro_graph.Digraph
 module Scc = Repro_graph.Scc
 module Ex = Test_support.Paper_examples
 module G = Test_support.Generators
+module Scan = Test_support.Scan
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let names_of = Names.Set.of_names
-let example1 () = Precedence.build ~tentative:Ex.example1_tentative ~base:Ex.example1_base
+
+(* The graph of two summary lists, the base one indexed. *)
+let build ~tentative ~base = Precedence.build ~tentative ~base:(Precedence.Index.of_summaries base)
+
+let example1 () = build ~tentative:Ex.example1_tentative ~base:Ex.example1_base
 
 (* ------------------------------------------------------------------ *)
 (* Example 1 / Figure 1 *)
@@ -110,7 +115,7 @@ let test_example1_bnb_minimal () =
 let test_duplicate_names_rejected () =
   Alcotest.check_raises "duplicate"
     (Invalid_argument "Precedence.build: duplicate transaction name Tm1") (fun () ->
-      ignore (Precedence.build ~tentative:Ex.example1_tentative ~base:Ex.example1_tentative))
+      ignore (build ~tentative:Ex.example1_tentative ~base:Ex.example1_tentative))
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 1 (Davidson): acyclic iff the two histories are mergeable.
@@ -285,7 +290,7 @@ let summary_case_gen =
       Repro_workload.Gen.summaries rng ~n_items:12 ~tentative:8 ~base:5 ~reads:(1, 3)
         ~writes:(1, 2) ~skew:0.9 ~blind:0.3
     in
-    return (Precedence.build ~tentative ~base))
+    return (build ~tentative ~base))
 
 let arbitrary_summary_case =
   QCheck.make ~print:(fun pg -> Format.asprintf "%a" Precedence.pp pg) summary_case_gen
@@ -328,7 +333,7 @@ let wide_case_gen =
       Repro_workload.Gen.summaries rng ~n_items:15 ~tentative ~base:8 ~reads:(1, 3)
         ~writes:(1, 2) ~skew:0.7 ~blind:0.3
     in
-    return (Precedence.build ~tentative ~base))
+    return (build ~tentative ~base))
 
 let arbitrary_wide_case =
   QCheck.make ~print:(fun pg -> Format.asprintf "%a" Precedence.pp pg) wide_case_gen
@@ -344,37 +349,6 @@ let prop_bnb_matches_oracle =
 
 (* ------------------------------------------------------------------ *)
 (* Indexed build vs the pairwise scan. *)
-
-(* The edge rules applied to every pair, in the order [Precedence.build]
-   promises to reproduce: the oracle for its per-item partner lists. *)
-let pairwise_scan ~tentative ~base =
-  let summaries = Array.of_list (tentative @ base) in
-  let n = Array.length summaries in
-  let graph = Digraph.create n in
-  let m = List.length tentative in
-  let intra lo hi =
-    for i = lo to hi - 1 do
-      for j = i + 1 to hi do
-        if Summary.conflicts summaries.(i) summaries.(j) then Digraph.add_edge graph i j
-      done
-    done
-  in
-  intra 0 (m - 1);
-  intra m (n - 1);
-  for i = 0 to m - 1 do
-    for j = m to n - 1 do
-      let tm = summaries.(i) and tb = summaries.(j) in
-      if not (Item.Set.disjoint tm.Summary.readset tb.Summary.writeset) then
-        Digraph.add_edge graph i j;
-      if not (Item.Set.disjoint tb.Summary.readset tm.Summary.writeset) then
-        Digraph.add_edge graph j i;
-      if
-        (not (Item.Set.disjoint tm.Summary.writeset tb.Summary.writeset))
-        && not (Digraph.mem_edge graph i j)
-      then Digraph.add_edge graph j i
-    done
-  done;
-  graph
 
 let oracle_case_gen =
   QCheck.Gen.(
@@ -401,12 +375,23 @@ let prop_build_equals_scan =
      successor and predecessor order. *)
   QCheck.Test.make ~count:500 ~name:"indexed build = pairwise scan" arbitrary_oracle_case
     (fun (tentative, base) ->
-      let g = Precedence.graph (Precedence.build ~tentative ~base) in
-      let scan = pairwise_scan ~tentative ~base in
-      Digraph.edges g = Digraph.edges scan
-      && List.for_all
-           (fun v -> Digraph.predecessors g v = Digraph.predecessors scan v)
-           (Digraph.nodes scan))
+      Scan.agrees (Precedence.graph (build ~tentative ~base)) ~tentative ~base)
+
+(* [Summary.conflicts] against the formula it replaced, which built the
+   union of one side's item sets on every call. *)
+let prop_conflicts_truth_table =
+  QCheck.Test.make ~count:300 ~name:"Summary.conflicts = the union formula"
+    arbitrary_oracle_case (fun (tentative, base) ->
+      let union_formula (a : Summary.t) (b : Summary.t) =
+        (not
+           (Item.Set.disjoint a.Summary.writeset
+              (Item.Set.union b.Summary.readset b.Summary.writeset)))
+        || not (Item.Set.disjoint b.Summary.writeset a.Summary.readset)
+      in
+      let all = tentative @ base in
+      List.for_all
+        (fun a -> List.for_all (fun b -> Summary.conflicts a b = union_formula a b) all)
+        all)
 
 let test_scan_order_pins_bnb () =
   (* Branch-and-bound follows edge order: a graph with the same edge set
@@ -415,7 +400,7 @@ let test_scan_order_pins_bnb () =
     Repro_workload.Gen.summaries (Repro_workload.Rng.create 673) ~n_items:12 ~tentative:8
       ~base:8 ~reads:(1, 3) ~writes:(1, 2) ~skew:0.9 ~blind:0.3
   in
-  let pg = Precedence.build ~tentative ~base in
+  let pg = build ~tentative ~base in
   let expected = names_of [ "Tm1"; "Tm2"; "Tm4"; "Tm5"; "Tm6"; "Tm7"; "Tm8" ] in
   Alcotest.check G.name_set "B on seed 673" expected
     (Backout.compute ~strategy:Backout.Branch_and_bound pg);
@@ -438,7 +423,7 @@ let sparse_case_gen =
       Repro_workload.Gen.summaries rng ~n_items:64 ~tentative ~base ~reads:(1, 2) ~writes:(1, 1)
         ~skew:0.3 ~blind:0.3
     in
-    return (Precedence.build ~tentative ~base))
+    return (build ~tentative ~base))
 
 let cone_agrees pg =
   let full_acyclic = Scc.is_acyclic (Precedence.graph pg) in
@@ -486,7 +471,7 @@ let test_cone_pins_greedy_degree () =
   in
   List.iter
     (fun (strategy, (tentative, base), expected) ->
-      let pg = Precedence.build ~tentative ~base in
+      let pg = build ~tentative ~base in
       let name = Backout.strategy_name strategy in
       Alcotest.check G.name_set (name ^ " on the graph") (names_of expected)
         (Backout.compute ~strategy pg);
@@ -525,7 +510,7 @@ let () =
       ("branch-and-bound", qsuite [ prop_bnb_matches_oracle ]);
       ( "oracle",
         Alcotest.test_case "scan order pins branch-and-bound" `Quick test_scan_order_pins_bnb
-        :: qsuite [ prop_build_equals_scan ] );
+        :: qsuite [ prop_build_equals_scan; prop_conflicts_truth_table ] );
       ( "cone",
         Alcotest.test_case "full-graph degree pins greedy" `Quick test_cone_pins_greedy_degree
         :: qsuite [ prop_cone_matches_full ] );

@@ -67,7 +67,8 @@ let s0 = State.of_list [ ("x", 10); ("y", 20); ("z", 30) ]
 let run_merge ?(config = Protocol.default_merge_config) ~tentative ~base () =
   let engine = Engine.create s0 in
   let base_history =
-    List.map (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p }) base
+    Protocol.index_history
+      (List.map (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p }) base)
   in
   let report =
     Protocol.merge ~config ~params:Cost.default_params ~base:engine ~base_history ~origin:s0
@@ -172,9 +173,10 @@ let prop_merge_state_replay =
         (fun (algorithm, strategy) ->
           let engine = Engine.create origin in
           let base_history =
-            List.map
-              (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p })
-              (History.programs base_h)
+            Protocol.index_history
+              (List.map
+                 (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p })
+                 (History.programs base_h))
           in
           let config = { Protocol.default_merge_config with Protocol.algorithm; Protocol.strategy } in
           let report =
@@ -285,9 +287,10 @@ let whole_history_forwarded (g : Protocol.graph_phase) ~saved ~base_history ~ten
    and the forwarded items as the whole-history filter gives them. *)
 let plan_matches_oracle ~origin ~tentative ~base_programs (algorithm, strategy) =
   let engine = Engine.create origin in
-  let base_history =
+  let base_list =
     List.map (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p }) base_programs
   in
+  let base_history = Protocol.index_history base_list in
   let config = { Protocol.default_merge_config with Protocol.algorithm; Protocol.strategy } in
   let params = Cost.default_params and cost = Cost.zero () in
   let g = Protocol.analyze_graph ~strategy ~params ~cost ~base_history ~origin ~tentative in
@@ -300,7 +303,7 @@ let plan_matches_oracle ~origin ~tentative ~base_programs (algorithm, strategy) 
   Names.Set.equal g.Protocol.gp_bad (Backout.compute ~strategy g.Protocol.gp_pg)
   && List.map (fun bt -> bt.Protocol.program.Program.name) plan.Protocol.pl_merged_core = names
   && Item.Set.equal plan.Protocol.pl_forwarded_items
-       (whole_history_forwarded g ~saved ~base_history ~tentative names)
+       (whole_history_forwarded g ~saved ~base_history:base_list ~tentative names)
 
 let plan_configs =
   [
@@ -348,14 +351,197 @@ let prop_plan_matches_oracle_blind =
            ~base_programs)
         plan_configs)
 
+(* ------------------------------------------------------------------ *)
+(* The window's conflict index against a from-scratch build *)
+
+type window_op =
+  | Op_base of Program.t
+  | Op_reprocess of Program.t list
+  | Op_merge of float * Program.t list  (* Strategy 1: [from] as a fraction of the length *)
+  | Op_reset
+
+(* Reads, then distinct writes, some of them blind, over [items] items:
+   four give dense windows whose cone is most of the graph, twelve sparse
+   ones that leave base nodes outside it. *)
+let window_program_gen ~items ~name =
+  QCheck.Gen.(
+    let item = map (Printf.sprintf "i%d") (int_bound (items - 1)) in
+    let* reads = list_size (int_bound 2) item in
+    let* writes = list_size (int_range 1 2) item in
+    let* blind = list_repeat 2 bool in
+    let write k x =
+      if List.nth blind k then Stmt.Assign (x, Expr.Const k)
+      else Stmt.Update (x, Expr.Add (Expr.Item x, Expr.Const 1))
+    in
+    return
+      (Program.make ~name
+         (List.map (fun x -> Stmt.Read x) reads @ List.mapi write (List.sort_uniq compare writes))))
+
+let window_case_gen =
+  QCheck.Gen.(
+    let* items = oneofl [ 4; 12 ] in
+    let* strategy1 = bool in
+    let* n = int_range 4 30 in
+    let batch k prefix =
+      let* len = int_range 1 3 in
+      flatten_l
+        (List.init len (fun i ->
+             window_program_gen ~items ~name:(Printf.sprintf "%s%dx%d" prefix k i)))
+    in
+    let op k =
+      let* kind = int_bound 19 in
+      if kind < 8 then
+        map (fun p -> Op_base p) (window_program_gen ~items ~name:(Printf.sprintf "B%d" k))
+      else if kind < 10 then map (fun ps -> Op_reprocess ps) (batch k "R")
+      else if kind < 19 then
+        let* frac = float_bound_inclusive 1.0 in
+        map (fun ps -> Op_merge (frac, ps)) (batch k "M")
+      else return Op_reset
+    in
+    let* ops = flatten_l (List.init n op) in
+    return (items, strategy1, ops))
+
+let pp_window_case ppf (items, strategy1, ops) =
+  Format.fprintf ppf "@[<v>items=%d strategy%d@ %a@]" items
+    (if strategy1 then 1 else 2)
+    (Format.pp_print_list (fun ppf -> function
+       | Op_base p -> Format.fprintf ppf "base %a" Program.pp p
+       | Op_reprocess ps ->
+         Format.fprintf ppf "reprocess [%a]" (Format.pp_print_list Program.pp) ps
+       | Op_merge (frac, ps) ->
+         Format.fprintf ppf "merge %.2f [%a]" frac (Format.pp_print_list Program.pp) ps
+       | Op_reset -> Format.fprintf ppf "reset"))
+    ops
+
+let names pg = Array.map (fun (s : Summary.t) -> s.Summary.name) (Precedence.summaries pg)
+let nodes pg = List.init (Precedence.node_count pg) Fun.id
+
+(* Two graphs of one merge agree on everything the merge path reads: the
+   counts, Theorem 1's test, the cycle members, and the cone — its
+   summaries in order, ordered successor lists and outside degrees. *)
+let same_graph a b =
+  let ca = Precedence.cone a and cb = Precedence.cone b in
+  Precedence.node_count a = Precedence.node_count b
+  && Precedence.edge_count a = Precedence.edge_count b
+  && Precedence.is_acyclic a = Precedence.is_acyclic b
+  && Names.Set.equal (Precedence.tentative_on_cycles a) (Precedence.tentative_on_cycles b)
+  && names ca = names cb
+  && List.for_all
+       (fun v ->
+         Precedence.successors ca v = Precedence.successors cb v
+         && Precedence.outside_degree ca v = Precedence.outside_degree cb v)
+       (nodes ca)
+
+(* The cone as the full graph gives it: reachability both ways from the
+   tentative nodes over the materialised digraph, renumbered in order. *)
+let cone_matches_full pg =
+  let g = Precedence.graph pg and n = Precedence.node_count pg in
+  let reach next =
+    let seen = Array.make n false in
+    let rec visit v =
+      if not seen.(v) then begin
+        seen.(v) <- true;
+        List.iter visit (next g v)
+      end
+    in
+    List.iter visit (List.init (Precedence.tentative_count pg) Fun.id);
+    seen
+  in
+  let fwd = reach Digraph.successors and bwd = reach Digraph.predecessors in
+  let old = List.filter (fun v -> fwd.(v) && bwd.(v)) (nodes pg) in
+  let inside v = List.mem v old in
+  let renumber v = List.length (List.filter (fun u -> u < v) old) in
+  let c = Precedence.cone pg in
+  names c = Array.of_list (List.map (fun v -> (Precedence.summaries pg).(v).Summary.name) old)
+  && List.for_all2
+       (fun u v ->
+         let outside l = List.length (List.filter (fun w -> not (inside w)) l) in
+         Precedence.successors c u = List.map renumber (List.filter inside (Digraph.successors g v))
+         && Precedence.outside_degree c u
+            = outside (Digraph.successors g v) + outside (Digraph.predecessors g v))
+       (nodes c) old
+
+(* A window driven through base transactions, reprocessing, merges (from
+   a snapshot position under Strategy 1) and resets. A model list kept the
+   way the history was kept before the index — suffix replaced by each
+   report's [new_history] — is the from-scratch side. Before each merge
+   the graph over the window's index must equal the graph of a fresh
+   index of the model's suffix; its full graph must equal the pairwise
+   scan, and what it reads from the index on demand (successors, the
+   cone) must equal what the full graph gives. *)
+let prop_window_index_matches_scratch =
+  QCheck.Test.make ~count:300 ~name:"window index = from-scratch build"
+    (QCheck.make ~print:(Format.asprintf "%a" pp_window_case) window_case_gen)
+    (fun (items, strategy1, ops) ->
+      let s0 = State.of_list (List.init items (fun i -> (Printf.sprintf "i%d" i, 10 * i))) in
+      let engine = Engine.create s0 in
+      let model = ref [] and window_origin = ref s0 and from = ref 0 in
+      let runner ~config ~params ~base ~base_history ~origin ~tentative =
+        let tentative_s =
+          Summary.of_execution ~kind:Summary.Tentative (History.execute origin tentative)
+        in
+        let suffix = List.filteri (fun k _ -> k >= !from) !model in
+        let base_s =
+          List.map (fun bt -> Summary.of_record ~kind:Summary.Base bt.Protocol.record) suffix
+        in
+        let windowed = Precedence.build ~tentative:tentative_s ~base:base_history in
+        let scratch =
+          Precedence.build ~tentative:tentative_s ~base:(Protocol.index_history suffix)
+        in
+        let names l = List.map (fun bt -> bt.Protocol.program.Program.name) l in
+        (* A mismatch ends the case before the merge runs on the bad index. *)
+        if
+          not
+            (names (Precedence.Index.to_list base_history) = names suffix
+            && same_graph windowed scratch
+            && Test_support.Scan.agrees (Precedence.graph windowed) ~tentative:tentative_s
+                 ~base:base_s
+            && Precedence.edge_count windowed = Digraph.edge_count (Precedence.graph windowed)
+            && List.for_all
+                 (fun v ->
+                   Precedence.successors windowed v
+                   = Digraph.successors (Precedence.graph windowed) v)
+                 (nodes windowed)
+            && cone_matches_full windowed)
+        then raise Exit;
+        let report = Protocol.merge ~config ~params ~base ~base_history ~origin ~tentative in
+        model := List.filteri (fun k _ -> k < !from) !model @ report.Protocol.new_history;
+        Window.Merge_completed report
+      in
+      let w =
+        Window.create ~runner ~protocol:(Window.Merging Protocol.default_merge_config)
+          ~params:Cost.default_params engine
+      in
+      let play = function
+          | Op_base p ->
+            let record = Window.base_txn w p in
+            model := !model @ [ { Protocol.program = p; record } ]
+          | Op_reprocess ps ->
+            let origin = Engine.state engine in
+            let r = Window.reprocess w ~origin (History.of_programs ps) in
+            model := !model @ r.Protocol.appended
+          | Op_merge (frac, ps) ->
+            from := if strategy1 then int_of_float (frac *. float_of_int (Window.length w)) else 0;
+            let origin = Protocol.replay !window_origin (Window.history ~upto:!from w) in
+            ignore (Window.merge ~from:!from w ~origin (History.of_programs ps))
+          | Op_reset ->
+            window_origin := Engine.state engine;
+            model := [];
+            Window.reset w
+      in
+      match List.iter play ops with
+      | exception Exit -> false
+      | () -> State.equal (Protocol.replay !window_origin (Window.history w)) (Engine.state engine))
+
 let test_merge_example1_programs () =
   (* The paper's Example 1, end to end at the program level. *)
   let module Paper = Repro_core.Paper in
   let engine = Engine.create Paper.example1_s0 in
   let base_history =
-    List.map
-      (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p })
-      Paper.example1_programs_base
+    Protocol.index_history
+      (List.map
+         (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p })
+         Paper.example1_programs_base)
   in
   let report =
     Protocol.merge ~config:Protocol.default_merge_config ~params:Cost.default_params
@@ -379,9 +565,10 @@ let prop_merge_replay_with_blind_writes =
     (fun (s0, tentative_programs, base_programs) ->
       let engine = Engine.create s0 in
       let base_history =
-        List.map
-          (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p })
-          base_programs
+        Protocol.index_history
+          (List.map
+             (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p })
+             base_programs)
       in
       let report =
         Protocol.merge ~config:Protocol.default_merge_config ~params:Cost.default_params
@@ -631,6 +818,7 @@ let () =
               prop_merge_replay_with_blind_writes;
               prop_plan_matches_oracle;
               prop_plan_matches_oracle_blind;
+              prop_window_index_matches_scratch;
             ] );
       ( "sync",
         [

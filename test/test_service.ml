@@ -278,6 +278,52 @@ let test_sim_smoke () =
   checkb "baseline matches" true r.Sim.baseline_matches;
   checkb "speedup sane" true (r.Sim.report.Service.speedup >= 1.0)
 
+(* A hot window: at locality 0.6 over 64 shared items every window is one
+   conflict component, so each merge's graph spans the window's history.
+   [cost_total] carries every merge's node and edge counts through the
+   §7.1 tally, and the [precedence.nodes]/[precedence.edges]
+   distributions record each graph's size: a wrong edge count anywhere in
+   the service path moves one of them. *)
+let test_sim_hot_window () =
+  let module Obs = Repro_obs.Obs in
+  let module Report = Repro_obs.Report in
+  let cfg =
+    {
+      Sim.default_config with
+      Sim.mobiles = 300;
+      Sim.window = 5.0;
+      Sim.locality = 0.6;
+      Sim.shared_items = 64;
+      Sim.domains = 1;
+      Sim.seed = 7;
+    }
+  in
+  let r, shard = Obs.with_enabled true (fun () -> Obs.Shard.collect (fun () -> Sim.run cfg)) in
+  let d = r.Sim.report.Service.det in
+  let dists = (Obs.Shard.snapshot shard).Report.dists in
+  let dist name = List.find (fun (x : Report.dist) -> x.Report.d_name = name) dists in
+  let nodes = dist "precedence.nodes" and edges = dist "precedence.edges" in
+  checki "zero violations" 0 d.Service.violations;
+  checki "sessions" 350 d.Service.sessions;
+  checki "merges" 239 d.Service.merges;
+  checki "saved" 166 d.Service.saved;
+  checki "reexecuted" 228 d.Service.reexecuted;
+  checki "rejected" 0 d.Service.rejected;
+  checki "late sessions" 111 d.Service.late_sessions;
+  checki "late txns" 135 d.Service.late_txns;
+  checki "base txns" 8 d.Service.base_txns;
+  checki "tentative txns" 455 d.Service.tentative_txns;
+  checki "windows" 4 d.Service.windows;
+  checki "components" 152 d.Service.components;
+  checki "parallel windows" 3 d.Service.parallel_windows;
+  checki "shard-conflicted sessions" 350 d.Service.shard_conflicted_sessions;
+  checki "item-conflicted sessions" 217 d.Service.item_conflicted_sessions;
+  Alcotest.(check (float 0.0)) "cost total" 0x1.f5d2666666667p+13 d.Service.cost_total;
+  checki "graphs" 239 nodes.Report.count;
+  Alcotest.(check (float 0.0)) "nodes summed" 5092.0 nodes.Report.total;
+  checki "edge samples" 239 edges.Report.count;
+  Alcotest.(check (float 0.0)) "edges summed" 16011.0 edges.Report.total
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -302,5 +348,9 @@ let () =
         ]
         @ qsuite
             [ prop_service_equals_serial; prop_service_deterministic; prop_service_obs_parity ] );
-      ("sim", [ Alcotest.test_case "smoke" `Quick test_sim_smoke ]);
+      ( "sim",
+        [
+          Alcotest.test_case "smoke" `Quick test_sim_smoke;
+          Alcotest.test_case "hot window" `Quick test_sim_hot_window;
+        ] );
     ]
