@@ -1,39 +1,58 @@
-let components g =
-  let index = Hashtbl.create 64 in
-  let lowlink = Hashtbl.create 64 in
-  let on_stack = Hashtbl.create 64 in
+(* Tarjan's algorithm over successor arrays, recursive, roots in
+   increasing node order. Each component is consed onto the result when
+   its root finishes, with its members in the order they were pushed. *)
+let components_of_arrays ?skip succ =
+  let n = Array.length succ in
+  let skipped = match skip with Some s -> fun v -> s.(v) | None -> fun _ -> false in
+  let index = Array.make n (-1) in
+  let lowlink = Array.make n 0 in
+  let on_stack = Array.make n false in
   let stack = ref [] in
   let next_index = ref 0 in
   let comps = ref [] in
   let rec strongconnect v =
-    Hashtbl.replace index v !next_index;
-    Hashtbl.replace lowlink v !next_index;
+    index.(v) <- !next_index;
+    lowlink.(v) <- !next_index;
     incr next_index;
     stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
-    List.iter
+    on_stack.(v) <- true;
+    Array.iter
       (fun w ->
-        if not (Hashtbl.mem index w) then begin
-          strongconnect w;
-          Hashtbl.replace lowlink v (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
-        end
-        else if Hashtbl.mem on_stack w then
-          Hashtbl.replace lowlink v (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (Digraph.successors g v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
+        if not (skipped w) then
+          if index.(w) < 0 then begin
+            strongconnect w;
+            lowlink.(v) <- min lowlink.(v) lowlink.(w)
+          end
+          else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
+      succ.(v);
+    if lowlink.(v) = index.(v) then begin
       let rec pop acc =
         match !stack with
         | [] -> acc
         | w :: rest ->
           stack := rest;
-          Hashtbl.remove on_stack w;
+          on_stack.(w) <- false;
           if w = v then w :: acc else pop (w :: acc)
       in
       comps := pop [] :: !comps
     end
   in
-  List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) (Digraph.nodes g);
+  for v = 0 to n - 1 do
+    if (not (skipped v)) && index.(v) < 0 then strongconnect v
+  done;
   !comps
+
+(* Live nodes come in increasing order, so the last one bounds them all. *)
+let components g =
+  let nodes = Digraph.nodes g in
+  let n = List.fold_left (fun _ v -> v + 1) 0 nodes in
+  let succ = Array.make n [||] and skip = Array.make n true in
+  List.iter
+    (fun v ->
+      skip.(v) <- false;
+      succ.(v) <- Array.of_list (Digraph.successors g v))
+    nodes;
+  components_of_arrays ~skip succ
 
 let nodes_on_cycles g =
   let cyclic = Hashtbl.create 64 in

@@ -1,9 +1,22 @@
-(** Strongly connected components (Tarjan's algorithm, iterative) and the
+(** Strongly connected components (Tarjan's algorithm, recursive) and the
     cycle queries the back-out strategies need. *)
 
-(** The strongly connected components of the graph, each as a list of
-    nodes; components are returned in reverse topological order of the
-    condensation. *)
+(** [components_of_arrays ?skip succ] — the strongly connected
+    components of the graph over nodes [0 .. Array.length succ - 1] whose
+    node [v] has the successors [succ.(v)], in that order. Nodes with
+    [skip.(v)] are left out, both as roots and as successors, as if
+    removed from the graph.
+
+    Roots are tried in increasing node order and each successor array is
+    followed in order. A component is listed when its root finishes,
+    consed onto the result, so the list is in topological order of the
+    condensation; its members come in the order they were pushed, root
+    first. Back-out's cyclic core is numbered in this order, and
+    branch-and-bound's result depends on it. O(V + E). *)
+val components_of_arrays : ?skip:bool array -> int array array -> int list list
+
+(** The strongly connected components of the live nodes, as
+    {!components_of_arrays} lists them over the graph's successor lists. *)
 val components : Digraph.t -> int list list
 
 (** A node lies on a cycle iff its component has ≥ 2 nodes or it has a

@@ -1,6 +1,4 @@
 open Repro_history
-module Digraph = Repro_graph.Digraph
-module Scc = Repro_graph.Scc
 module Obs = Repro_obs.Obs
 
 let obs_computed = Obs.Counter.make "backout.computed"
@@ -39,180 +37,193 @@ let obs_b_size_of =
   let table = List.map (fun s -> (s, Obs.Dist.make ("backout.b_size." ^ strategy_name s))) all_strategies in
   fun strategy -> List.assq strategy table
 
-let name_of pg i = (Precedence.summary_of_node pg i).Summary.name
+(* Every strategy runs on the cone's arrays: a removal is a mark in a
+   mask over the cone's nodes, so no round copies the graph. *)
 
-let breaks_all_cycles pg names = Scc.is_acyclic (Precedence.reduced pg ~removed:names)
+let name_of c i = (Precedence.summary_of_node c i).Summary.name
 
-let all_in_cycles pg = Precedence.tentative_on_cycles pg
-
-(* Greedy feedback vertex set restricted to tentative nodes: while the
-   reduced graph has a cycle, remove the tentative node with the largest
-   (in+out) degree within its cyclic component. On a cone the degree
-   counts the full graph's left-out neighbours too, so the victim is the
-   one the full graph would pick. *)
-let greedy pg ~already_removed =
-  let removed = ref already_removed in
-  let rec loop () =
-    let g = Precedence.reduced pg ~removed:!removed in
-    match Scc.nodes_on_cycles g with
-    | [] -> ()
-    | cyclic ->
-      let tentative_cyclic =
-        List.filter (fun i -> Summary.is_tentative (Precedence.summary_of_node pg i)) cyclic
-      in
-      (match tentative_cyclic with
-      | [] -> invalid_arg "Backout: cycle without tentative transaction"
-      | _ ->
-        let degree i =
-          List.length (Digraph.successors g i)
-          + List.length (Digraph.predecessors g i)
-          + Precedence.outside_degree pg i
-        in
-        let best =
-          List.fold_left
-            (fun acc i -> match acc with
-              | Some j when degree j >= degree i -> acc
-              | _ -> Some i)
-            None tentative_cyclic
-        in
-        (match best with
-        | Some i ->
-          removed := Names.Set.add (name_of pg i) !removed;
-          loop ()
-        | None -> assert false))
+(* No cycle avoids the [removed] nodes: a three-colour DFS over [succ].
+   Depth is bounded by the node count (tens of nodes for merge-scale
+   cones and cores). *)
+let acyclic ~removed succ =
+  let color = Array.make (Array.length succ) 0 in
+  let rec visit i =
+    removed.(i)
+    ||
+    match color.(i) with
+    | 1 -> false
+    | 2 -> true
+    | _ ->
+      color.(i) <- 1;
+      let ok = Array.for_all visit succ.(i) in
+      color.(i) <- 2;
+      ok
   in
-  loop ();
-  Names.Set.diff !removed already_removed
+  let rec all i = i >= Array.length succ || (visit i && all (i + 1)) in
+  all 0
+
+let breaks_all_cycles pg names =
+  let c = Precedence.cone pg in
+  let removed =
+    Array.map (fun (s : Summary.t) -> Names.Set.mem s.Summary.name names) (Precedence.summaries c)
+  in
+  acyclic ~removed (fst (Precedence.adjacency c))
+
+let all_in_cycles c = Precedence.tentative_on_cycles c
+
+(* The tentative nodes on a cycle of the cone less [removed], in
+   increasing order; [None] once no cycle is left. *)
+let candidates c ~removed =
+  match Precedence.cyclic_components ~removed c with
+  | [] -> None
+  | comps ->
+    let summaries = Precedence.summaries c in
+    let on_cycle = Array.make (Array.length summaries) false in
+    List.iter (List.iter (fun v -> on_cycle.(v) <- true)) comps;
+    let rec collect i acc =
+      if i < 0 then acc
+      else
+        collect (i - 1)
+          (if on_cycle.(i) && Summary.is_tentative summaries.(i) then i :: acc else acc)
+    in
+    (match collect (Array.length summaries - 1) [] with
+    | [] -> invalid_arg "Backout: cycle without tentative transaction"
+    | l -> Some l)
+
+(* The first candidate of least [cost]. *)
+let cheapest cost = function
+  | [] -> assert false
+  | i :: rest ->
+    fst
+      (List.fold_left
+         (fun (j, cj) i ->
+           let ci = cost i in
+           if cj <= ci then (j, cj) else (i, ci))
+         (i, cost i) rest)
+
+(* Greedy feedback vertex set restricted to tentative nodes: while a cycle
+   is left, remove the tentative node on one with the largest (in+out)
+   degree among the nodes left, the earliest on ties. The degree counts
+   the full graph's left-out neighbours too, so the victim is the one the
+   full graph would pick. Marks its victims in [removed] and returns
+   their names. *)
+let greedy c ~removed =
+  let succ, pred = Precedence.adjacency c in
+  let live l = Array.fold_left (fun k w -> if removed.(w) then k else k + 1) 0 l in
+  let degree i = live succ.(i) + live pred.(i) + Precedence.outside_degree c i in
+  let rec loop acc =
+    match candidates c ~removed with
+    | None -> acc
+    | Some l ->
+      let i = cheapest (fun i -> -degree i) l in
+      removed.(i) <- true;
+      loop (Names.Set.add (name_of c i) acc)
+  in
+  loop Names.Set.empty
 
 (* Greedy on damage: the victim minimizing |B ∪ closure(B)| after its
    removal, where the closure runs over the tentative summaries in history
-   order. Falls back to degree on ties via list order. *)
-let greedy_damage pg =
+   order; the earliest on ties. *)
+let greedy_damage c =
   let tentative_summaries =
-    List.filter Summary.is_tentative (Array.to_list (Precedence.summaries pg))
+    List.filter Summary.is_tentative (Array.to_list (Precedence.summaries c))
   in
   let damage bad = Names.Set.cardinal (Affected.closure tentative_summaries ~bad) in
-  let removed = ref Names.Set.empty in
-  let rec loop () =
-    let g = Precedence.reduced pg ~removed:!removed in
-    match Scc.nodes_on_cycles g with
-    | [] -> ()
-    | cyclic ->
-      let candidates =
-        List.filter (fun i -> Summary.is_tentative (Precedence.summary_of_node pg i)) cyclic
-      in
-      (match candidates with
-      | [] -> invalid_arg "Backout: cycle without tentative transaction"
-      | _ ->
-        let best =
-          List.fold_left
-            (fun acc i ->
-              let cost = damage (Names.Set.add (name_of pg i) !removed) in
-              match acc with
-              | Some (_, best_cost) when best_cost <= cost -> acc
-              | _ -> Some (i, cost))
-            None candidates
-        in
-        (match best with
-        | Some (i, _) ->
-          removed := Names.Set.add (name_of pg i) !removed;
-          loop ()
-        | None -> assert false))
+  let removed = Array.make (Precedence.node_count c) false in
+  let rec loop acc =
+    match candidates c ~removed with
+    | None -> acc
+    | Some l ->
+      let i = cheapest (fun i -> damage (Names.Set.add (name_of c i) acc)) l in
+      removed.(i) <- true;
+      loop (Names.Set.add (name_of c i) acc)
   in
-  loop ();
-  !removed
+  loop Names.Set.empty
 
-let two_cycle_then_greedy pg =
-  let g = Precedence.graph pg in
-  let forced =
-    List.fold_left
-      (fun acc (u, v) ->
-        let su = Precedence.summary_of_node pg u and sv = Precedence.summary_of_node pg v in
-        (* A two-cycle inside one history is impossible (edges point
-           forward), so exactly one endpoint is tentative; it is forced. *)
-        let acc = if Summary.is_tentative su then Names.Set.add su.Summary.name acc else acc in
-        if Summary.is_tentative sv then Names.Set.add sv.Summary.name acc else acc)
-      Names.Set.empty (Scc.two_cycles g)
-  in
-  Names.Set.union forced (greedy pg ~already_removed:forced)
+(* A tentative node with an edge each way to another node is forced: a
+   two-cycle inside one history is impossible (edges point forward), so
+   the other node is a base one, and only the tentative can break it.
+   Found by marking each tentative node's predecessors and scanning its
+   successors. *)
+let two_cycle_then_greedy c =
+  let succ, pred = Precedence.adjacency c in
+  let summaries = Precedence.summaries c in
+  let n = Array.length summaries in
+  let removed = Array.make n false and into = Array.make n (-1) in
+  let forced = ref Names.Set.empty in
+  for i = 0 to n - 1 do
+    if Summary.is_tentative summaries.(i) then begin
+      Array.iter (fun w -> into.(w) <- i) pred.(i);
+      if Array.exists (fun w -> w <> i && into.(w) = i) succ.(i) then begin
+        removed.(i) <- true;
+        forced := Names.Set.add summaries.(i).Summary.name !forced
+      end
+    end
+  done;
+  Names.Set.union !forced (greedy c ~removed)
 
 (* ------------------------------------------------------------------ *)
 (* Compact cyclic core, shared by the two exact solvers.
 
    Every cycle of the precedence graph lies entirely inside one strongly
    connected component, so the exact solvers only ever look at the nodes
-   of cyclic components, reindexed into dense arrays with only
+   of the cone's cyclic components, reindexed into dense arrays with only
    same-component edges kept. Acyclifying every component independently
-   acyclifies the whole graph, and the masked DFS feasibility check below
-   costs O(core) per candidate set instead of an induced-graph copy plus
-   a hashtable Tarjan run — the difference between the 26s E6 cliff and a
-   sub-second sweep. *)
+   acyclifies the whole graph, and the masked DFS feasibility check costs
+   O(core) per candidate set. *)
 module Core = struct
   type t = {
     n : int;
     name : Names.t array;  (* compact index -> transaction name *)
     tentative : bool array;
     succ : int array array;  (* same-component successors only *)
+    pred : int array array;  (* the same edges, reversed *)
     comp : int array;  (* component id per compact node, dense from 0 *)
     n_comps : int;
   }
 
-  let of_pg pg =
-    let g = Precedence.graph pg in
-    let cyclic_comps =
-      List.filter
-        (fun comp -> match comp with [ v ] -> Digraph.mem_edge g v v | _ -> true)
-        (Scc.components g)
-    in
-    let n = List.fold_left (fun acc c -> acc + List.length c) 0 cyclic_comps in
-    let node = Array.make n 0 in
-    let comp = Array.make n 0 in
-    let idx = Hashtbl.create (2 * max 1 n) in
-    let k = ref 0 and cid = ref 0 in
-    List.iter
-      (fun c ->
+  let of_cone c =
+    let cone_succ, _ = Precedence.adjacency c in
+    let summaries = Precedence.summaries c in
+    let comps = Precedence.cyclic_components c in
+    let n = List.fold_left (fun acc comp -> acc + List.length comp) 0 comps in
+    let node = Array.make n 0 and comp = Array.make n 0 in
+    let idx = Array.make (Array.length summaries) (-1) in
+    let k = ref 0 in
+    List.iteri
+      (fun cid members ->
         List.iter
           (fun v ->
             node.(!k) <- v;
-            comp.(!k) <- !cid;
-            Hashtbl.replace idx v !k;
+            comp.(!k) <- cid;
+            idx.(v) <- !k;
             incr k)
-          c;
-        incr cid)
-      cyclic_comps;
-    let name = Array.map (fun v -> (Precedence.summary_of_node pg v).Summary.name) node in
-    let tentative =
-      Array.map (fun v -> Summary.is_tentative (Precedence.summary_of_node pg v)) node
-    in
+          members)
+      comps;
+    let name = Array.map (fun v -> summaries.(v).Summary.name) node in
+    let tentative = Array.map (fun v -> Summary.is_tentative summaries.(v)) node in
     let succ =
       Array.init n (fun i ->
-          Digraph.successors g node.(i)
-          |> List.filter_map (fun w ->
-                 match Hashtbl.find_opt idx w with
-                 | Some j when comp.(j) = comp.(i) -> Some j
-                 | _ -> None)
-          |> Array.of_list)
+          Array.of_list
+            (Array.fold_right
+               (fun w acc ->
+                 let j = idx.(w) in
+                 if j >= 0 && comp.(j) = comp.(i) then j :: acc else acc)
+               cone_succ.(node.(i)) []))
     in
-    { n; name; tentative; succ; comp; n_comps = !cid }
-
-  (* Masked acyclicity: 3-color DFS skipping [removed] nodes. Depth is
-     bounded by the core size (tens of nodes for merge-scale graphs). *)
-  let acyclic ~removed t =
-    let color = Array.make t.n 0 in
-    let rec visit i =
-      removed.(i)
-      ||
-      match color.(i) with
-      | 1 -> false
-      | 2 -> true
-      | _ ->
-        color.(i) <- 1;
-        let ok = Array.for_all visit t.succ.(i) in
-        color.(i) <- 2;
-        ok
-    in
-    let rec all i = i >= t.n || (visit i && all (i + 1)) in
-    all 0
+    let pred = Array.make n [] in
+    for i = n - 1 downto 0 do
+      Array.iter (fun j -> pred.(j) <- i :: pred.(j)) succ.(i)
+    done;
+    {
+      n;
+      name;
+      tentative;
+      succ;
+      pred = Array.map Array.of_list pred;
+      comp;
+      n_comps = List.length comps;
+    }
 
   exception Found of int list
 
@@ -252,19 +263,17 @@ module Core = struct
      forward), so each one pairs a tentative with a base node, and only
      the tentative member can break it. Checked structurally (exactly one
      tentative endpoint) so the reduction stays sound on hand-built
-     graphs too. *)
+     graphs too. An edge's reverse is found by marking the node's
+     predecessors first, so a call costs O(E). *)
   let forced_victims ~comp ~removed t =
     let forced = ref [] in
-    let marked = Array.make t.n false in
+    let marked = Array.make t.n false and into = Array.make t.n (-1) in
     for i = 0 to t.n - 1 do
-      if t.comp.(i) = comp && not removed.(i) then
+      if t.comp.(i) = comp && not removed.(i) then begin
+        Array.iter (fun j -> into.(j) <- i) t.pred.(i);
         Array.iter
           (fun j ->
-            if
-              j > i
-              && (not removed.(j))
-              && Array.exists (fun k -> k = i) t.succ.(j)
-              && t.tentative.(i) <> t.tentative.(j)
+            if j > i && (not removed.(j)) && into.(j) = i && t.tentative.(i) <> t.tentative.(j)
             then begin
               let v = if t.tentative.(i) then i else j in
               if not marked.(v) then begin
@@ -273,6 +282,7 @@ module Core = struct
               end
             end)
           t.succ.(i)
+      end
     done;
     !forced
 
@@ -281,25 +291,25 @@ module Core = struct
      optimum back-out size. Short cycles are packed first — they block the
      fewest other cycles, so the bound is tighter. *)
   let packing_bound ~comp ~removed t =
-    let used = Array.copy removed in
+    let used = Array.copy removed and into = Array.make t.n (-1) in
     let count = ref 0 in
     for i = 0 to t.n - 1 do
-      if t.comp.(i) = comp && not used.(i) then
-        if Array.exists (fun j -> j = i) t.succ.(i) then begin
+      if t.comp.(i) = comp && not used.(i) then begin
+        Array.iter (fun j -> into.(j) <- i) t.pred.(i);
+        if into.(i) = i then begin
           used.(i) <- true;
           incr count
         end
         else
           Array.iter
             (fun j ->
-              if j > i && (not used.(j)) && (not used.(i))
-                 && Array.exists (fun k -> k = i) t.succ.(j)
-              then begin
+              if j > i && (not used.(j)) && (not used.(i)) && into.(j) = i then begin
                 used.(i) <- true;
                 used.(j) <- true;
                 incr count
               end)
             t.succ.(i)
+      end
     done;
     let rec longer () =
       match find_cycle ~comp ~removed:used t with
@@ -317,9 +327,9 @@ end
    branch-and-bound solver is tested against; the per-subset feasibility
    check runs on the compact core, which is what makes enumerating a few
    thousand subsets affordable. *)
-let exhaustive pg =
-  let core = Core.of_pg pg in
-  let candidates = Names.Set.elements (all_in_cycles pg) in
+let exhaustive c =
+  let core = Core.of_cone c in
+  let candidates = Names.Set.elements (all_in_cycles c) in
   let idx_of_name = Hashtbl.create 32 in
   Array.iteri
     (fun i name -> if core.Core.tentative.(i) then Hashtbl.replace idx_of_name name i)
@@ -331,7 +341,7 @@ let exhaustive pg =
   let removed = Array.make core.Core.n false in
   let feasible subset =
     List.iter (fun (_, i) -> removed.(i) <- true) subset;
-    let ok = Core.acyclic ~removed core in
+    let ok = acyclic ~removed core.Core.succ in
     List.iter (fun (_, i) -> removed.(i) <- false) subset;
     ok
   in
@@ -367,17 +377,17 @@ let exhaustive pg =
      explored once.
 
    Pruned branches are counted in [backout.bnb_nodes_pruned]. *)
-let branch_and_bound pg =
-  let core = Core.of_pg pg in
+let branch_and_bound c =
+  let core = Core.of_cone c in
   if core.Core.n = 0 then Names.Set.empty
   else begin
-    let greedy_names = greedy pg ~already_removed:Names.Set.empty in
+    let greedy_names = greedy c ~removed:(Array.make (Precedence.node_count c) false) in
     let seed_per_comp = Array.make core.Core.n_comps [] in
     for i = core.Core.n - 1 downto 0 do
       if Names.Set.mem core.Core.name.(i) greedy_names then
         seed_per_comp.(core.Core.comp.(i)) <- i :: seed_per_comp.(core.Core.comp.(i))
     done;
-    let solve_comp c seed =
+    let solve_comp comp seed =
       let best = ref seed in
       let best_size = ref (List.length seed) in
       let memo : (int list, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -395,7 +405,7 @@ let branch_and_bound pg =
         (* Two-cycle victims are in every feasible extension of the
            current partial solution: removing them costs no branching and
            is where dense (hot-spot) instances collapse. *)
-        match Core.forced_victims ~comp:c ~removed core with
+        match Core.forced_victims ~comp ~removed core with
         | _ :: _ as forced ->
           if size + List.length forced >= !best_size then Obs.Counter.incr obs_bnb_pruned
           else begin
@@ -404,14 +414,14 @@ let branch_and_bound pg =
             List.iter untake forced
           end
         | [] -> (
-          match Core.find_cycle ~comp:c ~removed core with
+          match Core.find_cycle ~comp ~removed core with
           | None ->
             if size < !best_size then begin
               best := !removed_list;
               best_size := size
             end
           | Some cycle ->
-            let lb = Core.packing_bound ~comp:c ~removed core in
+            let lb = Core.packing_bound ~comp ~removed core in
             if size + lb >= !best_size then Obs.Counter.incr obs_bnb_pruned
             else begin
               let victims = List.filter (fun v -> core.Core.tentative.(v)) cycle in
@@ -444,26 +454,27 @@ let branch_and_bound pg =
       !best
     in
     let solution = ref Names.Set.empty in
-    for c = 0 to core.Core.n_comps - 1 do
+    for comp = 0 to core.Core.n_comps - 1 do
       List.iter
         (fun v -> solution := Names.Set.add core.Core.name.(v) !solution)
-        (solve_comp c seed_per_comp.(c))
+        (solve_comp comp seed_per_comp.(comp))
     done;
     !solution
   end
 
 let compute ~strategy pg =
+  let c = Precedence.cone pg in
   Obs.Span.with_ ~lane:Obs.Event.Base ~name:"backout.compute" @@ fun () ->
   let b =
     match strategy with
-    | All_in_cycles -> all_in_cycles pg
-    | Greedy_degree -> greedy pg ~already_removed:Names.Set.empty
-    | Two_cycle_then_greedy -> two_cycle_then_greedy pg
-    | Greedy_damage -> greedy_damage pg
-    | Branch_and_bound -> branch_and_bound pg
-    | Exhaustive -> exhaustive pg
+    | All_in_cycles -> all_in_cycles c
+    | Greedy_degree -> greedy c ~removed:(Array.make (Precedence.node_count c) false)
+    | Two_cycle_then_greedy -> two_cycle_then_greedy c
+    | Greedy_damage -> greedy_damage c
+    | Branch_and_bound -> branch_and_bound c
+    | Exhaustive -> exhaustive c
   in
-  assert (breaks_all_cycles pg b);
+  assert (breaks_all_cycles c b);
   Obs.Counter.incr obs_computed;
   if Obs.enabled () then begin
     let size = Names.Set.cardinal b in

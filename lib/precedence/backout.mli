@@ -50,14 +50,24 @@ val strategy_name : strategy -> string
 
 (** [compute ~strategy pg] — a set of tentative transaction names whose
     removal makes the graph acyclic. Returns the empty set when the graph
-    is already acyclic. It runs on whatever graph it is given: the merge
-    protocol passes {!Precedence.cone}, on which every strategy returns
-    what it returns on the full graph.
+    is already acyclic.
+
+    Every strategy runs on [Precedence.cone pg] (the merge protocol
+    passes the cone itself), over its dense arrays
+    ({!Precedence.adjacency}): a removal marks a mask, each greedy round
+    runs one {!Repro_graph.Scc.components_of_arrays} under it, and the
+    exact solvers build their core from the cone's cyclic components. No
+    graph is copied and no edge is hashed. On the cone every strategy
+    returns what it returns on the full graph. The [backout.compute] span
+    times the strategy and the {!breaks_all_cycles} check, which every
+    call makes; building the cone is outside it.
 
     @raise Invalid_argument if some cycle contains no tentative
     transaction (impossible for graphs built by {!Precedence.build}). *)
 val compute : strategy:strategy -> Precedence.t -> Repro_history.Names.Set.t
 
 (** [breaks_all_cycles pg names] — removing [names] leaves an acyclic
-    graph; used by tests and by [compute]'s internal assertion. *)
+    graph: a three-colour DFS over [Precedence.cone pg] with the named
+    nodes masked out. Used by tests and by [compute]'s internal
+    assertion. *)
 val breaks_all_cycles : Precedence.t -> Repro_history.Names.Set.t -> bool

@@ -281,12 +281,13 @@ end
 (* ------------------------------------------------------------------ *)
 (* Graphs. *)
 
-(* A materialised graph: a cone. *)
-type graph = {
-  digraph : Digraph.t;
+(* A materialised graph: a cone, as dense arrays. *)
+type dense = {
+  succ : int array array;  (* per node, in the full graph's edge order *)
+  pred : int array array;
   summaries : Summary.t array;
-  index : (Names.t, int) Hashtbl.t;
-  outside : int array;  (* per node: edges to full-graph nodes a cone left out *)
+  index : (Names.t, int) Hashtbl.t Lazy.t;
+  outside : int array;  (* per node: edges to full-graph nodes the cone left out *)
 }
 
 (* The session's part of G(H_m, H_b): the tentative block and its cross
@@ -305,7 +306,7 @@ type session = {
   mutable full : Digraph.t option;
 }
 
-type shape = Built of graph | Session of session
+type shape = Dense of dense | Session of session
 
 type t = {
   n : int;
@@ -450,16 +451,17 @@ let tentative_count t = t.tentative_count
 
 let summary_of_node t v =
   match t.shape with
-  | Built g -> g.summaries.(v)
+  | Dense d -> d.summaries.(v)
   | Session s ->
     if v < t.tentative_count then s.tentative.(v) else Lazy.force (base_node s v).summary
 
 let summaries t =
-  match t.shape with Built g -> g.summaries | Session _ -> Array.init t.n (summary_of_node t)
+  match t.shape with Dense d -> d.summaries | Session _ -> Array.init t.n (summary_of_node t)
 
 let node_of t name =
   match t.shape with
-  | Built g -> ( match Hashtbl.find_opt g.index name with Some i -> i | None -> raise Not_found)
+  | Dense d -> (
+    match Hashtbl.find_opt (Lazy.force d.index) name with Some i -> i | None -> raise Not_found)
   | Session s -> (
     match Hashtbl.find_opt s.tentative_index name with
     | Some i -> i
@@ -477,7 +479,7 @@ let node_of t name =
    the full graph's edge order. *)
 let successors t v =
   match t.shape with
-  | Built g -> Digraph.successors g.digraph v
+  | Dense d -> Array.to_list d.succ.(v)
   | Session s ->
     if v < t.tentative_count then s.t_succ.(v)
     else
@@ -486,7 +488,7 @@ let successors t v =
 (* Successors in no particular order, for walks. *)
 let for_all_successors t v f =
   match t.shape with
-  | Built g -> List.for_all f (Digraph.successors g.digraph v)
+  | Dense d -> Array.for_all f d.succ.(v)
   | Session s ->
     if v < t.tentative_count then List.for_all f s.t_succ.(v)
     else
@@ -503,10 +505,14 @@ let iter_predecessors t s v f =
   else List.iter (fun nd -> if nd.pos >= s.from then f (id_of s nd)) (base_node s v).before
 
 (* The full graph, with edges added in the pairwise scan's order: the
-   tentative block, then the base block, then the cross pairs. *)
+   tentative block, then the base block, then the cross pairs. A cone's
+   edges are added by source. *)
 let graph t =
   match t.shape with
-  | Built g -> g.digraph
+  | Dense d ->
+    let g = Digraph.create t.n in
+    Array.iteri (fun u ws -> Array.iter (Digraph.add_edge g u) ws) d.succ;
+    g
   | Session { full = Some g; _ } -> g
   | Session s ->
     let m = t.tentative_count in
@@ -527,7 +533,7 @@ let graph t =
     s.full <- Some g;
     g
 
-let outside_degree t i = match t.shape with Built g -> g.outside.(i) | Session _ -> 0
+let outside_degree t i = match t.shape with Dense d -> d.outside.(i) | Session _ -> 0
 
 (* Edges inside one history point forward, so every cycle takes a cross
    edge and passes through the tentative block: a three-colour DFS rooted
@@ -564,7 +570,7 @@ let is_acyclic t =
 let cone t =
   match (t.cone, t.shape) with
   | Some c, _ -> c
-  | None, Built _ -> t
+  | None, Dense _ -> t
   | None, Session s ->
     let n = t.n and m = t.tentative_count in
     let reached = Array.make n false in
@@ -587,31 +593,77 @@ let cone t =
     for i = 0 to m - 1 do
       backward i
     done;
-    let old = Array.of_seq (Seq.filter (fun v -> member.(v)) (Seq.init n Fun.id)) in
-    let k = Array.length old in
-    let node_of_old = Array.make n (-1) in
-    Array.iteri (fun u v -> node_of_old.(v) <- u) old;
-    let digraph = Digraph.create k in
+    (* Cone node of each member, -1 off the cone. Every tentative node is
+       a member, so the block keeps its numbers. *)
+    let id = Array.make n (-1) and k = ref 0 in
+    for v = 0 to n - 1 do
+      if member.(v) then begin
+        id.(v) <- !k;
+        incr k
+      end
+    done;
+    let k = !k in
+    let old = Array.make k 0 in
+    Array.iteri (fun v u -> if u >= 0 then old.(u) <- v) id;
     (* A left-out neighbour is a base node on no cycle, so back-out never
        removes it; greedy adds the count to keep the full graph's degree. *)
     let outside = Array.make k 0 in
+    let keep u acc w =
+      if id.(w) >= 0 then id.(w) :: acc
+      else begin
+        outside.(u) <- outside.(u) + 1;
+        acc
+      end
+    in
+    (* A base node's later partners are filtered to members before they
+       are sorted. *)
+    let succ =
+      Array.init k (fun u ->
+          let v = old.(u) in
+          if v < m then Array.of_list (List.rev (List.fold_left (keep u) [] s.t_succ.(v)))
+          else
+            let later =
+              List.fold_left (fun acc nd -> keep u acc (id_of s nd)) [] (base_node s v).after
+            in
+            Array.of_list (List.sort Int.compare later @ crossing s.cross_out v))
+    in
     Array.iteri
       (fun u v ->
-        let count w = if not member.(w) then outside.(u) <- outside.(u) + 1 in
-        List.iter
-          (fun w -> if member.(w) then Digraph.add_edge digraph u node_of_old.(w) else count w)
-          (successors t v);
-        iter_predecessors t s v count)
+        iter_predecessors t s v (fun w -> if id.(w) < 0 then outside.(u) <- outside.(u) + 1))
       old;
+    (* Predecessors by inverting [succ]: first the sources in the node's
+       own block, then those in the other, each in increasing order — the
+       order the full graph enters them in. *)
+    let in_degree = Array.make k 0 in
+    Array.iter (Array.iter (fun w -> in_degree.(w) <- in_degree.(w) + 1)) succ;
+    let pred = Array.map (fun d -> Array.make d 0) in_degree in
+    let filled = Array.make k 0 in
+    let enter ~same_block =
+      for u = 0 to k - 1 do
+        Array.iter
+          (fun w ->
+            if Bool.equal (u < m) (w < m) = same_block then begin
+              pred.(w).(filled.(w)) <- u;
+              filled.(w) <- filled.(w) + 1
+            end)
+          succ.(u)
+      done
+    in
+    enter ~same_block:true;
+    enter ~same_block:false;
     let summaries = Array.map (summary_of_node t) old in
-    let index = Hashtbl.create k in
-    Array.iteri (fun i (s : Summary.t) -> Hashtbl.replace index s.Summary.name i) summaries;
+    let index =
+      lazy
+        (let h = Hashtbl.create k in
+         Array.iteri (fun i (s : Summary.t) -> Hashtbl.replace h s.Summary.name i) summaries;
+         h)
+    in
     let c =
       {
         n = k;
         tentative_count = m;
-        edges = Digraph.edge_count digraph;
-        shape = Built { digraph; summaries; index; outside };
+        edges = Array.fold_left ( + ) 0 in_degree;
+        shape = Dense { succ; pred; summaries; index; outside };
         acyclic = t.acyclic;
         cone = None;
       }
@@ -620,14 +672,26 @@ let cone t =
     t.cone <- Some c;
     c
 
+(* [cone] always gives a dense graph. *)
+let dense t = match (cone t).shape with Dense d -> d | Session _ -> assert false
+
+let adjacency t =
+  let d = dense t in
+  (d.succ, d.pred)
+
+let cyclic_components ?removed t =
+  let succ = (dense t).succ in
+  List.filter
+    (function [ v ] -> Array.mem v succ.(v) | _ -> true)
+    (Scc.components_of_arrays ?skip:removed succ)
+
 let tentative_on_cycles t =
-  let c = cone t in
+  let summaries = (dense t).summaries in
   List.fold_left
-    (fun acc i ->
-      let s = summary_of_node c i in
-      if Summary.is_tentative s then Names.Set.add s.Summary.name acc else acc)
-    Names.Set.empty
-    (Scc.nodes_on_cycles (graph c))
+    (List.fold_left (fun acc v ->
+         let s = summaries.(v) in
+         if Summary.is_tentative s then Names.Set.add s.Summary.name acc else acc))
+    Names.Set.empty (cyclic_components t)
 
 let reduced t ~removed =
   Digraph.induced (graph t) (fun i ->

@@ -114,8 +114,10 @@ val of_executions :
 (** The full digraph; node [i] is [(summaries t).(i)]. Materialised on
     first use, with edges entered in the order of the pairwise scan over
     the tentative block, then the base block, then the cross pairs, so
-    every successor and predecessor list — which back-out, SCC and DOT
-    rendering read — is the scan's. The merge path never needs it. *)
+    every successor and predecessor list — which SCC and DOT rendering
+    read — is the scan's. On a {!cone}, a fresh copy of its arrays with
+    edges entered by source. Only DOT, the E1 table, {!reduced} and tests
+    use it; the merge path and back-out never do. *)
 val graph : t -> Repro_graph.Digraph.t
 
 (** Nodes and edges of the full graph, without materialising it. *)
@@ -156,10 +158,28 @@ val is_acyclic : t -> bool
     walk inside it over the index. It holds every cycle of [t],
     renumbered in increasing node order with each successor list kept in
     order, so Tarjan lists the cyclic components and their members as it
-    does on [t], and every back-out strategy picks the same B on it. A
-    materialised graph, valid after the index changes. Cached on [t]; the
-    cone of a cone is itself. *)
+    does on [t], and every back-out strategy picks the same B on it.
+
+    A dense graph: successor and predecessor [int array]s ({!adjacency}),
+    the outside degrees and the summaries. Each member's partner lists
+    are filtered down to members before the base ones are sorted; no
+    [Digraph.t] is built and no edge is hashed. Valid after the index
+    changes. Cached on [t]; the cone of a cone is itself. *)
 val cone : t -> t
+
+(** [adjacency t] — [(succ, pred)] of [cone t]: [succ.(v)] and
+    [pred.(v)] are cone node [v]'s successors and predecessors, in the
+    full graph's edge order (a tentative node's predecessors in its own
+    block first, a base node's likewise). The cone's own arrays, not
+    copies: read-only. *)
+val adjacency : t -> int array array * int array array
+
+(** [cyclic_components ?removed t] — the strongly connected components of
+    [cone t] that hold a cycle (two or more nodes, or one with a
+    self-edge), as {!Repro_graph.Scc.components_of_arrays} lists them over
+    [fst (adjacency t)]. With [removed], the cone nodes it marks are left
+    out, as if removed from the graph. *)
+val cyclic_components : ?removed:bool array -> t -> int list list
 
 (** [outside_degree t i] — edges between node [i] and the nodes of the
     full graph that {!cone} left out (0 on a graph from {!build}). Those
@@ -168,7 +188,7 @@ val cone : t -> t
 val outside_degree : t -> int -> int
 
 (** Names of tentative transactions lying on at least one cycle (read
-    from {!cone}). *)
+    from {!cyclic_components}). *)
 val tentative_on_cycles : t -> Repro_history.Names.Set.t
 
 (** [reduced t ~removed] — the graph induced by dropping the named

@@ -2,7 +2,6 @@ open Repro_txn
 open Repro_history
 open Repro_precedence
 open Repro_rewrite
-module Scc = Repro_graph.Scc
 module Report = Repro_obs.Report
 
 type disposition =
@@ -51,7 +50,7 @@ let cycle_peers_of pg =
             (List.map (fun v -> (Precedence.summary_of_node cone v).Summary.name) component)
         in
         Names.Set.iter (fun n -> Hashtbl.replace peers n (Names.Set.remove n names)) names)
-    (Scc.components (Precedence.graph cone));
+    (Precedence.cyclic_components cone);
   fun name -> Option.value ~default:Names.Set.empty (Hashtbl.find_opt peers name)
 
 let of_merge ~pg ~tentative ~(report : Protocol.merge_report) =

@@ -4,6 +4,7 @@
 module Digraph = Repro_graph.Digraph
 module Scc = Repro_graph.Scc
 module Topo = Repro_graph.Topo
+module Ref_tarjan = Test_support.Ref_backout.Tarjan
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -152,6 +153,21 @@ let prop_scc_partition =
       let all = List.concat comps in
       List.length all = 10 && List.sort compare all = List.init 10 Fun.id)
 
+(* The array Tarjan against the hashtable one it replaced: the same
+   components in the same order, each with its members in the same order
+   (branch-and-bound numbers its core by them). A skip mask must act as
+   the induced subgraph does. *)
+let prop_tarjan_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"array Tarjan = hashtable Tarjan, order included"
+    QCheck.(pair gen_graph (array_of_size (Gen.return 10) bool))
+    (fun (edges, skip) ->
+      let g = graph_of_edges edges in
+      let succ = Array.init 10 (fun v -> Array.of_list (Digraph.successors g v)) in
+      Scc.components_of_arrays succ = Ref_tarjan.components g
+      && Scc.components g = Ref_tarjan.components g
+      && Scc.components_of_arrays ~skip succ
+         = Ref_tarjan.components (Digraph.induced g (fun v -> not skip.(v))))
+
 let prop_wcc_partition =
   QCheck.Test.make ~count:300 ~name:"weak components partition nodes; no edge crosses" gen_graph
     (fun edges ->
@@ -260,7 +276,7 @@ let () =
           Alcotest.test_case "cycle enumeration" `Quick test_cycle_enumeration;
           Alcotest.test_case "cycle limit" `Quick test_cycle_limit;
         ]
-        @ qsuite [ prop_scc_partition; prop_cycles_are_cycles ] );
+        @ qsuite [ prop_scc_partition; prop_cycles_are_cycles; prop_tarjan_matches_reference ] );
       ( "topo",
         [
           Alcotest.test_case "chain" `Quick test_topo_chain;

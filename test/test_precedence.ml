@@ -6,10 +6,10 @@ open Repro_txn
 open Repro_history
 open Repro_precedence
 module Digraph = Repro_graph.Digraph
-module Scc = Repro_graph.Scc
 module Ex = Test_support.Paper_examples
 module G = Test_support.Generators
 module Scan = Test_support.Scan
+module Ref = Test_support.Ref_backout
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -408,7 +408,7 @@ let test_scan_order_pins_bnb () =
     (Backout.compute ~strategy:Backout.Branch_and_bound (Precedence.cone pg))
 
 (* ------------------------------------------------------------------ *)
-(* The conflict cone against the full graph. *)
+(* Back-out on the conflict cone against the reference on the full graph. *)
 
 (* Sparse windows: a few tentative transactions among many base ones over
    a wide item space. About a quarter come out acyclic, and the cone
@@ -425,32 +425,45 @@ let sparse_case_gen =
     in
     return (build ~tentative ~base))
 
+(* Fleet-hot windows: one or two tentative transactions against 60-120
+   base ones over 64 Zipf-skewed items, so that most windows are cyclic
+   and the cone is a small part of the graph. *)
+let hot_case_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* tentative = int_range 1 2 in
+    let* base = int_range 60 120 in
+    let rng = Repro_workload.Rng.create seed in
+    let tentative, base =
+      Repro_workload.Gen.summaries rng ~n_items:64 ~tentative ~base ~reads:(0, 1) ~writes:(1, 2)
+        ~skew:0.9 ~blind:0.3
+    in
+    return (build ~tentative ~base))
+
+(* The cone against the reference on the full graph, which copies the
+   graph for every greedy round and runs a hashtable Tarjan on it: the
+   acyclicity test, the cyclic components as names — in order, members
+   too, since the exact solvers number their core by them — and every
+   strategy's B. *)
 let cone_agrees pg =
-  let full_acyclic = Scc.is_acyclic (Precedence.graph pg) in
-  let full_on_cycles =
-    List.fold_left
-      (fun acc i ->
-        let s = Precedence.summary_of_node pg i in
-        if Summary.is_tentative s then Names.Set.add s.Summary.name acc else acc)
-      Names.Set.empty
-      (Scc.nodes_on_cycles (Precedence.graph pg))
-  in
-  Precedence.is_acyclic pg = full_acyclic
-  && Names.Set.equal (Precedence.tentative_on_cycles pg) full_on_cycles
+  let g = Precedence.graph pg in
+  let named pg = List.map (List.map (fun v -> (Precedence.summary_of_node pg v).Summary.name)) in
+  Precedence.is_acyclic pg = Ref.Tarjan.is_acyclic g
+  && Names.Set.equal (Precedence.tentative_on_cycles pg) (Ref.tentative_on_cycles pg)
+  && named (Precedence.cone pg) (Precedence.cyclic_components pg)
+     = named pg (Ref.cyclic_components pg)
   && List.for_all
        (fun strategy ->
-         Names.Set.equal
-           (Backout.compute ~strategy (Precedence.cone pg))
-           (Backout.compute ~strategy pg))
+         Names.Set.equal (Backout.compute ~strategy pg) (Ref.compute ~strategy pg))
        Backout.all_strategies
 
-(* Both shapes stay within 14 tentative transactions, where [Exhaustive]
-   is affordable. *)
+(* All three shapes stay within 14 tentative transactions, where
+   [Exhaustive] is affordable. *)
 let prop_cone_matches_full =
   QCheck.Test.make ~count:300 ~name:"cone: acyclicity, cycle members and every B as on the graph"
     (QCheck.make
        ~print:(fun pg -> Format.asprintf "%a" Precedence.pp pg)
-       (QCheck.Gen.oneof [ wide_case_gen; sparse_case_gen ]))
+       (QCheck.Gen.oneof [ wide_case_gen; sparse_case_gen; hot_case_gen ]))
     cone_agrees
 
 (* Greedy's victim rule keeps the full graph's degree: ranking by the

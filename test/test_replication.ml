@@ -433,7 +433,8 @@ let same_graph a b =
        (nodes ca)
 
 (* The cone as the full graph gives it: reachability both ways from the
-   tentative nodes over the materialised digraph, renumbered in order. *)
+   tentative nodes over the materialised digraph, renumbered in order,
+   with successor and predecessor arrays in the full graph's order. *)
 let cone_matches_full pg =
   let g = Precedence.graph pg and n = Precedence.node_count pg in
   let reach next =
@@ -452,11 +453,15 @@ let cone_matches_full pg =
   let inside v = List.mem v old in
   let renumber v = List.length (List.filter (fun u -> u < v) old) in
   let c = Precedence.cone pg in
+  let succ, pred = Precedence.adjacency c in
   names c = Array.of_list (List.map (fun v -> (Precedence.summaries pg).(v).Summary.name) old)
   && List.for_all2
        (fun u v ->
          let outside l = List.length (List.filter (fun w -> not (inside w)) l) in
          Precedence.successors c u = List.map renumber (List.filter inside (Digraph.successors g v))
+         && Array.to_list succ.(u) = Precedence.successors c u
+         && Array.to_list pred.(u)
+            = List.map renumber (List.filter inside (Digraph.predecessors g v))
          && Precedence.outside_degree c u
             = outside (Digraph.successors g v) + outside (Digraph.predecessors g v))
        (nodes c) old

@@ -9,7 +9,10 @@
 # even ones. Every run's summary and result lines are printed. Then, for each
 # end-to-end metric of CHANGE_DIR/BENCHMARK.json, it prints each side's
 # median and quartiles, the pairs the change won, and whether the medians
-# differ by more than the parent's interquartile spread.
+# differ by more than the parent's interquartile spread. Last comes the same
+# summary of the unscaled processor-time throughput that each summary line
+# prints as "(unscaled N)", marked "not gated": a change that may move the
+# reference kernel's timing should be judged on it as well.
 #
 # Exit status: 0 when the sides did the same work; 1 when a fingerprint line
 # differs between the sides or a run reports failed operations; 2 on a usage
@@ -68,16 +71,22 @@ while [ "$i" -le "$pairs" ]; do
 done
 
 python3 - "$out" "$pairs" "$change/BENCHMARK.json" <<'EOF'
-import json, os, statistics, sys
+import json, os, re, statistics, sys
 
 out, pairs, bench = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 metrics = json.load(open(bench))["end_to_end"]
 status = 0
 runs = {"parent": [], "change": []}
+unscaled = {"parent": [], "change": []}
 fingerprints = None
 for side in runs:
     for i in range(1, pairs + 1):
         lines = open(os.path.join(out, f"{side}.{i}")).read().splitlines()
+        for line in lines:
+            found = re.search(r"\(unscaled ([0-9.]+)\)", line) if line.startswith("summary") else None
+            if found:
+                unscaled[side].append(float(found.group(1)))
+                break
         try:
             result = json.loads(lines[-1])
         except (IndexError, ValueError):
@@ -122,5 +131,16 @@ for m in metrics:
         f"|gap| {abs(gap):.6g} {'>' if abs(gap) > spread else '<='} parent IQR {spread:.6g}; "
         f"{'worse than the bound' if worse > m['bound'] else 'within the bound'}"
     )
+
+p, c = unscaled["parent"], unscaled["change"]
+print("unscaled throughput (processor time, from the summary lines; higher is better; not gated)")
+if len(p) != pairs or len(c) != pairs:
+    print("  (a summary line has no unscaled figure)")
+else:
+    pq, cq = quartiles(p), quartiles(c)
+    won = sum(1 for a, b in zip(p, c) if b > a)
+    for side, q in (("parent", pq), ("change", cq)):
+        print(f"  {side}  median {q[1]:.6g}  q1 {q[0]:.6g}  q3 {q[2]:.6g}")
+    print(f"  change won {won}/{pairs} pairs; median {(cq[1] - pq[1]) / pq[1] if pq[1] else 0.0:+.1%}")
 sys.exit(status)
 EOF
