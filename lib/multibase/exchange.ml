@@ -63,8 +63,7 @@ type result = {
 
 exception Initiator_crashed of string
 
-let run ?(seed = 0) ~net ~config ~initiator ~responder () =
-  ignore seed;
+let run ~net ~config ~initiator ~responder () =
   Obs.Span.with_ ~lane:Obs.Event.Cluster ~name:"multibase.exchange" @@ fun () ->
   Obs.Counter.incr obs_exchanges;
   let sched = Net.schedule net in

@@ -67,9 +67,10 @@ type result = {
 (** [run ~net ~config ~initiator ~responder ()] drives one exchange to
     completion or abort; both endpoints are simulated in one event loop
     over [net]'s clock. Newly decided commitments on either side are
-    reported in the result (for the cluster's phantom-commit check). *)
+    reported in the result (for the cluster's phantom-commit check).
+    Every fault draw comes from [net], so the seed [net] was created
+    with is the exchange's only seed. *)
 val run :
-  ?seed:int ->
   net:wire Net.t ->
   config:config ->
   initiator:Mbase.t ->

@@ -14,7 +14,6 @@ let obs_committed = Obs.Counter.make "multibase.txns_committed"
 let obs_rejected = Obs.Counter.make "multibase.txns_rejected"
 let obs_commit_fast = Obs.Counter.make "multibase.commit_fast"
 let obs_commit_reanchor = Obs.Counter.make "multibase.commit_reanchor"
-let obs_semantic_hit = Obs.Counter.make "multibase.commit_semantic_hit"
 let obs_semantic_miss = Obs.Counter.make "multibase.commit_semantic_miss"
 let obs_crashes = Obs.Counter.make "multibase.base_crashes"
 let obs_reconciled = Obs.Counter.make "multibase.recoveries_reconciled"
@@ -51,10 +50,10 @@ type t = {
   mutable clock : int;  (* volatile Lamport clock *)
   mutable durable_clock : int;  (* highest timestamp journaled + forced *)
   mutable seq : int;  (* own per-origin sequence counter *)
-  mutable stable : (Gtxn.t * bool) list;  (* commit order; true = committed *)
+  mutable stable_rev : (Gtxn.t * bool) list;  (* newest first; true = committed *)
+  mutable stable_len : int;
   mutable stable_state : State.t;
-  mutable tentative : Gtxn.t list;  (* local (merge) order *)
-  mutable tentative_records : Interp.record list;  (* aligned with [tentative] *)
+  mutable tentative : (Gtxn.t * Interp.record) list;  (* local (merge) order *)
   have : int array;  (* per-origin contiguous sequence prefix held *)
   vv : int array;  (* per-origin covered-through timestamp *)
   matrix : int array array;  (* matrix.(b).(o): believed vv of base b *)
@@ -71,10 +70,10 @@ let create ~id ~n ~s0 ~config ~store () =
     clock = 0;
     durable_clock = 0;
     seq = 0;
-    stable = [];
+    stable_rev = [];
+    stable_len = 0;
     stable_state = s0;
     tentative = [];
-    tentative_records = [];
     have = Array.make n 0;
     vv = Array.make n 0;
     matrix = Array.make_matrix n n 0;
@@ -83,15 +82,13 @@ let create ~id ~n ~s0 ~config ~store () =
 let id t = t.id
 let engine t = t.engine
 let stable_state t = t.stable_state
-let stable t = t.stable
-let stable_len t = List.length t.stable
+let stable t = List.rev t.stable_rev
+let stable_len t = t.stable_len
 let tentative_count t = List.length t.tentative
 let applied t = Engine.state t.engine
 
 let tentative_view t =
-  List.map2
-    (fun g r -> { P.program = g.Gtxn.program; record = r })
-    t.tentative t.tentative_records
+  List.map (fun ((g : Gtxn.t), r) -> { P.program = g.Gtxn.program; record = r }) t.tentative
 
 let journal t note = Engine.journal t.engine ~session:mb_sid note
 let refresh_self t = Array.blit t.vv 0 t.matrix.(t.id) 0 t.n
@@ -184,9 +181,9 @@ let ship (t : t) ~want ~chunk =
    journaled here. Returns the newly minted gtxns. *)
 let rebind_tentative (t : t) (nh : P.base_txn list) =
   let known = Hashtbl.create 16 in
-  List.iter (fun g -> Hashtbl.replace known (Gtxn.name g) g) t.tentative;
+  List.iter (fun (g, _) -> Hashtbl.replace known (Gtxn.name g) g) t.tentative;
   let minted = ref [] in
-  let order =
+  t.tentative <-
     List.map
       (fun (bt : P.base_txn) ->
         match Hashtbl.find_opt known (bt.P.program.Program.name) with
@@ -209,10 +206,7 @@ let rebind_tentative (t : t) (nh : P.base_txn list) =
           minted := g :: !minted;
           Obs.Counter.incr obs_local;
           (g, bt.P.record))
-      nh
-  in
-  t.tentative <- List.map fst order;
-  t.tentative_records <- List.map snd order;
+      nh;
   List.rev !minted
 
 (* Adopt a merge session's outcome: [nh] is the report's [new_history] —
@@ -251,8 +245,7 @@ let submit (t : t) program =
         t.store.register g;
         journal t (Printf.sprintf "mb-local %d %d" t.seq t.clock);
         t.have.(t.id) <- t.seq;
-        t.tentative <- t.tentative @ [ g ];
-        t.tentative_records <- t.tentative_records @ [ r ];
+        t.tentative <- t.tentative @ [ (g, r) ];
         Engine.force t.engine;
         g)
   in
@@ -315,8 +308,8 @@ let integrate (t : t) (txns : Gtxn.t list) =
     (* Rebind to the merged order; fresh names resolve through [by_name]
        rather than minting. *)
     let known = Hashtbl.create 16 in
-    List.iter (fun g -> Hashtbl.replace known (Gtxn.name g) g) t.tentative;
-    let order =
+    List.iter (fun (g, _) -> Hashtbl.replace known (Gtxn.name g) g) t.tentative;
+    t.tentative <-
       List.filter_map
         (fun (bt : P.base_txn) ->
           let name = bt.P.program.Program.name in
@@ -326,10 +319,7 @@ let integrate (t : t) (txns : Gtxn.t list) =
             match Hashtbl.find_opt by_name name with
             | Some g -> Some (g, bt.P.record)
             | None -> None))
-        report.P.new_history
-    in
-    t.tentative <- List.map fst order;
-    t.tentative_records <- List.map snd order;
+        report.P.new_history;
     Engine.force t.engine);
     let max_ts = List.fold_left (fun acc (g : Gtxn.t) -> max acc g.Gtxn.ts) 0 fresh in
     List.iter
@@ -366,8 +356,10 @@ let gvt (t : t) =
 (* Can the newly stable batch slide left past the remaining tentative
    transactions (and internally reorder to the global order) purely by
    the semantic relations? If so the applied state is untouched and the
-   commit is metadata-only. The state-diff below is the ground truth;
-   the semantic verdict is the prediction the paper's machinery makes. *)
+   commit is metadata-only. The state diff in [maybe_commit] is the
+   ground truth; the semantic verdict is the prediction the paper's
+   machinery makes. The prediction can only be wrong on a commit whose
+   diff is non-empty, so only those commits compute it. *)
 let commute_ok (t : t) ~local ~committed_names ~batch_order =
   let theory = t.config.merge.P.theory in
   let order = Hashtbl.create 16 in
@@ -408,8 +400,7 @@ let commute_ok (t : t) ~local ~committed_names ~batch_order =
    identically. Returns the newly decided (id, committed) pairs. *)
 let maybe_commit (t : t) =
   let fence = gvt t in
-  let pairs = List.combine t.tentative t.tentative_records in
-  let ready, rest = List.partition (fun ((g : Gtxn.t), _) -> g.Gtxn.ts <= fence) pairs in
+  let ready, rest = List.partition (fun ((g : Gtxn.t), _) -> g.Gtxn.ts <= fence) t.tentative in
   if ready = [] then []
   else
     Obs.Span.with_ ~lane:Obs.Event.Cluster ~name:"multibase.commit" @@ fun () ->
@@ -427,34 +418,29 @@ let maybe_commit (t : t) =
         batch
     in
     let new_stable_state = !st in
-    let st2 = ref new_stable_state in
     let rest' =
       List.map
         (fun ((g : Gtxn.t), _) ->
-          let r = Interp.run ~fix:g.Gtxn.fix !st2 g.Gtxn.program in
-          st2 := r.Interp.after;
+          let r = Interp.run ~fix:g.Gtxn.fix !st g.Gtxn.program in
+          st := r.Interp.after;
           (g, r))
         rest
     in
-    let new_applied = !st2 in
-    let no_reject = List.for_all snd decided in
-    let committed_names =
-      List.fold_left (fun acc (g, _) -> Names.Set.add (Gtxn.name g) acc) Names.Set.empty decided
-    in
-    let predicted =
-      no_reject
-      && commute_ok t ~local:(List.map fst pairs) ~committed_names
-           ~batch_order:(List.map fst decided)
-    in
-    let cur = Engine.state t.engine in
-    let items = Item.Set.union (State.items new_applied) (State.items cur) in
-    let changed =
-      Item.Set.filter (fun x -> State.get new_applied x <> State.get cur x) items
-    in
+    let new_applied = !st in
+    let changed = State.diff new_applied (Engine.state t.engine) in
     let fast = Item.Set.is_empty changed in
-    if fast then Obs.Counter.incr obs_commit_fast else Obs.Counter.incr obs_commit_reanchor;
-    if predicted && fast then Obs.Counter.incr obs_semantic_hit;
-    if predicted && not fast then Obs.Counter.incr obs_semantic_miss;
+    if fast then Obs.Counter.incr obs_commit_fast
+    else begin
+      Obs.Counter.incr obs_commit_reanchor;
+      let committed_names =
+        List.fold_left (fun acc (g, _) -> Names.Set.add (Gtxn.name g) acc) Names.Set.empty decided
+      in
+      if
+        List.for_all snd decided
+        && commute_ok t ~local:(List.map fst t.tentative) ~committed_names
+             ~batch_order:(List.map fst decided)
+      then Obs.Counter.incr obs_semantic_miss
+    end;
     (* one commit group: re-anchor updates and every mb-stable marker
        harden under a single barrier *)
     Engine.with_group t.engine (fun () ->
@@ -466,14 +452,15 @@ let maybe_commit (t : t) =
                  (if ok then 1 else 0)))
           decided;
         Engine.force t.engine);
-    t.stable <- t.stable @ decided;
+    let n = List.length decided in
+    t.stable_rev <- List.rev_append decided t.stable_rev;
+    t.stable_len <- t.stable_len + n;
     t.stable_state <- new_stable_state;
-    t.tentative <- List.map fst rest';
-    t.tentative_records <- List.map snd rest';
+    t.tentative <- rest';
     List.iter
       (fun (_, ok) -> if ok then Obs.Counter.incr obs_committed else Obs.Counter.incr obs_rejected)
       decided;
-    Obs.Dist.observe_int obs_batch (List.length decided);
+    Obs.Dist.observe_int obs_batch n;
     List.map (fun ((g : Gtxn.t), ok) -> (g.Gtxn.id, ok)) decided
 
 (* A liveness heartbeat: journal a clock bump so the durable clock — the
@@ -551,28 +538,28 @@ let restore (t : t) =
         | `Other -> ())
     (Engine.session_journal t.engine);
   t.clock <- t.durable_clock;
-  let stable_ids = List.rev !stable_rev in
   let stable_set = Hashtbl.create 16 in
-  List.iter (fun (id, _) -> Hashtbl.replace stable_set id ()) stable_ids;
-  t.stable <- List.map (fun (id, ok) -> (t.store.lookup id, ok)) stable_ids;
+  List.iter (fun (id, _) -> Hashtbl.replace stable_set id ()) !stable_rev;
+  t.stable_rev <- List.map (fun (id, ok) -> (t.store.lookup id, ok)) !stable_rev;
+  t.stable_len <- List.length t.stable_rev;
   let tentative_ids =
     List.filter (fun id -> not (Hashtbl.mem stable_set id)) (List.rev !known_rev)
   in
-  t.tentative <- List.map t.store.lookup tentative_ids;
   (* Canonical replay of the stable prefix, then the journal-order
      tentative chain. *)
   let st = ref t.s0 in
   List.iter
     (fun ((g : Gtxn.t), ok) -> if ok then st := Interp.apply ~fix:g.Gtxn.fix !st g.Gtxn.program)
-    t.stable;
+    (stable t);
   t.stable_state <- !st;
-  t.tentative_records <-
+  t.tentative <-
     List.map
-      (fun (g : Gtxn.t) ->
+      (fun id ->
+        let g = t.store.lookup id in
         let r = Interp.run ~fix:g.Gtxn.fix !st g.Gtxn.program in
         st := r.Interp.after;
-        r)
-      t.tentative;
+        (g, r))
+      tentative_ids;
   let expected = !st in
   (* per-origin covered-through: the last held contiguous transaction *)
   for o = 0 to t.n - 1 do
@@ -580,11 +567,9 @@ let restore (t : t) =
       t.vv.(o) <- (t.store.lookup { Gtxn.origin = o; seq = t.have.(o) }).Gtxn.ts
   done;
   bump_durable t t.durable_clock;
-  let cur = Engine.state t.engine in
-  if not (State.equal cur expected) then begin
+  let changed = State.diff (Engine.state t.engine) expected in
+  if not (Item.Set.is_empty changed) then begin
     Obs.Counter.incr obs_reconciled;
-    let items = Item.Set.union (State.items cur) (State.items expected) in
-    let changed = Item.Set.filter (fun x -> State.get cur x <> State.get expected x) items in
     Engine.apply_updates ~durably:true t.engine expected changed
   end;
   recovery

@@ -65,9 +65,12 @@ val id : t -> int
 val engine : t -> Engine.t
 
 (** Stable prefix in commit order; [true] = committed, [false] =
-    rejected by the commit acceptance rule (clean global abort). *)
+    rejected by the commit acceptance rule (clean global abort). The
+    base keeps the prefix newest first, so a commit appends in
+    O(batch) and this call reverses it: O(stable). *)
 val stable : t -> (Gtxn.t * bool) list
 
+(** [List.length (stable t)], kept as a running count: O(1). *)
 val stable_len : t -> int
 val stable_state : t -> State.t
 val tentative_count : t -> int
@@ -103,10 +106,13 @@ val gvt : t -> int
 (** Decide commitment for every tentative transaction at or below the
     fence: sort by {!Gtxn.compare_order}, re-execute canonically from
     the stable state, apply [commit_acceptance] per transaction,
-    re-anchor the remaining tentative layer, reconcile the engine (a
-    state-diff no-op when the semantic machinery predicts the orders
-    commute), journal each decision and force once. Returns the newly
-    decided [(id, committed)] pairs, in commit order. *)
+    re-anchor the remaining tentative layer, reconcile the engine with
+    the items {!State.diff} finds changed (none on a metadata-only
+    commit), journal each decision and force once. Costs O(batch +
+    layer) re-executions and one walk of the two states; only a
+    re-anchoring commit also asks the semantic machinery whether it
+    predicted metadata-only ([multibase.commit_semantic_miss]). Returns
+    the newly decided [(id, committed)] pairs, in commit order. *)
 val maybe_commit : t -> (Gtxn.id * bool) list
 
 (** This base's current metadata summary, safe to advertise: the clock

@@ -17,6 +17,23 @@ let equal s1 s2 =
     (Item.Map.filter (fun _ v -> v <> 0) s1)
     (Item.Map.filter (fun _ v -> v <> 0) s2)
 
+(* One ordered walk of both maps; an item bound on one side only differs
+   iff its value is not the default 0. *)
+let diff s1 s2 =
+  let add_if differs x acc = if differs then Item.Set.add x acc else acc in
+  let rec walk acc n1 n2 =
+    match (n1, n2) with
+    | Seq.Nil, Seq.Nil -> acc
+    | Seq.Cons ((x, v), r1), Seq.Nil -> walk (add_if (v <> 0) x acc) (r1 ()) Seq.Nil
+    | Seq.Nil, Seq.Cons ((y, w), r2) -> walk (add_if (w <> 0) y acc) Seq.Nil (r2 ())
+    | Seq.Cons ((x, v), r1), Seq.Cons ((y, w), r2) ->
+      let c = Item.compare x y in
+      if c = 0 then walk (add_if (v <> w) x acc) (r1 ()) (r2 ())
+      else if c < 0 then walk (add_if (v <> 0) x acc) (r1 ()) n2
+      else walk (add_if (w <> 0) y acc) n1 (r2 ())
+  in
+  walk Item.Set.empty (Item.Map.to_seq s1 ()) (Item.Map.to_seq s2 ())
+
 let pp = Item.Map.pp Format.pp_print_int
 
 let merge_updates base updates item_set =

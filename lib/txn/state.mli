@@ -37,6 +37,13 @@ val equal_on : Item.Set.t -> t -> t -> bool
 val equal : t -> t -> bool
 
 val items : t -> Item.Set.t
+
+(** [diff s1 s2] is the set of items whose values differ between [s1]
+    and [s2], an unbound item reading as [0] on either side; it is empty
+    iff [equal s1 s2]. One ordered walk of both states:
+    O(|s1| + |s2|). *)
+val diff : t -> t -> Item.Set.t
+
 val pp : Format.formatter -> t -> unit
 
 (** [merge_updates base updates items] overwrites [base]'s bindings for

@@ -13,6 +13,7 @@ module Exchange = Repro_multibase.Exchange
 module Cluster = Repro_multibase.Cluster
 module MN = Repro_multibase.Mb_nemesis
 module Sweep = Repro_fault.Sweep
+module Obs = Repro_obs.Obs
 module G = Test_support.Generators
 
 let checki = Alcotest.check Alcotest.int
@@ -293,6 +294,86 @@ let prop_mb_nemesis_convergence =
       | Ok _ -> true
       | Error msg -> QCheck.Test.fail_report msg)
 
+(* Each base's stable sequence is append-only — across crash-restarts,
+   which rebuild it from the journal, too — and [stable_len] is its
+   length, after every op of a random nemesis case and after healing. *)
+let prop_stable_only_grows =
+  QCheck.Test.make ~count:100 ~name:"stable sequences only grow, crashes included"
+    QCheck.(pair small_nat small_nat)
+    (fun (a, b) ->
+      let seed = 7000 + (131 * a) + b in
+      let case = MN.random_case ~seed () in
+      let c = Cluster.create ~bases:case.MN.bases ~mobiles:case.MN.mobiles ~n_accounts:8 () in
+      let ids base = List.map (fun ((g : Gtxn.t), ok) -> (g.Gtxn.id, ok)) (Mbase.stable base) in
+      let seen = Array.map ids (Cluster.bases c) in
+      let rec extends old now =
+        match (old, now) with
+        | [], _ -> true
+        | x :: old', y :: now' -> x = y && extends old' now'
+        | _ :: _, [] -> false
+      in
+      let check_after step =
+        Array.iteri
+          (fun i base ->
+            let now = ids base in
+            if not (extends seen.(i) now) then
+              QCheck.Test.fail_reportf "seed %d, after %s: base %d's stable sequence shrank or changed"
+                seed step i;
+            if Mbase.stable_len base <> List.length now then
+              QCheck.Test.fail_reportf "seed %d, after %s: base %d's stable_len %d, stable has %d" seed
+                step i (Mbase.stable_len base) (List.length now);
+            seen.(i) <- now)
+          (Cluster.bases c)
+      in
+      List.iteri
+        (fun k op ->
+          Cluster.run_op c op;
+          check_after (Printf.sprintf "op %d" k))
+        case.MN.ops;
+      ignore (Cluster.converge c);
+      check_after "healing";
+      true)
+
+(* The commitment counters and base 0's decisions on one fixed-seed
+   cluster (the [bases-sim] run at [--ops 60 --base-partition-rate 0.4
+   --seed 2026]), with Obs on. The values were taken from a build that
+   ran the semantic prediction on every commit, so they also pin that
+   computing [commit_semantic_miss] on re-anchoring commits only moves
+   no counter and no decision. *)
+let test_commit_counters_pinned () =
+  Obs.reset ();
+  let case = MN.random_case ~partition_rate:0.4 ~bases:3 ~mobiles:3 ~n_ops:60 ~seed:2026 () in
+  let c = Cluster.create ~bases:3 ~mobiles:3 ~n_accounts:8 () in
+  let violations =
+    Obs.with_enabled true (fun () ->
+        Cluster.run_ops c case.MN.ops;
+        Cluster.check c)
+  in
+  (match violations with
+  | [] -> ()
+  | vs -> Alcotest.failf "violations: %s" (String.concat "; " vs));
+  let counter name = Obs.Counter.value (Obs.Counter.make name) in
+  checki "metadata-only commits" 10 (counter "multibase.commit_fast");
+  checki "re-anchoring commits" 3 (counter "multibase.commit_reanchor");
+  checki "semantic misses" 0 (counter "multibase.commit_semantic_miss");
+  (* origin/seq, then + committed or - rejected *)
+  Alcotest.check
+    Alcotest.(list string)
+    "base 0's stable ids and verdicts"
+    [
+      "1/1+"; "2/1+"; "1/2+"; "2/2+"; "0/1+"; "1/3+"; "2/3+"; "0/2+"; "1/4+"; "2/4+";
+      "0/3+"; "1/5+"; "2/5+"; "0/4+"; "1/6+"; "2/6+"; "0/5+"; "2/7+"; "2/8+"; "2/9+";
+      "2/10+"; "2/11+"; "2/12+"; "2/13+"; "2/14+"; "2/15+"; "2/16+"; "1/7+"; "1/8+"; "1/9+";
+      "1/10+"; "2/17+"; "2/18+"; "0/6+"; "1/11+"; "0/7+"; "1/12+"; "0/8+"; "1/13+"; "0/9+";
+      "1/14+"; "0/10+"; "1/15+"; "0/11+"; "1/16+"; "0/12+"; "1/17+"; "0/13+"; "1/18+"; "1/19+";
+    ]
+    (List.map
+       (fun ((g : Gtxn.t), ok) ->
+         Printf.sprintf "%d/%d%c" g.Gtxn.id.Gtxn.origin g.Gtxn.id.Gtxn.seq
+           (if ok then '+' else '-'))
+       (Mbase.stable (Cluster.bases c).(0)));
+  Obs.reset ()
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -308,7 +389,9 @@ let () =
             test_commit_is_deterministic_across_bases;
           Alcotest.test_case "divergent shape rejected everywhere" `Quick
             test_commit_rejects_divergent_shape;
-        ] );
+          Alcotest.test_case "commitment counters pinned" `Quick test_commit_counters_pinned;
+        ]
+        @ qsuite [ prop_stable_only_grows ] );
       ( "exchange",
         [
           Alcotest.test_case "hard partition aborts then heals" `Quick

@@ -405,6 +405,29 @@ let test_state_operations () =
   let merged = State.merge_updates s s' (Item.Set.of_names [ "a" ]) in
   check G.state "merge_updates" (State.of_list [ ("a", 9); ("b", 2) ]) merged
 
+(* States over a 6-item universe where each item is absent, explicitly
+   bound to 0 or bound to a small value, so equal, one-sided and
+   0-versus-absent bindings all occur often. *)
+let sparse_state_gen =
+  let open QCheck.Gen in
+  let binding x = map (Option.map (fun v -> (x, v))) (opt ~ratio:0.7 (int_range (-2) 2)) in
+  map
+    (fun bindings -> State.of_list (List.filter_map Fun.id bindings))
+    (flatten_l (List.map binding [ "a"; "b"; "c"; "d"; "e"; "f" ]))
+
+let prop_state_diff =
+  QCheck.Test.make ~count:2000 ~name:"State.diff = filter of the union of bound items"
+    (QCheck.make
+       ~print:(fun (a, b) -> Format.asprintf "%a / %a" State.pp a State.pp b)
+       (QCheck.Gen.pair sparse_state_gen sparse_state_gen))
+    (fun (a, b) ->
+      let reference =
+        Item.Set.filter
+          (fun x -> State.get a x <> State.get b x)
+          (Item.Set.union (State.items a) (State.items b))
+      in
+      Item.Set.equal (State.diff a b) reference && Item.Set.equal (State.diff b a) reference)
+
 let test_fix_operations () =
   let f = Fix.of_list [ ("a", 1) ] in
   checkb "mem" true (Fix.mem f "a");
@@ -526,7 +549,8 @@ let () =
           Alcotest.test_case "must-write analysis" `Quick test_stmt_must_write;
           Alcotest.test_case "rename and params" `Quick test_program_rename_and_params;
           Alcotest.test_case "read dedup" `Quick test_read_statement_recorded_once;
-        ] );
+        ]
+        @ qsuite [ prop_state_diff ] );
       ( "compensation",
         [
           Alcotest.test_case "additive compensator" `Quick test_derive_additive_compensator;
