@@ -8,7 +8,8 @@
    Part 2 runs Bechamel micro-benchmarks (B1-B6) for the complexity
    claims of Section 7.1: precedence-graph construction, back-out
    computation, the O(n^2) rewriters, pruning, and the end-to-end
-   protocols. *)
+   protocols, plus one serve of the merge service against padded
+   window origins. *)
 
 open Repro_txn
 open Repro_history
@@ -107,6 +108,30 @@ let bench_tests () =
           ~name:(Printf.sprintf "precedence-window/n=%d" n)
           (Bechamel.Staged.stage (fun () -> ignore (Precedence.build ~tentative ~base:index))))
       [ 64; 256; 1024 ]
+  in
+  (* One serve of a fixed 50-mobile Sim trace whose initial state also
+     holds n items no transaction touches: the home regions of mobiles
+     past the fleet, which is what most of a 25k-mobile window origin is
+     to any one component. Components run on their footprint's slice of
+     the origin, so this stays roughly flat as n grows. *)
+  let service_tests =
+    let module Sim = Repro_service.Sim in
+    let module Service = Repro_service.Service in
+    let cfg = { Sim.default_config with Sim.mobiles = 50; seed = 5 } in
+    let sync = Sim.sync_config cfg and svc = Sim.service_config cfg and wl = Sim.workload cfg in
+    let trace = Trace.generate (Sync.trace_params sync) wl in
+    List.map
+      (fun pad ->
+        let initial = ref wl.Sync.initial in
+        for i = 0 to pad - 1 do
+          let x = Printf.sprintf "m%d.d%d" (cfg.Sim.mobiles + (i / 8)) (i mod 8) in
+          initial := State.set !initial x (100 + (i mod 50))
+        done;
+        let wl = { wl with Sync.initial = !initial } in
+        Bechamel.Test.make
+          ~name:(Printf.sprintf "service-window/pad=%d" pad)
+          (Bechamel.Staged.stage (fun () -> ignore (Service.run svc sync wl trace))))
+      [ 0; 10_000; 200_000 ]
   in
   let backout_tests =
     List.map
@@ -256,7 +281,7 @@ let bench_tests () =
         (Bechamel.Staged.stage (wal_run ~grouped:true));
     ]
   in
-  graph_tests @ window_tests @ backout_tests @ damage_backout_tests
+  graph_tests @ window_tests @ service_tests @ backout_tests @ damage_backout_tests
   @ bnb_backout_tests
   @ rewrite_tests Rewrite.Can_follow "alg1"
   @ rewrite_tests Rewrite.Can_follow_precede "alg2"

@@ -39,26 +39,30 @@ let log_record t txid (r : Interp.record) =
   List.iter (fun (x, b, a) -> Wal.append t.wal (Wal.Write (txid, x, b, a))) r.Interp.writes;
   Wal.append t.wal (Wal.Commit txid)
 
-let run_one ?fix t program =
+(* A record computed on any other state would log before-images and an
+   after-state that do not follow from this engine's state. The check is
+   physical, O(1), so an equal but distinct state is refused too. *)
+let commit ?(durably = true) t (r : Interp.record) =
+  if r.Interp.before != t.state then
+    invalid_arg "Engine.commit: record was not computed on the engine's current state";
   let txid = t.next_txid in
   t.next_txid <- txid + 1;
-  let r = Interp.run ?fix t.state program in
   log_record t txid r;
   t.state <- r.Interp.after;
   t.committed <- t.committed + 1;
   Obs.Counter.incr obs_txns;
-  r
+  if durably then Wal.force t.wal
 
-let execute ?fix ?(durably = true) t program =
-  let r = run_one ?fix t program in
-  if durably then Wal.force t.wal;
+let execute ?fix ?durably t program =
+  let r = Interp.run ?fix t.state program in
+  commit ?durably t r;
   r
 
 let execute_batch ?(force = true) t entries =
   let records =
     List.map
       (fun (e : Repro_history.History.entry) ->
-        run_one ~fix:e.Repro_history.History.fix t e.Repro_history.History.program)
+        execute ~fix:e.Repro_history.History.fix ~durably:false t e.Repro_history.History.program)
       entries
   in
   if force then Wal.force t.wal;

@@ -37,6 +37,16 @@ val device : t -> Block.t option
     used by the crash tests. *)
 val execute : ?fix:Fix.t -> ?durably:bool -> t -> Program.t -> Interp.record
 
+(** [commit ?durably t record] — log, apply and commit a [record] the
+    caller already computed with {!Interp.run} on [state t]: the same
+    WAL entries and state as {!execute} of [record]'s program, without
+    running it a second time. [execute] is [Interp.run] on [state t]
+    followed by [commit]. [~durably] is as for {!execute}.
+    @raise Invalid_argument unless [record.before] is physically
+    [state t] (an O(1) check): a record computed on any other state,
+    even an equal one, is refused. *)
+val commit : ?durably:bool -> t -> Interp.record -> unit
+
 (** [execute_batch t entries] — run and commit each entry, forcing the log
     once at the end. With [~force:false] the final force is skipped too:
     the whole batch stays in the volatile tail (torn-batch crash tests,

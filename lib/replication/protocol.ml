@@ -112,7 +112,7 @@ let reexecute_one ?(durably = true) ~acceptance ~params ~base ~tentative_exec ~c
   let replayed = Interp.run (Engine.state base) program in
   let original = History.record_of tentative_exec name in
   if acceptance ~original ~replayed then begin
-    ignore (Engine.execute ~durably base program);
+    Engine.commit ~durably base replayed;
     if durably then cost.Cost.base_io <- cost.Cost.base_io +. params.Cost.io_per_force;
     ({ name; outcome = Reexecuted }, Some { program; record = replayed })
   end

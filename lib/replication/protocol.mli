@@ -179,7 +179,9 @@ val plan_commit :
   plan
 
 (** Base side, one backed-out transaction of step 6: ship code, transform,
-    re-execute, accept or reject. [~durably:false] leaves the commit in
+    re-execute, accept or reject. The program runs once: an accepted
+    re-execution commits the very record the acceptance test judged
+    ({!Repro_db.Engine.commit}). [~durably:false] leaves the commit in
     the volatile log tail (the session protocol's single-force commit
     group) and charges no I/O. *)
 val reexecute_one :

@@ -4,6 +4,7 @@ module Digraph = Repro_graph.Digraph
 type component = {
   members : int list;  (* event indices into the window, ascending *)
   sessions : int;  (* how many members are sessions *)
+  footprint : Item.Set.t;  (* union of the members' static footprints *)
 }
 
 type stats = {
@@ -61,17 +62,20 @@ let components ~smap (events : Admission.wevent array) =
         shard_conflicted = Array.make n_shards 0;
       } )
   else begin
+    (* Each event's item and shard footprints, computed once. *)
+    let footprints = Array.map Admission.footprint events in
+    let shard_footprints = Array.map (Smap.footprint smap) footprints in
     (* Level 1: shard-granular grouping. *)
     let shard_graph = Digraph.create n in
     let last_in_shard = Array.make (Smap.shards smap) (-1) in
     Array.iteri
-      (fun i ev ->
+      (fun i shards ->
         List.iter
           (fun s ->
             if last_in_shard.(s) >= 0 then Digraph.add_edge shard_graph last_in_shard.(s) i;
             last_in_shard.(s) <- i)
-          (Smap.footprint smap (Admission.footprint ev)))
-      events;
+          shards)
+      shard_footprints;
     let shard_groups = Digraph.weakly_connected_components shard_graph in
     (* Level 2: item-granular refinement. *)
     let written = Hashtbl.create 64 in
@@ -81,7 +85,7 @@ let components ~smap (events : Admission.wevent array) =
     let item_graph = Digraph.create n in
     let last_on_item : (Item.t, int) Hashtbl.t = Hashtbl.create 256 in
     Array.iteri
-      (fun i ev ->
+      (fun i footprint ->
         Item.Set.iter
           (fun x ->
             if Hashtbl.mem written x then begin
@@ -90,11 +94,21 @@ let components ~smap (events : Admission.wevent array) =
               | None -> ());
               Hashtbl.replace last_on_item x i
             end)
-          (Admission.footprint ev))
-      events;
+          footprint)
+      footprints;
     let item_groups = Digraph.weakly_connected_components item_graph in
     let comps =
-      List.map (fun members -> { members; sessions = count_sessions events members }) item_groups
+      List.map
+        (fun members ->
+          {
+            members;
+            sessions = count_sessions events members;
+            footprint =
+              List.fold_left
+                (fun acc i -> Item.Set.union acc footprints.(i))
+                Item.Set.empty members;
+          })
+        item_groups
     in
     (* Per-shard load and conflict attribution: a session counts toward
        every shard its footprint touches; it counts as conflicted there
@@ -116,7 +130,7 @@ let components ~smap (events : Admission.wevent array) =
               (fun s ->
                 shard_sessions.(s) <- shard_sessions.(s) + 1;
                 if in_conflicted_group.(i) then shard_conflicted.(s) <- shard_conflicted.(s) + 1)
-              (Smap.footprint smap (Admission.footprint ev))
+              shard_footprints.(i)
         | Admission.Base _ -> ())
       events;
     ( comps,

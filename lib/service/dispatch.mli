@@ -16,9 +16,16 @@
     shard-conflict-rate metric — what shard-granular false sharing would
     cost if dispatch stopped at level 1. *)
 
+open Repro_txn
+
 type component = {
   members : int list;  (** event indices into the window, ascending *)
   sessions : int;  (** how many members are sessions *)
+  footprint : Item.Set.t;
+      (** union of the members' static footprints ({!Admission.footprint}):
+          every item a member can read or write. No member reads or
+          writes outside it, so the service runs the component against
+          the window origin restricted to it. *)
 }
 
 type stats = {

@@ -128,15 +128,29 @@ let lpt_makespan ~bins weights =
 
 (* One component of one window: an independent serial sub-simulation
    running the same Window handlers as Sync.run, against a scratch engine
-   seeded with the full window-origin state. Anything outside the
-   component's items is read-only background to these events (reads of
-   items nobody writes this window see origin values, the same values the
-   serial run shows them), so the scratch outcomes equal the serial ones —
-   the correctness argument is spelled out in docs/SERVICE.md. *)
+   seeded with the window origin restricted to the component's footprint.
+   No member reads or writes outside that footprint, so the projection
+   holds every value the component can observe; a late session's origin
+   window is restricted the same way, once per origin window. Items
+   nobody in the component writes keep their origin values, the same
+   values the serial run shows them, so the scratch outcomes equal the
+   serial ones (the argument is spelled out in docs/SERVICE.md §5). *)
 let run_component ~(sync : Sync.config) ~(origins : State.t array) ~window_index
-    ~(events : Admission.wevent array) ~members =
+    ~(events : Admission.wevent array) (comp : Dispatch.component) =
   let t_start = Unix.gettimeofday () in
-  let origin = origins.(window_index) in
+  let members = comp.Dispatch.members and footprint = comp.Dispatch.footprint in
+  let origin = State.restrict origins.(window_index) footprint in
+  let late_origins = ref [] in
+  let origin_of started =
+    if started = window_index then origin
+    else
+      match List.assoc_opt started !late_origins with
+      | Some o -> o
+      | None ->
+          let o = State.restrict origins.(started) footprint in
+          late_origins := (started, o) :: !late_origins;
+          o
+  in
   let engine = Engine.create origin in
   let window = Window.create ~protocol:sync.Sync.protocol ~params:sync.Sync.params engine in
   let deltas = ref [] in
@@ -158,7 +172,7 @@ let run_component ~(sync : Sync.config) ~(origins : State.t array) ~window_index
           Obs.Span.with_ ~lane:Obs.Event.Base ~name:"service.session" (fun () ->
               ignore
                 (Window.reconnect window ~late:(s.window_started < window_index)
-                   ~origin:origins.(s.window_started)
+                   ~origin:(origin_of s.window_started)
                    (History.of_programs s.programs)));
           let after = Engine.state engine in
           let writes =
@@ -257,7 +271,7 @@ let run ?recorder config (sync : Sync.config) (workload : Sync.workload) trace =
             Obs.Shard.collect ~anchor ~depth_base (fun () ->
                 Obs.Span.with_ ~lane:Obs.Event.Base ~name:"service.component" (fun () ->
                     run_component ~sync ~origins ~window_index:w.Admission.index
-                      ~events:w.Admission.events ~members:comp_arr.(i).Dispatch.members))
+                      ~events:w.Admission.events comp_arr.(i)))
           in
           (r, shard, worker))
         (Array.length comp_arr)

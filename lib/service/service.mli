@@ -10,8 +10,9 @@
       item-level refinement);
     + a {!Pool} of OCaml 5 domains executes each component as a serial
       sub-simulation against a scratch engine seeded with the window
-      origin, running the same {!Repro_replication.Window} handlers as
-      [Sync];
+      origin restricted to the component's footprint
+      ({!Dispatch.component}), running the same
+      {!Repro_replication.Window} handlers as [Sync];
     + the coordinator folds every component's write sets back into the
       canonical WAL-backed base in admission order, runs the
       per-component ground-truth serializability checks, and opens the

@@ -5,7 +5,14 @@ let of_list bindings = List.fold_left (fun m (k, v) -> Item.Map.add k v m) empty
 let to_list state = Item.Map.bindings state
 let get state x = match Item.Map.find_opt x state with Some v -> v | None -> 0
 let set state x v = Item.Map.add x v state
-let restrict state items = Item.Map.filter (fun x _ -> Item.Set.mem x items) state
+
+(* One lookup per item of [items], not a walk of [state]. *)
+let restrict state items =
+  Item.Set.fold
+    (fun x acc ->
+      match Item.Map.find_opt x state with Some v -> Item.Map.add x v acc | None -> acc)
+    items Item.Map.empty
+
 let equal_on items s1 s2 = Item.Set.for_all (fun x -> get s1 x = get s2 x) items
 
 let items state = Item.Map.keys state

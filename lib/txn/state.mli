@@ -24,8 +24,11 @@ val get : t -> Item.t -> int
 (** [set state x v] rebinds [x] to [v]. *)
 val set : t -> Item.t -> int -> t
 
-(** [restrict state items] keeps only the bindings of [items]; used to
-    compare states over a writeset. *)
+(** [restrict state items] keeps only the bindings of [items]: an item
+    of [items] unbound in [state] stays unbound. One lookup per item,
+    O(k log n) for k items over a state of n bindings, so projecting a
+    large state onto a small footprint costs the footprint, not the
+    state. *)
 val restrict : t -> Item.Set.t -> t
 
 (** [equal_on items s1 s2] holds when [s1] and [s2] agree on every item in

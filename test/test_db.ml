@@ -169,6 +169,44 @@ let prop_undo_inverts_last =
       Engine.undo e r;
       State.equal s0 (Engine.state e))
 
+(* [commit] of a record interpreted on the engine's own state leaves
+   exactly what [execute] of its program leaves: the same log, durable
+   prefix, forces, state and transaction counters. *)
+let prop_commit_matches_execute =
+  QCheck.Test.make ~count:200 ~name:"commit of an interpreted record = execute"
+    (QCheck.triple (QCheck.make G.state_gen) (QCheck.make (G.history_gen ~length:6)) QCheck.bool)
+    (fun (s0, h, durably) ->
+      let a = Engine.create s0 and b = Engine.create s0 in
+      List.iter
+        (fun p ->
+          ignore (Engine.execute ~durably a p);
+          Engine.commit ~durably b (Interp.run (Engine.state b) p))
+        (History.programs h);
+      let same f = List.equal Wal.entry_equal (f (Engine.log a)) (f (Engine.log b)) in
+      same Wal.entries && same Wal.durable_entries
+      && Wal.force_count (Engine.log a) = Wal.force_count (Engine.log b)
+      && State.equal (Engine.state a) (Engine.state b)
+      && Engine.next_txid a = Engine.next_txid b
+      && Engine.transactions_committed a = Engine.transactions_committed b)
+
+(* A record computed on any state but the engine's current one is
+   refused before anything is logged, even when that state is equal. *)
+let test_commit_refuses_stale_record () =
+  let refused =
+    Invalid_argument "Engine.commit: record was not computed on the engine's current state"
+  in
+  let e = Engine.create s0 in
+  let stale = Interp.run (Engine.state e) (inc "T1" "a" 5) in
+  ignore (Engine.execute e (inc "T2" "b" 7));
+  let wal_before = Wal.length (Engine.log e) in
+  Alcotest.check_raises "stale record" refused (fun () -> Engine.commit e stale);
+  let copy = Interp.run (State.of_list (State.to_list (Engine.state e))) (inc "T3" "a" 1) in
+  Alcotest.check_raises "equal but distinct state" refused (fun () -> Engine.commit e copy);
+  checki "nothing logged" wal_before (Wal.length (Engine.log e));
+  checki "no txid spent" 2 (Engine.next_txid e);
+  checki "one commit" 1 (Engine.transactions_committed e);
+  check_state "state untouched" (State.of_list [ ("a", 10); ("b", 27); ("c", 30) ]) (Engine.state e)
+
 let test_wal_durability_bookkeeping () =
   let w = Wal.create () in
   Wal.append w (Wal.Begin 1);
@@ -1155,8 +1193,15 @@ let () =
           Alcotest.test_case "batch forces once" `Quick test_batch_forces_once;
           Alcotest.test_case "apply updates" `Quick test_apply_updates;
           Alcotest.test_case "undo" `Quick test_undo_restores_before_images;
+          Alcotest.test_case "commit refuses a stale record" `Quick
+            test_commit_refuses_stale_record;
         ]
-        @ qsuite [ prop_engine_matches_interpreter; prop_undo_inverts_last ] );
+        @ qsuite
+            [
+              prop_engine_matches_interpreter;
+              prop_undo_inverts_last;
+              prop_commit_matches_execute;
+            ] );
       ( "recovery",
         [
           Alcotest.test_case "drops unforced" `Quick test_recovery_drops_unforced;

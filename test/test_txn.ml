@@ -428,6 +428,23 @@ let prop_state_diff =
       in
       Item.Set.equal (State.diff a b) reference && Item.Set.equal (State.diff b a) reference)
 
+(* [State.restrict] against the filter of the whole state it replaced:
+   the same bindings, explicit zeros kept, and nothing added for an item
+   of the set that the state leaves unbound ("g" and "h" never are). *)
+let prop_state_restrict =
+  let items_gen =
+    QCheck.Gen.(
+      map Item.Set.of_list
+        (list_size (int_range 0 8) (oneofl [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ])))
+  in
+  QCheck.Test.make ~count:2000 ~name:"State.restrict = filter of the bindings"
+    (QCheck.make
+       ~print:(fun (s, items) -> Format.asprintf "%a / %a" State.pp s Item.Set.pp items)
+       (QCheck.Gen.pair sparse_state_gen items_gen))
+    (fun (s, items) ->
+      State.to_list (State.restrict s items)
+      = List.filter (fun (x, _) -> Item.Set.mem x items) (State.to_list s))
+
 let test_fix_operations () =
   let f = Fix.of_list [ ("a", 1) ] in
   checkb "mem" true (Fix.mem f "a");
@@ -550,7 +567,7 @@ let () =
           Alcotest.test_case "rename and params" `Quick test_program_rename_and_params;
           Alcotest.test_case "read dedup" `Quick test_read_statement_recorded_once;
         ]
-        @ qsuite [ prop_state_diff ] );
+        @ qsuite [ prop_state_diff; prop_state_restrict ] );
       ( "compensation",
         [
           Alcotest.test_case "additive compensator" `Quick test_derive_additive_compensator;
