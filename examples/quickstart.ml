@@ -32,9 +32,10 @@ let example1 () =
   let affected = Affected.affected Paper.example1_tentative ~bad:b in
   Format.printf "affected by Tm3 (reads-from closure): %a@." Names.Set.pp affected;
   match Precedence.merge_order pg ~removed:(Names.Set.add "Tm4" b) with
-  | Some order ->
+  | Some (front, tail) ->
+    let name i = (Precedence.summary_of_node pg i).Summary.name in
     Format.printf "equivalent merged history: %s   (paper: Tb1 Tb2 Tm1 Tm2)@."
-      (String.concat " " order)
+      (String.concat " " (List.map name (front @ tail)))
   | None -> Format.printf "unexpected: reduced graph still cyclic@."
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,5 @@
 open Repro_history
 open Repro_precedence
-module Digraph = Repro_graph.Digraph
 module Paper = Repro_core.Paper
 
 type result = {
@@ -19,7 +18,7 @@ let run () =
       ~base:(Precedence.Index.of_summaries Paper.example1_base)
   in
   let name i = (Precedence.summary_of_node pg i).Summary.name in
-  let edges = List.map (fun (u, v) -> (name u, name v)) (Digraph.edges (Precedence.graph pg)) in
+  let edges = List.map (fun (u, v) -> (name u, name v)) (Precedence.edges pg) in
   let strategies =
     List.map
       (fun s ->
@@ -36,7 +35,7 @@ let run () =
     affected_of_tm3 = Names.Set.elements (Affected.affected Paper.example1_tentative ~bad);
     merged_history =
       (match Precedence.merge_order pg ~removed:(Names.Set.of_names [ "Tm3"; "Tm4" ]) with
-      | Some order -> order
+      | Some (front, tail) -> List.map name (front @ tail)
       | None -> []);
   }
 

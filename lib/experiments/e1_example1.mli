@@ -12,7 +12,9 @@ type result = {
   strategies : (string * string list) list;  (** strategy name -> B *)
   paper_b_feasible : bool;  (** backing out {Tm3} breaks all cycles *)
   affected_of_tm3 : string list;
-  merged_history : string list;  (** after removing Tm3 and Tm4 *)
+  merged_history : string list;
+      (** after removing Tm3 and Tm4: {!Repro_precedence.Precedence.merge_order},
+          the order the protocol commits *)
 }
 
 val run : unit -> result

@@ -58,54 +58,3 @@ let induced g keep =
     (fun u -> List.iter (fun v -> if g'.alive.(u) && g'.alive.(v) then add_edge g' u v) (successors g u))
     (nodes g);
   g'
-
-let transpose g =
-  let g' = create g.n in
-  Array.blit g.alive 0 g'.alive 0 g.n;
-  List.iter (fun (u, v) -> add_edge g' v u) (edges g);
-  g'
-
-let weakly_connected_components g =
-  (* Union-find with path halving + union by rank over live nodes. *)
-  let parent = Array.init g.n (fun i -> i) in
-  let rank = Array.make g.n 0 in
-  let rec find i =
-    let p = parent.(i) in
-    if p = i then i
-    else begin
-      parent.(i) <- parent.(p);
-      find parent.(i)
-    end
-  in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then
-      if rank.(ra) < rank.(rb) then parent.(ra) <- rb
-      else if rank.(ra) > rank.(rb) then parent.(rb) <- ra
-      else begin
-        parent.(rb) <- ra;
-        rank.(ra) <- rank.(ra) + 1
-      end
-  in
-  List.iter (fun u -> List.iter (fun v -> union u v) (successors g u)) (nodes g);
-  (* Group live nodes by root. Scanning in increasing order and recording
-     each root at first sight orders components by smallest member; members
-     accumulate reversed and are flipped at the end. *)
-  let groups = Hashtbl.create 16 in
-  let roots_rev = ref [] in
-  List.iter
-    (fun i ->
-      let r = find i in
-      match Hashtbl.find_opt groups r with
-      | None ->
-          Hashtbl.add groups r [ i ];
-          roots_rev := r :: !roots_rev
-      | Some members -> Hashtbl.replace groups r (i :: members))
-    (nodes g);
-  List.rev_map (fun r -> List.rev (Hashtbl.find groups r)) !roots_rev
-
-let pp ppf g =
-  let pp_edge ppf (u, v) = Format.fprintf ppf "%d->%d" u v in
-  Format.fprintf ppf "@[<h>nodes=%d edges=[%a]@]" (node_count g)
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ") pp_edge)
-    (edges g)

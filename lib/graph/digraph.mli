@@ -1,9 +1,10 @@
-(** Directed graphs over dense integer node identifiers [0 .. n-1].
+(** Directed graphs over dense integer node identifiers [0 .. n-1]: a
+    plain adjacency structure with O(1) edge tests.
 
-    The precedence-graph machinery only needs adjacency queries, node
-    removal (simulated by masks), SCC decomposition, topological sort and
-    bounded cycle enumeration, so the representation is a plain adjacency
-    structure with O(1) edge tests. *)
+    The library itself runs on {!Scc.components_of_arrays} and the
+    precedence graph's own arrays; this is the reference graph the test
+    oracles build and compare against (the pairwise scan, the reference
+    back-out and merge order). *)
 
 type t
 
@@ -40,17 +41,3 @@ val nodes : t -> int list
     holds (node identifiers are preserved; dropped nodes become
     isolated and are excluded from [nodes]). *)
 val induced : t -> (int -> bool) -> t
-
-(** [transpose g] reverses every edge. *)
-val transpose : t -> t
-
-(** Weakly connected components of the live nodes: edge direction is
-    ignored, so [u] and [v] share a component iff an undirected path
-    joins them. Each component lists its members in increasing order;
-    components are ordered by their smallest member, so the output is a
-    deterministic partition of {!nodes}. Isolated live nodes appear as
-    singleton components. Union-find, O((V + E) α(V)). *)
-val weakly_connected_components : t -> int list list
-
-(** Debug printer: one [u -> successors] line per non-isolated node. *)
-val pp : Format.formatter -> t -> unit

@@ -1,5 +1,4 @@
 open Repro_history
-module Digraph = Repro_graph.Digraph
 
 let render ?(removed = Names.Set.empty) pg =
   let buf = Buffer.create 1024 in
@@ -19,6 +18,6 @@ let render ?(removed = Names.Set.empty) pg =
     (fun (u, v) ->
       let name i = (Precedence.summary_of_node pg i).Summary.name in
       Buffer.add_string buf (Printf.sprintf "  %s -> %s;\n" (name u) (name v)))
-    (Digraph.edges (Precedence.graph pg));
+    (Precedence.edges pg);
   Buffer.add_string buf "}\n";
   Buffer.contents buf

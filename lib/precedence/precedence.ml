@@ -1,8 +1,6 @@
 open Repro_txn
 open Repro_history
-module Digraph = Repro_graph.Digraph
 module Scc = Repro_graph.Scc
-module Topo = Repro_graph.Topo
 module Obs = Repro_obs.Obs
 
 let obs_builds = Obs.Counter.make "precedence.builds"
@@ -286,7 +284,6 @@ type dense = {
   succ : int array array;  (* per node, in the full graph's edge order *)
   pred : int array array;
   summaries : Summary.t array;
-  index : (Names.t, int) Hashtbl.t Lazy.t;
   outside : int array;  (* per node: edges to full-graph nodes the cone left out *)
 }
 
@@ -297,13 +294,9 @@ type session = {
   from : int;  (* base node [m + k] is the index's position [from + k] *)
   version : int;
   tentative : Summary.t array;
-  tentative_index : (Names.t, int) Hashtbl.t;
   t_succ : int list array;  (* per tentative node, in edge order *)
   t_pred : int list array;
-  cross : (int * bool * bool) list array;
-      (* per tentative [i]: base partners [b] ascending, with [i -> b], [b -> i] *)
   cross_out : (int, int list) Hashtbl.t;  (* base node -> its tentative successors *)
-  mutable full : Digraph.t option;
 }
 
 type shape = Dense of dense | Session of session
@@ -333,10 +326,10 @@ let crossing tbl v = Option.value (Hashtbl.find_opt tbl v) ~default:[]
 let check_names c ~from (tentative : Summary.t array) =
   let seen = Hashtbl.create (max 16 (2 * Array.length tentative)) in
   let fail name = invalid_arg ("Precedence.build: duplicate transaction name " ^ name) in
-  Array.iteri
-    (fun i (s : Summary.t) ->
+  Array.iter
+    (fun (s : Summary.t) ->
       if Hashtbl.mem seen s.Summary.name then fail s.Summary.name;
-      Hashtbl.replace seen s.Summary.name i)
+      Hashtbl.replace seen s.Summary.name ())
     tentative;
   let first = ref max_int in
   let holders name =
@@ -352,8 +345,7 @@ let check_names c ~from (tentative : Summary.t array) =
   List.iter
     (fun name -> match holders name with _ :: p :: _ -> first := min !first p | _ -> ())
     c.dups;
-  if !first < max_int then fail (Lazy.force c.nodes.(!first).summary).Summary.name;
-  seen
+  if !first < max_int then fail (Lazy.force c.nodes.(!first).summary).Summary.name
 
 let build ~tentative ~(base : _ Index.t) =
   Obs.Span.with_ ~lane:Obs.Event.Base ~name:"precedence.build" @@ fun () ->
@@ -362,14 +354,15 @@ let build ~tentative ~(base : _ Index.t) =
   let tentative = Array.of_list tentative in
   let m = Array.length tentative in
   let n = m + c.len - from in
-  let tentative_index = check_names c ~from tentative in
+  check_names c ~from tentative;
   (* Intra-tentative edges, through a scratch index of the block. *)
   let block = new_items () in
   let tnodes = Array.mapi (fun i s -> make_node (Lazy.from_val s) ~slot:i ~pos:i) tentative in
   let intra = Array.fold_left (fun k nd -> k + enter block nd) 0 tnodes in
   (* Cross edges, through the window's item lists: a transaction that
      read an item the other history's transaction updated saw the common
-     original value, hence precedes. *)
+     original value, hence precedes. Per tentative [i]: its base partners
+     [b] ascending, with [i -> b] and [b -> i]. *)
   let cross_edges = ref 0 in
   let cross =
     Array.map
@@ -430,12 +423,9 @@ let build ~tentative ~(base : _ Index.t) =
       from;
       version = c.version;
       tentative;
-      tentative_index;
       t_succ;
       t_pred;
-      cross;
       cross_out;
-      full = None;
     }
   in
   { n; tentative_count = m; edges; shape = Session session; acyclic = ref None; cone = None }
@@ -457,22 +447,6 @@ let summary_of_node t v =
 
 let summaries t =
   match t.shape with Dense d -> d.summaries | Session _ -> Array.init t.n (summary_of_node t)
-
-let node_of t name =
-  match t.shape with
-  | Dense d -> (
-    match Hashtbl.find_opt (Lazy.force d.index) name with Some i -> i | None -> raise Not_found)
-  | Session s -> (
-    match Hashtbl.find_opt s.tentative_index name with
-    | Some i -> i
-    | None -> (
-      check_current s;
-      match Hashtbl.find_opt s.core.names name with
-      | None -> raise Not_found
-      | Some l -> (
-        match List.find_opt (fun nd -> nd.pos >= s.from) !l with
-        | Some nd -> id_of s nd
-        | None -> raise Not_found)))
 
 (* A base node's successors are its later partners, then the tentative
    nodes it reaches; a tentative node's are listed in [t_succ]. Both in
@@ -504,34 +478,8 @@ let iter_predecessors t s v f =
   if v < t.tentative_count then List.iter f s.t_pred.(v)
   else List.iter (fun nd -> if nd.pos >= s.from then f (id_of s nd)) (base_node s v).before
 
-(* The full graph, with edges added in the pairwise scan's order: the
-   tentative block, then the base block, then the cross pairs. A cone's
-   edges are added by source. *)
-let graph t =
-  match t.shape with
-  | Dense d ->
-    let g = Digraph.create t.n in
-    Array.iteri (fun u ws -> Array.iter (Digraph.add_edge g u) ws) d.succ;
-    g
-  | Session { full = Some g; _ } -> g
-  | Session s ->
-    let m = t.tentative_count in
-    let g = Digraph.create t.n in
-    for i = 0 to m - 1 do
-      List.iter (fun j -> if j < m then Digraph.add_edge g i j) s.t_succ.(i)
-    done;
-    for v = m to t.n - 1 do
-      List.iter (fun w -> if w >= m then Digraph.add_edge g v w) (successors t v)
-    done;
-    for i = 0 to m - 1 do
-      List.iter
-        (fun (b, out, into) ->
-          if out then Digraph.add_edge g i b;
-          if into then Digraph.add_edge g b i)
-        s.cross.(i)
-    done;
-    s.full <- Some g;
-    g
+let edges t =
+  List.concat_map (fun u -> List.map (fun v -> (u, v)) (successors t u)) (List.init t.n Fun.id)
 
 let outside_degree t i = match t.shape with Dense d -> d.outside.(i) | Session _ -> 0
 
@@ -652,18 +600,12 @@ let cone t =
     enter ~same_block:true;
     enter ~same_block:false;
     let summaries = Array.map (summary_of_node t) old in
-    let index =
-      lazy
-        (let h = Hashtbl.create k in
-         Array.iteri (fun i (s : Summary.t) -> Hashtbl.replace h s.Summary.name i) summaries;
-         h)
-    in
     let c =
       {
         n = k;
         tentative_count = m;
         edges = Array.fold_left ( + ) 0 in_degree;
-        shape = Dense { succ; pred; summaries; index; outside };
+        shape = Dense { succ; pred; summaries; outside };
         acyclic = t.acyclic;
         cone = None;
       }
@@ -693,14 +635,59 @@ let tentative_on_cycles t =
          if Summary.is_tentative s then Names.Set.add s.Summary.name acc else acc))
     Names.Set.empty (cyclic_components t)
 
-let reduced t ~removed =
-  Digraph.induced (graph t) (fun i ->
-      not (Names.Set.mem (summary_of_node t i).Summary.name removed))
+module Int_set = Set.Make (Int)
 
+(* Kahn's algorithm on the reduced graph under the priority "base before
+   tentative, then lower node id". A base node no kept tentative reaches
+   is never blocked, and no tentative goes before it, so all such nodes
+   come first, in base order; only the tail needs ordering. Every cycle
+   of the reduced graph passes through a kept tentative, hence lies in
+   the tail. *)
 let merge_order t ~removed =
-  Option.map
-    (List.map (fun i -> (summary_of_node t i).Summary.name))
-    (Topo.sort (reduced t ~removed))
+  let n = t.n and m = t.tentative_count in
+  let in_tail = Array.make n false and tail = ref [] in
+  (* Every kept tentative is a root, so following base successors only
+     reaches through kept tentatives and never through removed ones. *)
+  let rec visit v =
+    if not in_tail.(v) then begin
+      in_tail.(v) <- true;
+      tail := v :: !tail;
+      iter_successors t v (fun w -> if w >= m then visit w)
+    end
+  in
+  for i = 0 to m - 1 do
+    if not (Names.Set.mem (summary_of_node t i).Summary.name removed) then visit i
+  done;
+  let indegree = Array.make n 0 in
+  let iter_tail v f = iter_successors t v (fun w -> if in_tail.(w) then f w) in
+  List.iter (fun v -> iter_tail v (fun w -> indegree.(w) <- indegree.(w) + 1)) !tail;
+  (* Base keys [m, n) sort before tentative keys [n, n + m). *)
+  let key v = if v < m then n + v else v and node k = if k >= n then k - n else k in
+  let rec drain ready acc =
+    match Int_set.min_elt_opt ready with
+    | None -> List.rev acc
+    | Some k ->
+      let v = node k in
+      let ready = ref (Int_set.remove k ready) in
+      iter_tail v (fun w ->
+          indegree.(w) <- indegree.(w) - 1;
+          if indegree.(w) = 0 then ready := Int_set.add (key w) !ready);
+      drain !ready (v :: acc)
+  in
+  let ready =
+    List.fold_left
+      (fun ready v -> if indegree.(v) = 0 then Int_set.add (key v) ready else ready)
+      Int_set.empty !tail
+  in
+  let order = drain ready [] in
+  if List.compare_lengths order !tail <> 0 then None
+  else begin
+    let front = ref [] in
+    for v = n - 1 downto m do
+      if not in_tail.(v) then front := v :: !front
+    done;
+    Some (!front, order)
+  end
 
 let pp ppf t =
   let name i = (summary_of_node t i).Summary.name in
@@ -709,4 +696,4 @@ let pp ppf t =
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut Summary.pp)
     (Array.to_list (summaries t))
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ") pp_edge)
-    (Digraph.edges (graph t))
+    (edges t)

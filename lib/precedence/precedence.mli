@@ -111,33 +111,29 @@ val of_executions :
   base:Repro_history.History.execution ->
   t
 
-(** The full digraph; node [i] is [(summaries t).(i)]. Materialised on
-    first use, with edges entered in the order of the pairwise scan over
-    the tentative block, then the base block, then the cross pairs, so
-    every successor and predecessor list — which SCC and DOT rendering
-    read — is the scan's. On a {!cone}, a fresh copy of its arrays with
-    edges entered by source. Only DOT, the E1 table, {!reduced} and tests
-    use it; the merge path and back-out never do. *)
-val graph : t -> Repro_graph.Digraph.t
-
-(** Nodes and edges of the full graph, without materialising it. *)
+(** Nodes and edges of the graph. *)
 val node_count : t -> int
 
 val edge_count : t -> int
 
-(** [successors t v] — as [Digraph.successors (graph t) v], read from the
+(** [successors t v] — node [v]'s successors in the order the pairwise
+    scan over the tentative block, then the base block, then the cross
+    pairs enters their edges: a node's successors in its own block
+    ascending, then those in the other block ascending. Read from the
     index. *)
 val successors : t -> int -> int list
 
+(** [edges t] — every edge [(u, v)]: sources in increasing order, each
+    source's successors as {!successors} lists them. DOT, the E1 table
+    and {!pp} read it. *)
+val edges : t -> (int * int) list
+
 (** All transaction summaries, tentative block first then base block,
-    each in history order — the node numbering of {!graph}. *)
+    each in history order — the node numbering of {!successors} and
+    {!edges}. *)
 val summaries : t -> Summary.t array
 
-(** Node identifier of a transaction name.
-    @raise Not_found for unknown names. *)
-val node_of : t -> Repro_history.Names.t -> int
-
-(** Summary of a node identifier (inverse of {!node_of}). *)
+(** Summary of a node identifier. *)
 val summary_of_node : t -> int -> Summary.t
 
 (** Nodes [0 .. tentative_count t - 1] are the tentative block, the
@@ -191,15 +187,17 @@ val outside_degree : t -> int -> int
     from {!cyclic_components}). *)
 val tentative_on_cycles : t -> Repro_history.Names.Set.t
 
-(** [reduced t ~removed] — the graph induced by dropping the named
-    transactions (used to check that a candidate B breaks all cycles). *)
-val reduced : t -> removed:Repro_history.Names.Set.t -> Repro_graph.Digraph.t
-
-(** [merge_order t ~removed] — a serial order (names) of the remaining
-    transactions compatible with the reduced graph, or [None] if still
-    cyclic. Conflicting pairs within each history keep their original
-    relative order. *)
-val merge_order : t -> removed:Repro_history.Names.Set.t -> Repro_history.Names.t list option
+(** [merge_order t ~removed] — the serial order the merge commits, with
+    the tentative transactions named in [removed] backed out: Kahn's
+    algorithm on the reduced graph under the priority "base before
+    tentative, then lower node id", which disturbs the base history as
+    little as possible. [Some (front, tail)]: [front] is the base nodes
+    no kept tentative reaches, in base order — under that priority
+    nothing goes before them — and [tail] the kept tentatives and the
+    base nodes they reach, in Kahn order. The order is [front @ tail].
+    [None] while the reduced graph is still cyclic. Only the tail is
+    ordered: O(tail log tail) plus O(n) for the front. *)
+val merge_order : t -> removed:Repro_history.Names.Set.t -> (int list * int list) option
 
 (** Debug printer: nodes with their kinds, then edges by name. *)
 val pp : Format.formatter -> t -> unit

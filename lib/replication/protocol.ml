@@ -241,68 +241,21 @@ type plan = {
   pl_backed_out_programs : Program.t list;
 }
 
-module Int_set = Set.Make (Int)
-
-(* The merged serial order is Kahn's algorithm on the reduced graph (the
-   backed-out transactions dropped) under the priority "base before
-   tentative, then lower node id", which disturbs the base history as
-   little as possible. Under that priority a base node no saved tentative
-   reaches is never blocked, and no tentative goes before it: all such
-   nodes come first, in base order. Only the tail — the saved tentatives
-   and the base nodes they reach — needs ordering. Returns the tail's
-   nodes in merged order, and its membership. *)
-let merge_tail pg ~saved =
-  let n = Precedence.node_count pg and m = Precedence.tentative_count pg in
-  let in_tail = Array.make n false and tail = ref [] and successors = Array.make n [] in
-  (* Every saved tentative is a root, so following base successors only
-     reaches through saved tentatives and never through backed-out ones. *)
-  let rec visit v =
-    if not in_tail.(v) then begin
-      in_tail.(v) <- true;
-      tail := v :: !tail;
-      successors.(v) <- Precedence.successors pg v;
-      List.iter (fun w -> if w >= m then visit w) successors.(v)
-    end
-  in
-  Names.Set.iter (fun name -> visit (Precedence.node_of pg name)) saved;
-  List.iter (fun v -> successors.(v) <- List.filter (fun w -> in_tail.(w)) successors.(v)) !tail;
-  let indegree = Array.make n 0 in
-  List.iter (fun v -> List.iter (fun w -> indegree.(w) <- indegree.(w) + 1) successors.(v)) !tail;
-  (* Base keys [m, n) sort before tentative keys [n, n + m). *)
-  let key v = if v < m then n + v else v and node k = if k >= n then k - n else k in
-  let rec drain ready acc =
-    match Int_set.min_elt_opt ready with
-    | None -> List.rev acc
-    | Some k ->
-      let v = node k in
-      let ready =
-        List.fold_left
-          (fun ready w ->
-            indegree.(w) <- indegree.(w) - 1;
-            if indegree.(w) = 0 then Int_set.add (key w) ready else ready)
-          (Int_set.remove k ready) successors.(v)
-      in
-      drain ready (v :: acc)
-  in
-  let ready =
-    List.fold_left
-      (fun ready v -> if indegree.(v) = 0 then Int_set.add (key v) ready else ready)
-      Int_set.empty !tail
-  in
-  let order = drain ready [] in
-  if List.compare_lengths order !tail <> 0 then invalid_arg "merge order: graph is cyclic";
-  (order, in_tail)
-
 let plan_commit ~graph:g ~rewrite:r ~base_history ~tentative =
   let rw = r.rp_rewrite in
   (* New logical history: merged serial order over base ∪ repaired. *)
   let pg = g.gp_pg in
   let m = Precedence.tentative_count pg in
-  let order, in_tail = merge_tail pg ~saved:rw.Rewrite.saved in
+  let front, order =
+    match Precedence.merge_order pg ~removed:r.rp_backed_out with
+    | Some orders -> orders
+    | None -> invalid_arg "merge order: graph is cyclic"
+  in
+  let base_txn v = Precedence.Index.get base_history (v - m) in
   let tail =
     List.map
       (fun v ->
-        if v >= m then Precedence.Index.get base_history (v - m)
+        if v >= m then base_txn v
         else
           let name = (Precedence.summary_of_node pg v).Summary.name in
           {
@@ -311,9 +264,7 @@ let plan_commit ~graph:g ~rewrite:r ~base_history ~tentative =
           })
       order
   in
-  let merged_core =
-    List.filteri (fun k _ -> not in_tail.(m + k)) (Precedence.Index.to_list base_history) @ tail
-  in
+  let merged_core = List.map base_txn front @ tail in
   (* Step 5: forward final values of the repaired history's writes — but
      only for items whose last writer in the merged serial order is
      tentative. A base transaction's blind write may legitimately follow a

@@ -163,8 +163,9 @@ val rewrite_local :
 (** Base side, step 5 planning (pure): merged serial order, the
     last-writer-filtered forwarded item set, and the backed-out programs
     to re-execute. [base_history] is the one [graph] was analysed
-    against. The base transactions no saved tentative reaches keep their
-    order at the front; only the rest is ordered through the graph. *)
+    against. The order is {!Repro_precedence.Precedence.merge_order}'s:
+    the base transactions no saved tentative reaches keep their order at
+    the front; only the rest is ordered through the graph. *)
 type plan = {
   pl_merged_core : base_txn list;
   pl_forwarded_items : Repro_txn.Item.Set.t;

@@ -1,5 +1,4 @@
 open Repro_txn
-module Digraph = Repro_graph.Digraph
 
 type component = {
   members : int list;  (* event indices into the window, ascending *)
@@ -34,21 +33,49 @@ let conflicted events groups =
       if s >= 2 then acc + s else acc)
     0 groups
 
+(* Union-find over the events [0, n): [iter_keys i meet] calls [meet] on
+   each of event [i]'s keys, and events sharing a key are grouped. A
+   union keeps the smaller root, so every root is its group's smallest
+   member and scanning events in order lists the groups by smallest
+   member, members ascending. *)
+let group n iter_keys =
+  let parent = Array.init n Fun.id in
+  let rec find i =
+    let p = parent.(i) in
+    if p = i then i
+    else begin
+      parent.(i) <- parent.(p);
+      find parent.(i)
+    end
+  in
+  let holder = Hashtbl.create 64 in
+  for i = 0 to n - 1 do
+    iter_keys i (fun key ->
+        match Hashtbl.find_opt holder key with
+        | None -> Hashtbl.add holder key i
+        | Some j ->
+            let a = find j and b = find i in
+            if a < b then parent.(b) <- a else if b < a then parent.(a) <- b)
+  done;
+  let members = Array.make n [] in
+  for i = n - 1 downto 0 do
+    let r = find i in
+    members.(r) <- i :: members.(r)
+  done;
+  List.filter (( <> ) []) (Array.to_list members)
+
 (* Decompose one window's admission queue into independent components.
 
-   Level 1 (shards): chain consecutive events per shard; weakly connected
-   components of that graph group every pair of events whose footprints
-   could collide at shard granularity. This is the dispatcher's fast
-   path — and the source of the shard-conflict-rate metric (how much
-   shard-granular false sharing costs).
+   Items: events sharing an item that someone in the window statically
+   writes are grouped. Two events sharing only reads of an item nobody
+   writes this window cannot affect each other (the item keeps its
+   window-origin value for everyone), so such items link nothing. This is
+   the partition dispatched; correctness argument: docs/SERVICE.md.
 
-   Level 2 (items): chain consecutive events per *written* item. Two
-   events sharing only reads of an item nobody writes this window cannot
-   affect each other (the item keeps its window-origin value for
-   everyone), so those chains are skipped. Item-level edges are a subset
-   of shard-level edges (same item ⇒ same shard), hence the item
-   partition refines the shard partition; it is the one actually
-   dispatched. Correctness argument: docs/SERVICE.md. *)
+   Shards: events sharing a shard of their footprints are grouped. Same
+   item implies same shard, so the item partition refines this one; it
+   is a measurement only, feeding [shard_conflicted_sessions] (what
+   shard-granular dispatch would lose to false sharing). *)
 let components ~smap (events : Admission.wevent array) =
   let n = Array.length events in
   let n_shards = Smap.shards smap in
@@ -65,38 +92,15 @@ let components ~smap (events : Admission.wevent array) =
     (* Each event's item and shard footprints, computed once. *)
     let footprints = Array.map Admission.footprint events in
     let shard_footprints = Array.map (Smap.footprint smap) footprints in
-    (* Level 1: shard-granular grouping. *)
-    let shard_graph = Digraph.create n in
-    let last_in_shard = Array.make (Smap.shards smap) (-1) in
-    Array.iteri
-      (fun i shards ->
-        List.iter
-          (fun s ->
-            if last_in_shard.(s) >= 0 then Digraph.add_edge shard_graph last_in_shard.(s) i;
-            last_in_shard.(s) <- i)
-          shards)
-      shard_footprints;
-    let shard_groups = Digraph.weakly_connected_components shard_graph in
-    (* Level 2: item-granular refinement. *)
+    let shard_groups = group n (fun i meet -> List.iter meet shard_footprints.(i)) in
     let written = Hashtbl.create 64 in
     Array.iter
       (fun ev -> Item.Set.iter (fun x -> Hashtbl.replace written x ()) (Admission.write_set ev))
       events;
-    let item_graph = Digraph.create n in
-    let last_on_item : (Item.t, int) Hashtbl.t = Hashtbl.create 256 in
-    Array.iteri
-      (fun i footprint ->
-        Item.Set.iter
-          (fun x ->
-            if Hashtbl.mem written x then begin
-              (match Hashtbl.find_opt last_on_item x with
-              | Some j -> Digraph.add_edge item_graph j i
-              | None -> ());
-              Hashtbl.replace last_on_item x i
-            end)
-          footprint)
-      footprints;
-    let item_groups = Digraph.weakly_connected_components item_graph in
+    let item_groups =
+      group n (fun i meet ->
+          Item.Set.iter (fun x -> if Hashtbl.mem written x then meet x) footprints.(i))
+    in
     let comps =
       List.map
         (fun members ->

@@ -11,10 +11,12 @@
     docs/SERVICE.md).
 
     A shard-granular grouping (footprints coarsened to shard sets via
-    {!Smap}) is computed first: it is the cheap dispatch filter, and the
-    gap between shard-level and item-level conflict counts is the
-    shard-conflict-rate metric — what shard-granular false sharing would
-    cost if dispatch stopped at level 1. *)
+    {!Smap}) is computed over every event too, but only as a
+    measurement: it feeds [shard_conflicted_sessions] and the per-shard
+    arrays, and the gap between shard-level and item-level conflict
+    counts is the shard-conflict-rate metric — what shard-granular false
+    sharing would cost. Only the item-level components are dispatched.
+    Both levels are grouped by one union-find over the events. *)
 
 open Repro_txn
 

@@ -33,8 +33,6 @@ let map_w ~domains f n =
     work 0;
     List.iter Domain.join spawned;
     Array.map
-      (function Some r -> r | None -> invalid_arg "Pool.map: missing result")
+      (function Some r -> r | None -> invalid_arg "Pool.map_w: missing result")
       results
   end
-
-let map ~domains f n = map_w ~domains (fun ~worker:_ i -> f i) n

@@ -188,19 +188,10 @@ let run_component ~(sync : Sync.config) ~(origins : State.t array) ~window_index
   (* Per-component ground-truth serializability check, the component
      slice of Sync's window check: the component's logical history must
      replay from the window origin to the scratch engine's state. Both
-     sides start at [origin] and only write inside the component's static
-     write footprint, so comparing on that footprint is the full
-     equality — and keeps the check O(footprint), not O(state). *)
-  let written =
-    List.fold_left
-      (fun acc idx ->
-        match events.(idx) with
-        | Admission.Base { program; _ } -> Item.Set.union acc (Program.writeset program)
-        | Admission.Session s -> Item.Set.union acc s.Admission.writes)
-      Item.Set.empty members
-  in
+     are projections onto the component's footprint, so whole-state
+     equality is O(footprint). *)
   let replayed = Protocol.replay origin (Window.history window) in
-  let violation = not (State.equal_on written replayed (Engine.state engine)) in
+  let violation = not (State.equal replayed (Engine.state engine)) in
   let busy = Unix.gettimeofday () -. t_start in
   {
     r_counts = Window.counts window;

@@ -6,8 +6,9 @@
     + {!Admission.windows} materializes per-window admission queues
       (sessions + base transactions, deterministic seeded order);
     + {!Dispatch.components} splits each window into independent
-      connected components of the conflict graph (shard-level filter,
-      item-level refinement);
+      components: events sharing an item someone in the window writes
+      are grouped (the shard-level grouping it also computes is a
+      measurement, not a filter);
     + a {!Pool} of OCaml 5 domains executes each component as a serial
       sub-simulation against a scratch engine seeded with the window
       origin restricted to the component's footprint

@@ -5,9 +5,11 @@
     [Hashtbl.hash]'s unspecified contract) or by rank ranges over a
     sorted item universe (contiguous blocks, preserving locality of
     lexicographically clustered item names such as per-mobile home
-    regions). The dispatcher uses shard footprints as a coarse conflict
-    filter: sessions whose footprints touch disjoint shard sets can
-    never conflict on an item. *)
+    regions). {!Dispatch.components} groups a window's events by shared
+    shards as a measurement only: it reports the sessions a
+    shard-granular dispatcher would serialize ([shard_conflicted_sessions]
+    and the per-shard arrays), while what it dispatches is grouped by
+    item. *)
 
 open Repro_txn
 

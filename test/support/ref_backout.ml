@@ -1,7 +1,7 @@
 (* Back-out as it ran on [Digraph] copies of the precedence graph, before
    the strategies moved to the cone's arrays: every greedy round and the
    feasibility check induce a reduced graph and run a hashtable Tarjan on
-   it. Run on [Precedence.graph pg], it is the oracle that
+   it. Run on [Scan.graph pg], it is the oracle that
    [Backout.compute] must agree with, strategy by strategy. *)
 
 open Repro_history
@@ -72,12 +72,12 @@ let name_of pg i = (Precedence.summary_of_node pg i).Summary.name
 
 (* The components of the full graph that hold a cycle, in Tarjan's order. *)
 let cyclic_components pg =
-  let g = Precedence.graph pg in
+  let g = Scan.graph pg in
   List.filter
     (fun comp -> match comp with [ v ] -> Digraph.mem_edge g v v | _ -> true)
     (Tarjan.components g)
 
-let breaks_all_cycles pg names = Tarjan.is_acyclic (Precedence.reduced pg ~removed:names)
+let breaks_all_cycles pg names = Tarjan.is_acyclic (Scan.reduced pg ~removed:names)
 
 let tentative_on_cycles pg =
   List.fold_left
@@ -85,14 +85,14 @@ let tentative_on_cycles pg =
       let s = Precedence.summary_of_node pg i in
       if Summary.is_tentative s then Names.Set.add s.Summary.name acc else acc)
     Names.Set.empty
-    (Tarjan.nodes_on_cycles (Precedence.graph pg))
+    (Tarjan.nodes_on_cycles (Scan.graph pg))
 
 (* Remove the tentative node of largest (in+out) degree in the reduced
    graph, earliest on ties, until no cycle is left. *)
 let greedy pg ~already_removed =
   let removed = ref already_removed in
   let rec loop () =
-    let g = Precedence.reduced pg ~removed:!removed in
+    let g = Scan.reduced pg ~removed:!removed in
     match Tarjan.nodes_on_cycles g with
     | [] -> ()
     | cyclic ->
@@ -130,7 +130,7 @@ let greedy_damage pg =
   let damage bad = Names.Set.cardinal (Affected.closure tentative_summaries ~bad) in
   let removed = ref Names.Set.empty in
   let rec loop () =
-    let g = Precedence.reduced pg ~removed:!removed in
+    let g = Scan.reduced pg ~removed:!removed in
     match Tarjan.nodes_on_cycles g with
     | [] -> ()
     | cyclic ->
@@ -159,7 +159,7 @@ let greedy_damage pg =
   !removed
 
 let two_cycle_then_greedy pg =
-  let g = Precedence.graph pg in
+  let g = Scan.graph pg in
   let forced =
     List.fold_left
       (fun acc (u, v) ->
@@ -183,7 +183,7 @@ module Core = struct
   }
 
   let of_pg pg =
-    let g = Precedence.graph pg in
+    let g = Scan.graph pg in
     let cyclic_comps = cyclic_components pg in
     let n = List.fold_left (fun acc c -> acc + List.length c) 0 cyclic_comps in
     let node = Array.make n 0 in

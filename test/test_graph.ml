@@ -1,10 +1,16 @@
-(* Tests for the digraph substrate: adjacency, SCC, cycle queries,
-   topological sorting. *)
+(* Tests for the graph substrate: the reference digraph the test oracles
+   build, the array Tarjan the merge path runs, and the weak components
+   the window dispatcher's union-find finds. *)
 
 module Digraph = Repro_graph.Digraph
 module Scc = Repro_graph.Scc
-module Topo = Repro_graph.Topo
 module Ref_tarjan = Test_support.Ref_backout.Tarjan
+module Admission = Repro_service.Admission
+module Dispatch = Repro_service.Dispatch
+module Smap = Repro_service.Smap
+module Program = Repro_txn.Program
+module Stmt = Repro_txn.Stmt
+module Expr = Repro_txn.Expr
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -23,6 +29,9 @@ let chain n =
     Digraph.add_edge g i (i + 1)
   done;
   g
+
+(* The arrays [Scc.components_of_arrays] reads, over nodes [0, n). *)
+let succ_of n g = Array.init n (fun v -> Array.of_list (Digraph.successors g v))
 
 let test_add_and_query () =
   let g = Digraph.create 4 in
@@ -47,23 +56,20 @@ let test_induced () =
   let g' = Digraph.induced g (fun i -> i <> 2) in
   checki "induced nodes" 3 (Digraph.node_count g');
   checki "induced edges" 2 (Digraph.edge_count g');
-  checkb "acyclic after cut" true (Scc.is_acyclic g');
+  checkb "acyclic after cut" true
+    (List.for_all
+       (function [ v ] -> not (Digraph.mem_edge g' v v) | _ -> false)
+       (Scc.components_of_arrays ~skip:(Array.init 4 (fun i -> i = 2)) (succ_of 4 g')));
   (* the original is untouched *)
   checki "original intact" 4 (Digraph.edge_count g)
 
-let test_transpose () =
-  let g = chain 3 in
-  let t = Digraph.transpose g in
-  checkb "reversed edge" true (Digraph.mem_edge t 1 0);
-  checkb "no forward edge" false (Digraph.mem_edge t 0 1)
-
 let test_scc_ring () =
-  let comps = Scc.components (ring 5) in
+  let comps = Scc.components_of_arrays (succ_of 5 (ring 5)) in
   checki "one component" 1 (List.length comps);
   checki "of size five" 5 (List.length (List.hd comps))
 
 let test_scc_chain () =
-  let comps = Scc.components (chain 5) in
+  let comps = Scc.components_of_arrays (succ_of 5 (chain 5)) in
   checki "five singleton components" 5 (List.length comps)
 
 let test_scc_two_rings_bridged () =
@@ -72,51 +78,28 @@ let test_scc_two_rings_bridged () =
   List.iter
     (fun (u, v) -> Digraph.add_edge g u v)
     [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3); (2, 3) ];
-  let comps = Scc.components g in
-  checki "two components" 2 (List.length comps);
-  checki "six cyclic nodes" 6 (List.length (Scc.nodes_on_cycles g))
+  (* The condensation's topological order, members root first. *)
+  Alcotest.(check (list (list int)))
+    "two components" [ [ 0; 1; 2 ]; [ 3; 4; 5 ] ]
+    (Scc.components_of_arrays (succ_of 6 g))
 
-let test_self_loop_is_cycle () =
-  let g = Digraph.create 3 in
-  Digraph.add_edge g 1 1;
-  checkb "not acyclic" false (Scc.is_acyclic g);
-  check_il "node 1 on a cycle" [ 1 ] (Scc.nodes_on_cycles g);
-  checkb "no topo order" true (Topo.sort g = None)
-
-let test_two_cycles () =
-  let g = Digraph.create 4 in
-  List.iter (fun (u, v) -> Digraph.add_edge g u v) [ (0, 1); (1, 0); (2, 3); (3, 2); (0, 2) ];
-  Alcotest.check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "both two-cycles found" [ (0, 1); (2, 3) ]
-    (List.sort compare (Scc.two_cycles g))
-
-let test_cycle_enumeration () =
-  let g = Digraph.create 3 in
-  List.iter (fun (u, v) -> Digraph.add_edge g u v) [ (0, 1); (1, 0); (1, 2); (2, 1); (2, 0); (0, 2) ];
-  (* Elementary cycles: three 2-cycles and two 3-cycles. *)
-  checki "five elementary cycles" 5 (List.length (Scc.cycles g))
-
-let test_cycle_limit () =
-  let g = ring 6 in
-  checki "limit respected" 1 (List.length (Scc.cycles ~limit:1 g))
-
-let test_topo_chain () =
-  check_il "chain order" [ 0; 1; 2; 3; 4 ] (Topo.sort_exn (chain 5))
-
-let test_topo_deterministic_tie_break () =
-  let g = Digraph.create 4 in
-  Digraph.add_edge g 2 3;
-  Digraph.add_edge g 0 3;
-  check_il "smallest-first" [ 0; 1; 2; 3 ] (Topo.sort_exn g)
-
-let test_topo_cyclic_none () =
-  checkb "cyclic graph has no order" true (Topo.sort (ring 3) = None)
-
-let test_topo_respects_masks () =
-  let g = ring 4 in
-  let g' = Digraph.induced g (fun i -> i <> 0) in
-  check_il "order of remaining" [ 1; 2; 3 ] (Topo.sort_exn g')
+(* The weak components of [g]'s live nodes, as [Dispatch.components]
+   finds them: each live node is a base event, and an edge [u -> v] is an
+   item [u] writes and [v] reads, so two events share a written item
+   exactly when an edge joins their nodes. *)
+let weak_components g =
+  let nodes = Array.of_list (Digraph.nodes g) in
+  let item u v = Printf.sprintf "e%d.%d" u v in
+  let event v =
+    let program =
+      Program.make ~name:(Printf.sprintf "T%d" v)
+        (List.map (fun u -> Stmt.Read (item u v)) (Digraph.predecessors g v)
+        @ List.map (fun w -> Stmt.Update (item v w, Expr.Const 1)) (Digraph.successors g v))
+    in
+    Admission.Base { at = float_of_int v; program }
+  in
+  let comps, _ = Dispatch.components ~smap:(Smap.make ~shards:1 Smap.Hash) (Array.map event nodes) in
+  List.map (fun c -> List.map (fun i -> nodes.(i)) c.Dispatch.members) comps
 
 let test_weak_components () =
   let g = Digraph.create 6 in
@@ -126,13 +109,11 @@ let test_weak_components () =
   Digraph.add_edge g 3 4;
   Digraph.add_edge g 4 3;
   Alcotest.(check (list (list int)))
-    "components by smallest member" [ [ 0; 1; 2 ]; [ 3; 4 ]; [ 5 ] ]
-    (Digraph.weakly_connected_components g);
+    "components by smallest member" [ [ 0; 1; 2 ]; [ 3; 4 ]; [ 5 ] ] (weak_components g);
   (* masked nodes drop out *)
   let g' = Digraph.induced g (fun i -> i <> 1) in
   Alcotest.(check (list (list int)))
-    "induced" [ [ 0 ]; [ 2 ]; [ 3; 4 ]; [ 5 ] ]
-    (Digraph.weakly_connected_components g')
+    "induced" [ [ 0 ]; [ 2 ]; [ 3; 4 ]; [ 5 ] ] (weak_components g')
 
 (* Random-graph properties *)
 
@@ -148,8 +129,7 @@ let graph_of_edges edges =
 
 let prop_scc_partition =
   QCheck.Test.make ~count:300 ~name:"SCCs partition the nodes" gen_graph (fun edges ->
-      let g = graph_of_edges edges in
-      let comps = Scc.components g in
+      let comps = Scc.components_of_arrays (succ_of 10 (graph_of_edges edges)) in
       let all = List.concat comps in
       List.length all = 10 && List.sort compare all = List.init 10 Fun.id)
 
@@ -162,9 +142,8 @@ let prop_tarjan_matches_reference =
     QCheck.(pair gen_graph (array_of_size (Gen.return 10) bool))
     (fun (edges, skip) ->
       let g = graph_of_edges edges in
-      let succ = Array.init 10 (fun v -> Array.of_list (Digraph.successors g v)) in
+      let succ = succ_of 10 g in
       Scc.components_of_arrays succ = Ref_tarjan.components g
-      && Scc.components g = Ref_tarjan.components g
       && Scc.components_of_arrays ~skip succ
          = Ref_tarjan.components (Digraph.induced g (fun v -> not skip.(v))))
 
@@ -172,7 +151,7 @@ let prop_wcc_partition =
   QCheck.Test.make ~count:300 ~name:"weak components partition nodes; no edge crosses" gen_graph
     (fun edges ->
       let g = graph_of_edges edges in
-      let comps = Digraph.weakly_connected_components g in
+      let comps = weak_components g in
       let all = List.concat comps in
       (* A partition of the node set, each component ascending,
          components ordered by smallest member. *)
@@ -210,47 +189,7 @@ let prop_wcc_connected =
             in
             bfs [ root ];
             List.for_all (Hashtbl.mem visited) comp)
-        (Digraph.weakly_connected_components g))
-
-let prop_topo_respects_edges =
-  QCheck.Test.make ~count:300 ~name:"topological order respects every edge" gen_graph
-    (fun edges ->
-      let g = graph_of_edges edges in
-      match Topo.sort g with
-      | None -> not (Scc.is_acyclic g)
-      | Some order ->
-        Scc.is_acyclic g
-        && List.for_all
-             (fun (u, v) ->
-               let pos x =
-                 let rec go i = function
-                   | [] -> -1
-                   | y :: rest -> if x = y then i else go (i + 1) rest
-                 in
-                 go 0 order
-               in
-               u = v || pos u < pos v)
-             (Digraph.edges g))
-
-let prop_cycles_are_cycles =
-  QCheck.Test.make ~count:200 ~name:"enumerated cycles are genuine elementary cycles" gen_graph
-    (fun edges ->
-      let g = graph_of_edges edges in
-      List.for_all
-        (fun cycle ->
-          match cycle with
-          | [] -> false
-          | first :: _ ->
-            let distinct = List.sort_uniq compare cycle in
-            List.length distinct = List.length cycle
-            &&
-            let rec walk = function
-              | [ last ] -> Digraph.mem_edge g last first
-              | u :: (v :: _ as rest) -> Digraph.mem_edge g u v && walk rest
-              | [] -> false
-            in
-            walk cycle)
-        (Scc.cycles ~limit:500 g))
+        (weak_components g))
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -262,7 +201,6 @@ let () =
           Alcotest.test_case "add and query" `Quick test_add_and_query;
           Alcotest.test_case "range check" `Quick test_out_of_range_rejected;
           Alcotest.test_case "induced subgraph" `Quick test_induced;
-          Alcotest.test_case "transpose" `Quick test_transpose;
           Alcotest.test_case "weak components" `Quick test_weak_components;
         ]
         @ qsuite [ prop_wcc_partition; prop_wcc_connected ] );
@@ -271,18 +209,6 @@ let () =
           Alcotest.test_case "ring" `Quick test_scc_ring;
           Alcotest.test_case "chain" `Quick test_scc_chain;
           Alcotest.test_case "two rings bridged" `Quick test_scc_two_rings_bridged;
-          Alcotest.test_case "self-loop" `Quick test_self_loop_is_cycle;
-          Alcotest.test_case "two-cycles" `Quick test_two_cycles;
-          Alcotest.test_case "cycle enumeration" `Quick test_cycle_enumeration;
-          Alcotest.test_case "cycle limit" `Quick test_cycle_limit;
         ]
-        @ qsuite [ prop_scc_partition; prop_cycles_are_cycles; prop_tarjan_matches_reference ] );
-      ( "topo",
-        [
-          Alcotest.test_case "chain" `Quick test_topo_chain;
-          Alcotest.test_case "deterministic ties" `Quick test_topo_deterministic_tie_break;
-          Alcotest.test_case "cyclic has none" `Quick test_topo_cyclic_none;
-          Alcotest.test_case "masks" `Quick test_topo_respects_masks;
-        ]
-        @ qsuite [ prop_topo_respects_edges ] );
+        @ qsuite [ prop_scc_partition; prop_tarjan_matches_reference ] );
     ]

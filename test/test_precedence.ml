@@ -25,7 +25,8 @@ let example1 () = build ~tentative:Ex.example1_tentative ~base:Ex.example1_base
 
 let test_example1_edges () =
   let pg = example1 () in
-  let edge a b = Digraph.mem_edge (Precedence.graph pg) (Precedence.node_of pg a) (Precedence.node_of pg b) in
+  let name v = (Precedence.summary_of_node pg v).Summary.name in
+  let edge a b = List.mem (a, b) (List.map (fun (u, v) -> (name u, name v)) (Precedence.edges pg)) in
   (* Intra-tentative conflict edges. *)
   checkb "Tm1->Tm2 (d2)" true (edge "Tm1" "Tm2");
   checkb "Tm2->Tm3 (d4,d6)" true (edge "Tm2" "Tm3");
@@ -88,9 +89,10 @@ let test_example1_merge_order () =
      is H = Tb1 Tb2 Tm1 Tm2. *)
   match Precedence.merge_order pg ~removed:(names_of [ "Tm3"; "Tm4" ]) with
   | None -> Alcotest.fail "expected an acyclic reduced graph"
-  | Some order ->
+  | Some (front, tail) ->
+    let name v = (Precedence.summary_of_node pg v).Summary.name in
     Alcotest.check (Alcotest.list Alcotest.string) "paper's merged history"
-      [ "Tb1"; "Tb2"; "Tm1"; "Tm2" ] order
+      [ "Tb1"; "Tb2"; "Tm1"; "Tm2" ] (List.map name (front @ tail))
 
 let test_dot_export () =
   let pg = example1 () in
@@ -263,12 +265,13 @@ let prop_merge_order_execution_matches_forwarding =
       QCheck.assume (Precedence.is_acyclic pg);
       match Precedence.merge_order pg ~removed:Names.Set.empty with
       | None -> false
-      | Some order ->
-        let program_of name =
+      | Some (front, tail) ->
+        let program_of v =
+          let name = (Precedence.summary_of_node pg v).Summary.name in
           (History.find (if History.mem hm name then hm else hb) name).History.program
         in
         let merged_final =
-          List.fold_left (fun s name -> Interp.apply s (program_of name)) s0 order
+          List.fold_left (fun s v -> Interp.apply s (program_of v)) s0 (front @ tail)
         in
         let dyn_writes exec =
           List.fold_left
@@ -375,7 +378,9 @@ let prop_build_equals_scan =
      successor and predecessor order. *)
   QCheck.Test.make ~count:500 ~name:"indexed build = pairwise scan" arbitrary_oracle_case
     (fun (tentative, base) ->
-      Scan.agrees (Precedence.graph (build ~tentative ~base)) ~tentative ~base)
+      let pg = build ~tentative ~base in
+      Scan.agrees (Scan.graph pg) ~tentative ~base
+      && Precedence.edges pg = Digraph.edges (Scan.pairwise ~tentative ~base))
 
 (* [Summary.conflicts] against the formula it replaced, which built the
    union of one side's item sets on every call. *)
@@ -446,7 +451,7 @@ let hot_case_gen =
    too, since the exact solvers number their core by them — and every
    strategy's B. *)
 let cone_agrees pg =
-  let g = Precedence.graph pg in
+  let g = Scan.graph pg in
   let named pg = List.map (List.map (fun v -> (Precedence.summary_of_node pg v).Summary.name)) in
   Precedence.is_acyclic pg = Ref.Tarjan.is_acyclic g
   && Names.Set.equal (Precedence.tentative_on_cycles pg) (Ref.tentative_on_cycles pg)

@@ -200,7 +200,7 @@ let prop_merge_state_replay =
    emitted in their original order whenever available, tentative ones only
    when an edge forces them earlier (or at the end). *)
 let stable_merge_order pg ~removed =
-  let g = Precedence.reduced pg ~removed in
+  let g = Test_support.Scan.reduced pg ~removed in
   let nodes = Digraph.nodes g in
   let indegree = Hashtbl.create 64 in
   List.iter (fun v -> Hashtbl.replace indegree v (List.length (Digraph.predecessors g v))) nodes;
@@ -436,7 +436,7 @@ let same_graph a b =
    tentative nodes over the materialised digraph, renumbered in order,
    with successor and predecessor arrays in the full graph's order. *)
 let cone_matches_full pg =
-  let g = Precedence.graph pg and n = Precedence.node_count pg in
+  let g = Test_support.Scan.graph pg and n = Precedence.node_count pg in
   let reach next =
     let seen = Array.make n false in
     let rec visit v =
@@ -490,6 +490,7 @@ let prop_window_index_matches_scratch =
           List.map (fun bt -> Summary.of_record ~kind:Summary.Base bt.Protocol.record) suffix
         in
         let windowed = Precedence.build ~tentative:tentative_s ~base:base_history in
+        let full = Test_support.Scan.graph windowed in
         let scratch =
           Precedence.build ~tentative:tentative_s ~base:(Protocol.index_history suffix)
         in
@@ -499,13 +500,12 @@ let prop_window_index_matches_scratch =
           not
             (names (Precedence.Index.to_list base_history) = names suffix
             && same_graph windowed scratch
-            && Test_support.Scan.agrees (Precedence.graph windowed) ~tentative:tentative_s
-                 ~base:base_s
-            && Precedence.edge_count windowed = Digraph.edge_count (Precedence.graph windowed)
+            && Test_support.Scan.agrees full ~tentative:tentative_s ~base:base_s
+            && Precedence.edges windowed
+               = Digraph.edges (Test_support.Scan.pairwise ~tentative:tentative_s ~base:base_s)
+            && Precedence.edge_count windowed = Digraph.edge_count full
             && List.for_all
-                 (fun v ->
-                   Precedence.successors windowed v
-                   = Digraph.successors (Precedence.graph windowed) v)
+                 (fun v -> Precedence.successors windowed v = Digraph.successors full v)
                  (nodes windowed)
             && cone_matches_full windowed)
         then raise Exit;

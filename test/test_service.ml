@@ -123,6 +123,139 @@ let test_dispatch_read_only_sharing () =
   (* At shard granularity they do collide on x3's shard. *)
   checki "shard-level false sharing" 2 stats.Dispatch.shard_conflicted_sessions
 
+(* Random windows of 0-30 events over 12 items and 1-6 hash shards. An
+   event reads up to two items and writes up to two (some write nothing,
+   so some items are only read); about half are sessions. *)
+let dispatch_case_gen =
+  QCheck.Gen.(
+    let* shards = int_range 1 6 in
+    let* n = int_bound 30 in
+    let item = map (Printf.sprintf "x%d") (int_bound 11) in
+    let event k =
+      let* reads = list_size (int_bound 2) item in
+      let* writes = list_size (int_bound 2) item in
+      let* session = bool in
+      let p =
+        Program.make ~name:(Printf.sprintf "E%d" k)
+          (List.map (fun x -> Repro_txn.Stmt.Read x) reads
+          @ List.map
+              (fun x ->
+                Repro_txn.Stmt.Update (x, Repro_txn.Expr.Add (Repro_txn.Expr.Item x, Repro_txn.Expr.Const 1)))
+              (List.sort_uniq compare writes))
+      in
+      return
+        (if session then
+           Admission.Session
+             {
+               Admission.mobile = k;
+               at = float_of_int k;
+               window_started = 0;
+               programs = [ p ];
+               reads = Program.readset p;
+               writes = Program.writeset p;
+             }
+         else Admission.Base { at = float_of_int k; program = p })
+    in
+    let* events = flatten_l (List.init n event) in
+    return (shards, Array.of_list events))
+
+let pp_dispatch_case (shards, events) =
+  Format.asprintf "@[<v>shards=%d@ %a@]" shards
+    (Format.pp_print_list (fun ppf ev ->
+         Format.fprintf ppf "%s footprint=%a writes=%a"
+           (match ev with Admission.Session _ -> "session" | Admission.Base _ -> "base")
+           Item.Set.pp (Admission.footprint ev) Item.Set.pp (Admission.write_set ev)))
+    (Array.to_list events)
+
+(* The events [linked] reaches from [root] by BFS, ascending. *)
+let bfs n linked root =
+  let seen = Array.make n false in
+  seen.(root) <- true;
+  let rec go acc = function
+    | [] -> List.sort compare acc
+    | i :: rest ->
+        let next = List.filter (fun j -> (not seen.(j)) && linked i j) (List.init n Fun.id) in
+        List.iter (fun j -> seen.(j) <- true) next;
+        go (next @ acc) (next @ rest)
+  in
+  go [ root ] [ root ]
+
+(* The connected parts of [linked] over [0, n): by smallest member,
+   members ascending. *)
+let bfs_partition n linked =
+  let placed = Array.make n false in
+  List.filter_map
+    (fun r ->
+      if placed.(r) then None
+      else begin
+        let part = bfs n linked r in
+        List.iter (fun i -> placed.(i) <- true) part;
+        Some part
+      end)
+    (List.init n Fun.id)
+
+(* Dispatch against BFS over shared keys: the members partition the
+   events; no statically written item lies in two components' footprints;
+   each component is connected through shared written items; and the
+   conflict counts equal those of the BFS partitions, items for the
+   dispatched level and shards for the measured one. *)
+let prop_dispatch_matches_bfs =
+  QCheck.Test.make ~count:500 ~name:"components and stats = BFS partitions"
+    (QCheck.make ~print:pp_dispatch_case dispatch_case_gen)
+    (fun (shards, events) ->
+      let smap = Smap.make ~shards Smap.Hash in
+      let comps, stats = Dispatch.components ~smap events in
+      let n = Array.length events in
+      let footprints = Array.map Admission.footprint events in
+      let shard_footprints = Array.map (Smap.footprint smap) footprints in
+      let written =
+        Array.fold_left
+          (fun acc ev -> Item.Set.union acc (Admission.write_set ev))
+          Item.Set.empty events
+      in
+      let shares_written a b = not (Item.Set.disjoint written (Item.Set.inter a b)) in
+      let item_linked i j = shares_written footprints.(i) footprints.(j) in
+      let shard_linked i j =
+        List.exists (fun s -> List.mem s shard_footprints.(j)) shard_footprints.(i)
+      in
+      let members = List.map (fun c -> c.Dispatch.members) comps in
+      let is_session i = match events.(i) with Admission.Session _ -> true | Admission.Base _ -> false in
+      let sessions part = List.length (List.filter is_session part) in
+      let conflicted parts =
+        List.fold_left (fun acc p -> if sessions p >= 2 then acc + sessions p else acc) 0 parts
+      in
+      let item_parts = bfs_partition n item_linked in
+      let per_shard in_part =
+        Array.init shards (fun s ->
+            List.length
+              (List.filter
+                 (fun i -> is_session i && List.mem s shard_footprints.(i) && in_part i)
+                 (List.init n Fun.id)))
+      in
+      let in_conflicted i = List.exists (fun p -> List.mem i p && sessions p >= 2) item_parts in
+      List.sort compare (List.concat members) = List.init n Fun.id
+      && List.for_all (fun m -> List.sort_uniq compare m = m) members
+      && List.sort compare (List.map List.hd members) = List.map List.hd members
+      && List.for_all
+           (fun c ->
+             Item.Set.equal c.Dispatch.footprint
+               (List.fold_left
+                  (fun acc i -> Item.Set.union acc footprints.(i))
+                  Item.Set.empty c.Dispatch.members)
+             && c.Dispatch.sessions = sessions c.Dispatch.members
+             && List.for_all
+                  (fun c' -> c == c' || not (shares_written c.Dispatch.footprint c'.Dispatch.footprint))
+                  comps)
+           comps
+      && List.for_all
+           (fun m -> bfs n (fun i j -> List.mem j m && item_linked i j) (List.hd m) = m)
+           members
+      && stats.Dispatch.components = List.length comps
+      && stats.Dispatch.item_conflicted_sessions = conflicted item_parts
+      && stats.Dispatch.shard_conflicted_sessions = conflicted (bfs_partition n shard_linked)
+      && stats.Dispatch.shard_sessions = per_shard (fun _ -> true)
+      && stats.Dispatch.shard_conflicted = per_shard in_conflicted)
+
 (* -------------------------------------------------------------------- *)
 (* Serial equivalence + determinism properties *)
 
@@ -378,7 +511,8 @@ let () =
           Alcotest.test_case "disjoint parallel" `Quick test_dispatch_disjoint_parallel;
           Alcotest.test_case "overlap grouped" `Quick test_dispatch_overlap_grouped;
           Alcotest.test_case "read-only sharing" `Quick test_dispatch_read_only_sharing;
-        ] );
+        ]
+        @ qsuite [ prop_dispatch_matches_bfs ] );
       ( "equivalence",
         [
           Alcotest.test_case "run = run_trace" `Quick test_sync_run_is_trace_run;
