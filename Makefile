@@ -47,11 +47,14 @@ perfbench:
 
 # End-to-end smoke of the tracing/forensics surface: a traced merge must
 # produce a loadable Chrome trace, and explain must produce valid JSON.
+# Outputs go under the checkout's _build/ci, so two checkouts can run
+# their gates at once.
 smoke: build
-	dune exec bin/repro_cli.exe -- merge --seed 1 --trace-out /tmp/repro_trace.json > /dev/null
-	dune exec bin/repro_cli.exe -- validate-json --chrome /tmp/repro_trace.json
-	dune exec bin/repro_cli.exe -- explain --seed 1 --format=json > /tmp/repro_explain.json
-	dune exec bin/repro_cli.exe -- validate-json /tmp/repro_explain.json
+	mkdir -p _build/ci
+	dune exec bin/repro_cli.exe -- merge --seed 1 --trace-out _build/ci/repro_trace.json > /dev/null
+	dune exec bin/repro_cli.exe -- validate-json --chrome _build/ci/repro_trace.json
+	dune exec bin/repro_cli.exe -- explain --seed 1 --format=json > _build/ci/repro_explain.json
+	dune exec bin/repro_cli.exe -- validate-json _build/ci/repro_explain.json
 
 # Concurrent merge-service smoke: a 2k-mobile fleet served on 2 domains
 # must finish with zero ground-truth violations, dispatch at least one
@@ -65,16 +68,17 @@ service-sim: build
 # domains must produce identical merged deterministic metrics
 # (metrics-diff on the --metrics=json snapshots) and byte-identical
 # logical-clock Chrome traces. This is the exactness contract of the
-# sharded Obs registries.
+# sharded Obs registries. Outputs go under _build/ci, as for smoke.
 obs-parity: build
+	mkdir -p _build/ci
 	dune exec bin/repro_cli.exe -- service-sim --mobiles 2000 --shards 8 --domains 1 \
-		--no-baseline --seed 7 --metrics=json --trace-out /tmp/repro_parity_d1.trace.json \
-		--trace-clock=logical > /tmp/repro_parity_d1.json 2> /dev/null
+		--no-baseline --seed 7 --metrics=json --trace-out _build/ci/repro_parity_d1.trace.json \
+		--trace-clock=logical > _build/ci/repro_parity_d1.json 2> /dev/null
 	dune exec bin/repro_cli.exe -- service-sim --mobiles 2000 --shards 8 --domains 4 \
-		--no-baseline --seed 7 --metrics=json --trace-out /tmp/repro_parity_d4.trace.json \
-		--trace-clock=logical > /tmp/repro_parity_d4.json 2> /dev/null
-	dune exec bin/repro_cli.exe -- metrics-diff /tmp/repro_parity_d1.json /tmp/repro_parity_d4.json
-	cmp /tmp/repro_parity_d1.trace.json /tmp/repro_parity_d4.trace.json
+		--no-baseline --seed 7 --metrics=json --trace-out _build/ci/repro_parity_d4.trace.json \
+		--trace-clock=logical > _build/ci/repro_parity_d4.json 2> /dev/null
+	dune exec bin/repro_cli.exe -- metrics-diff _build/ci/repro_parity_d1.json _build/ci/repro_parity_d4.json
+	cmp _build/ci/repro_parity_d1.trace.json _build/ci/repro_parity_d4.trace.json
 	@echo "obs-parity: logical-clock traces byte-identical across domain counts"
 
 # Fixed-seed fault sweep: merge sessions over random fault schedules must

@@ -462,19 +462,45 @@ let branch_and_bound c =
     !solution
   end
 
+(* B when no strategy has a choice: only tentative nodes may be removed
+   and every cycle passes through one, so with at most one tentative node
+   every strategy returns nothing on an acyclic graph and that node
+   otherwise. [None] from two on. *)
+let forced pg =
+  match Precedence.tentative_count pg with
+  | 0 -> Some Names.Set.empty
+  | 1 ->
+    Some (if Precedence.is_acyclic pg then Names.Set.empty else Names.Set.singleton (name_of pg 0))
+  | _ -> None
+
 let compute ~strategy pg =
-  let c = Precedence.cone pg in
-  Obs.Span.with_ ~lane:Obs.Event.Base ~name:"backout.compute" @@ fun () ->
-  let b =
-    match strategy with
-    | All_in_cycles -> all_in_cycles c
-    | Greedy_degree -> greedy c ~removed:(Array.make (Precedence.node_count c) false)
-    | Two_cycle_then_greedy -> two_cycle_then_greedy c
-    | Greedy_damage -> greedy_damage c
-    | Branch_and_bound -> branch_and_bound c
-    | Exhaustive -> exhaustive c
+  let choose =
+    match forced pg with
+    | Some b ->
+      fun () ->
+        assert (Precedence.acyclic_without pg ~removed:b);
+        (* Against its greedy seed {t}, branch and bound would cut its
+           root once: [backout.bnb_nodes_pruned] counts it as before. *)
+        if strategy = Branch_and_bound && not (Names.Set.is_empty b) then
+          Obs.Counter.incr obs_bnb_pruned;
+        b
+    | None ->
+      let c = Precedence.cone pg in
+      fun () ->
+        let b =
+          match strategy with
+          | All_in_cycles -> all_in_cycles c
+          | Greedy_degree -> greedy c ~removed:(Array.make (Precedence.node_count c) false)
+          | Two_cycle_then_greedy -> two_cycle_then_greedy c
+          | Greedy_damage -> greedy_damage c
+          | Branch_and_bound -> branch_and_bound c
+          | Exhaustive -> exhaustive c
+        in
+        assert (breaks_all_cycles c b);
+        b
   in
-  assert (breaks_all_cycles c b);
+  Obs.Span.with_ ~lane:Obs.Event.Base ~name:"backout.compute" @@ fun () ->
+  let b = choose () in
   Obs.Counter.incr obs_computed;
   if Obs.enabled () then begin
     let size = Names.Set.cardinal b in

@@ -52,15 +52,25 @@ val strategy_name : strategy -> string
     removal makes the graph acyclic. Returns the empty set when the graph
     is already acyclic.
 
-    Every strategy runs on [Precedence.cone pg] (the merge protocol
-    passes the cone itself), over its dense arrays
+    With at most one tentative transaction [t], B is forced: every cycle
+    passes through [t] and only tentative transactions may be removed, so
+    every strategy returns [{t}] on a cyclic graph and the empty set on
+    an acyclic one. [compute] returns that from {!Precedence.is_acyclic}
+    (cached on the merge path) and builds no cone; its assertion is
+    {!Precedence.acyclic_without}, a DFS rooted at the tentative nodes
+    outside B, which for [{t}] has no root.
+
+    Otherwise every strategy runs on [Precedence.cone pg], built here
+    before the span opens, over its dense arrays
     ({!Precedence.adjacency}): a removal marks a mask, each greedy round
     runs one {!Repro_graph.Scc.components_of_arrays} under it, and the
     exact solvers build their core from the cone's cyclic components. No
     graph is copied and no edge is hashed. On the cone every strategy
-    returns what it returns on the full graph. The [backout.compute] span
-    times the strategy and the {!breaks_all_cycles} check, which every
-    call makes; building the cone is outside it.
+    returns what it returns on the full graph, and the assertion is
+    {!breaks_all_cycles} on it.
+
+    Every call asserts that B breaks every cycle, and the
+    [backout.compute] span times the choice and that check.
 
     @raise Invalid_argument if some cycle contains no tentative
     transaction (impossible for graphs built by {!Precedence.build}). *)

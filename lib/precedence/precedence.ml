@@ -485,24 +485,34 @@ let outside_degree t i = match t.shape with Dense d -> d.outside.(i) | Session _
 
 (* Edges inside one history point forward, so every cycle takes a cross
    edge and passes through the tentative block: a three-colour DFS rooted
-   at the tentative nodes alone meets every cycle there is. *)
+   at the kept tentative nodes alone meets every cycle the removal leaves.
+   With no kept tentative node it answers without a walk. *)
+let acyclic_without t ~removed =
+  let m = t.tentative_count in
+  let gone = Array.init m (fun i -> Names.Set.mem (summary_of_node t i).Summary.name removed) in
+  Array.for_all Fun.id gone
+  ||
+  let color = Array.make t.n 0 in
+  let rec visit v =
+    (v < m && gone.(v))
+    ||
+    match color.(v) with
+    | 1 -> false
+    | 2 -> true
+    | _ ->
+      color.(v) <- 1;
+      let ok = for_all_successors t v visit in
+      color.(v) <- 2;
+      ok
+  in
+  let rec from i = i >= m || (visit i && from (i + 1)) in
+  from 0
+
 let is_acyclic t =
   match !(t.acyclic) with
   | Some a -> a
   | None ->
-    let color = Array.make t.n 0 in
-    let rec visit v =
-      match color.(v) with
-      | 1 -> false
-      | 2 -> true
-      | _ ->
-        color.(v) <- 1;
-        let ok = for_all_successors t v visit in
-        color.(v) <- 2;
-        ok
-    in
-    let rec from i = i >= t.tentative_count || (visit i && from (i + 1)) in
-    let a = from 0 in
+    let a = acyclic_without t ~removed:Names.Set.empty in
     t.acyclic := Some a;
     if not a then Obs.Counter.incr obs_cyclic;
     a

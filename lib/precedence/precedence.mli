@@ -148,6 +148,13 @@ val tentative_count : t -> int
     free. *)
 val is_acyclic : t -> bool
 
+(** [acyclic_without t ~removed] — no cycle is left once the tentative
+    transactions named in [removed] are removed: {!is_acyclic}'s DFS,
+    rooted at the kept tentative nodes and skipping the removed ones.
+    It builds no cone, and with no tentative node kept it answers without
+    a walk. Not cached. *)
+val acyclic_without : t -> removed:Repro_history.Names.Set.t -> bool
+
 (** [cone t] — the session's conflict cone: the tentative nodes plus
     every base node reachable from a tentative node that also reaches
     one, found by a forward walk from the tentative nodes and a backward

@@ -182,7 +182,7 @@ let analyze_graph ~strategy ~params ~cost ~base_history ~origin ~tentative =
       cost.Cost.base_cpu <-
         cost.Cost.base_cpu
         +. (params.Cost.backout_per_node *. float_of_int (Precedence.node_count pg));
-      Backout.compute ~strategy (Precedence.cone pg)
+      Backout.compute ~strategy pg
     end
   in
   cost.Cost.communication <-

@@ -131,8 +131,10 @@ type graph_phase = {
     {!Repro_precedence.Precedence.build} from the summaries of
     [tentative], executed from [origin], against the indexed
     [base_history], charges the §7.1 costs of the full graph's nodes and
-    edges (counted, not materialised), and computes {b B} on its
-    {!Repro_precedence.Precedence.cone}. *)
+    edges (counted, not materialised), and, when the graph is cyclic,
+    computes {b B} with {!Backout.compute}, which builds the
+    {!Repro_precedence.Precedence.cone} only when the session brings two
+    or more tentative transactions. *)
 val analyze_graph :
   strategy:Backout.strategy ->
   params:Cost.params ->

@@ -27,9 +27,13 @@ let make ~shards scheme =
   | Hash -> { shards; scheme; index = None; universe = 0 }
   | Range universe ->
       let sorted = Array.copy universe in
-      Array.sort compare sorted;
+      Array.stable_sort Item.compare sorted;
+      (* Duplicates are adjacent once sorted; each item keeps the rank of
+         its first copy. *)
       let index = Hashtbl.create (Array.length sorted * 2) in
-      Array.iteri (fun i x -> if not (Hashtbl.mem index x) then Hashtbl.add index x i) sorted;
+      Array.iteri
+        (fun i x -> if i = 0 || not (Item.equal sorted.(i - 1) x) then Hashtbl.add index x i)
+        sorted;
       { shards; scheme = Range sorted; index = Some index; universe = Array.length sorted }
 
 let shards t = t.shards

@@ -13,8 +13,6 @@ let restrict state items =
       match Item.Map.find_opt x state with Some v -> Item.Map.add x v acc | None -> acc)
     items Item.Map.empty
 
-let equal_on items s1 s2 = Item.Set.for_all (fun x -> get s1 x = get s2 x) items
-
 let items state = Item.Map.keys state
 
 (* One simultaneous traversal; a binding present on one side only is

@@ -31,10 +31,6 @@ val set : t -> Item.t -> int -> t
     state. *)
 val restrict : t -> Item.Set.t -> t
 
-(** [equal_on items s1 s2] holds when [s1] and [s2] agree on every item in
-    [items]. *)
-val equal_on : Item.Set.t -> t -> t -> bool
-
 (** Structural equality on the non-default bindings, treating missing items
     as [0] on either side. *)
 val equal : t -> t -> bool

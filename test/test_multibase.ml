@@ -295,8 +295,10 @@ let prop_mb_nemesis_convergence =
       | Error msg -> QCheck.Test.fail_report msg)
 
 (* Each base's stable sequence is append-only — across crash-restarts,
-   which rebuild it from the journal, too — and [stable_len] is its
-   length, after every op of a random nemesis case and after healing. *)
+   which rebuild it from the journal, too — strictly increasing under
+   [Gtxn.compare_order], and [stable_len] is its length; any two bases'
+   sequences are prefix-related with equal verdicts. Checked after every
+   op of a random nemesis case and after healing. *)
 let prop_stable_only_grows =
   QCheck.Test.make ~count:100 ~name:"stable sequences only grow, crashes included"
     QCheck.(pair small_nat small_nat)
@@ -312,6 +314,10 @@ let prop_stable_only_grows =
         | x :: old', y :: now' -> x = y && extends old' now'
         | _ :: _, [] -> false
       in
+      let rec increasing = function
+        | ((a : Gtxn.t), _) :: ((b, _) :: _ as rest) -> Gtxn.compare_order a b < 0 && increasing rest
+        | _ -> true
+      in
       let check_after step =
         Array.iteri
           (fun i base ->
@@ -322,8 +328,25 @@ let prop_stable_only_grows =
             if Mbase.stable_len base <> List.length now then
               QCheck.Test.fail_reportf "seed %d, after %s: base %d's stable_len %d, stable has %d" seed
                 step i (Mbase.stable_len base) (List.length now);
+            if not (increasing (Mbase.stable base)) then
+              QCheck.Test.fail_reportf
+                "seed %d, after %s: base %d's stable sequence is not increasing in commit order" seed
+                step i;
             seen.(i) <- now)
-          (Cluster.bases c)
+          (Cluster.bases c);
+        (* Comparing (id, verdict) pairs: nested sequences with equal
+           verdicts. *)
+        Array.iteri
+          (fun i a ->
+            Array.iteri
+              (fun j b ->
+                if i < j && not (extends a b || extends b a) then
+                  QCheck.Test.fail_reportf
+                    "seed %d, after %s: bases %d and %d's stable sequences are not prefix-related \
+                     with equal verdicts"
+                    seed step i j)
+              seen)
+          seen
       in
       List.iteri
         (fun k op ->

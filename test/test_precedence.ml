@@ -10,6 +10,7 @@ module Ex = Test_support.Paper_examples
 module G = Test_support.Generators
 module Scan = Test_support.Scan
 module Ref = Test_support.Ref_backout
+module Obs = Repro_obs.Obs
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -327,16 +328,17 @@ let prop_acyclic_empty_backout =
    to exercise the solver (up to 14 cyclic tentative nodes — inside the
    oracle's enumeration comfort zone, past what hand inspection covers). *)
 
-let wide_case_gen =
+let wide_shape ~tentative =
   QCheck.Gen.(
     let* seed = int_bound 1_000_000 in
-    let* tentative = int_range 4 14 in
+    let* tentative = tentative in
     let rng = Repro_workload.Rng.create seed in
-    let tentative, base =
-      Repro_workload.Gen.summaries rng ~n_items:15 ~tentative ~base:8 ~reads:(1, 3)
-        ~writes:(1, 2) ~skew:0.7 ~blind:0.3
-    in
-    return (build ~tentative ~base))
+    return
+      (Repro_workload.Gen.summaries rng ~n_items:15 ~tentative ~base:8 ~reads:(1, 3)
+         ~writes:(1, 2) ~skew:0.7 ~blind:0.3))
+
+let built shape = QCheck.Gen.map (fun (tentative, base) -> build ~tentative ~base) shape
+let wide_case_gen = built (wide_shape ~tentative:(QCheck.Gen.int_range 4 14))
 
 let arbitrary_wide_case =
   QCheck.make ~print:(fun pg -> Format.asprintf "%a" Precedence.pp pg) wide_case_gen
@@ -363,15 +365,14 @@ let oracle_case_gen =
       (Repro_workload.Gen.summaries rng ~n_items:12 ~tentative ~base ~reads:(1, 3)
          ~writes:(1, 2) ~skew:0.9 ~blind:0.3))
 
-let arbitrary_oracle_case =
-  QCheck.make
-    ~print:(fun (tentative, base) ->
-      Format.asprintf "@[<v>%a@ %a@]"
-        (Format.pp_print_list ~pp_sep:Format.pp_print_cut Summary.pp)
-        tentative
-        (Format.pp_print_list ~pp_sep:Format.pp_print_cut Summary.pp)
-        base)
-    oracle_case_gen
+let print_summaries (tentative, base) =
+  Format.asprintf "@[<v>%a@ %a@]"
+    (Format.pp_print_list ~pp_sep:Format.pp_print_cut Summary.pp)
+    tentative
+    (Format.pp_print_list ~pp_sep:Format.pp_print_cut Summary.pp)
+    base
+
+let arbitrary_oracle_case = QCheck.make ~print:print_summaries oracle_case_gen
 
 let prop_build_equals_scan =
   (* Ordered, not as sets: back-out, SCC and the DOT render all follow
@@ -418,32 +419,32 @@ let test_scan_order_pins_bnb () =
 (* Sparse windows: a few tentative transactions among many base ones over
    a wide item space. About a quarter come out acyclic, and the cone
    averages 7 of 48 nodes. *)
-let sparse_case_gen =
+let sparse_shape ~tentative =
   QCheck.Gen.(
     let* seed = int_bound 1_000_000 in
-    let* tentative = int_range 2 4 in
+    let* tentative = tentative in
     let* base = int_range 30 60 in
     let rng = Repro_workload.Rng.create seed in
-    let tentative, base =
-      Repro_workload.Gen.summaries rng ~n_items:64 ~tentative ~base ~reads:(1, 2) ~writes:(1, 1)
-        ~skew:0.3 ~blind:0.3
-    in
-    return (build ~tentative ~base))
+    return
+      (Repro_workload.Gen.summaries rng ~n_items:64 ~tentative ~base ~reads:(1, 2) ~writes:(1, 1)
+         ~skew:0.3 ~blind:0.3))
+
+let sparse_case_gen = built (sparse_shape ~tentative:(QCheck.Gen.int_range 2 4))
 
 (* Fleet-hot windows: one or two tentative transactions against 60-120
    base ones over 64 Zipf-skewed items, so that most windows are cyclic
    and the cone is a small part of the graph. *)
-let hot_case_gen =
+let hot_shape ~tentative =
   QCheck.Gen.(
     let* seed = int_bound 1_000_000 in
-    let* tentative = int_range 1 2 in
+    let* tentative = tentative in
     let* base = int_range 60 120 in
     let rng = Repro_workload.Rng.create seed in
-    let tentative, base =
-      Repro_workload.Gen.summaries rng ~n_items:64 ~tentative ~base ~reads:(0, 1) ~writes:(1, 2)
-        ~skew:0.9 ~blind:0.3
-    in
-    return (build ~tentative ~base))
+    return
+      (Repro_workload.Gen.summaries rng ~n_items:64 ~tentative ~base ~reads:(0, 1) ~writes:(1, 2)
+         ~skew:0.9 ~blind:0.3))
+
+let hot_case_gen = built (hot_shape ~tentative:(QCheck.Gen.int_range 1 2))
 
 (* The cone against the reference on the full graph, which copies the
    graph for every greedy round and runs a hashtable Tarjan on it: the
@@ -497,6 +498,58 @@ let test_cone_pins_greedy_degree () =
         (Backout.compute ~strategy (Precedence.cone pg)))
     pins
 
+(* ------------------------------------------------------------------ *)
+(* Forced back-out. *)
+
+(* The three shapes above with one tentative transaction, so that both
+   acyclic and cyclic graphs occur, and in one case of four with two, the
+   first count at which the strategies may differ. *)
+let forced_case_gen =
+  let tentative = QCheck.Gen.frequency [ (3, QCheck.Gen.return 1); (1, QCheck.Gen.return 2) ] in
+  QCheck.Gen.oneof [ hot_shape ~tentative; wide_shape ~tentative; sparse_shape ~tentative ]
+
+let pruned = Obs.Counter.make "backout.bnb_nodes_pruned"
+
+(* With one tentative transaction t, every cycle passes through t and
+   only t may be removed, so every strategy gives {t} on a cyclic graph
+   and nothing on an acyclic one, and branch and bound's search would cut
+   its root once on a cyclic graph. Every B is the reference's on the full
+   graph. A cyclic one-tentative graph's B needs nothing of the index: it
+   comes out the same after the index changed, when building the cone
+   would raise. *)
+let forced_agrees (tentative, base) =
+  let pg = build ~tentative ~base in
+  let one = Precedence.tentative_count pg = 1 in
+  let cyclic = not (Ref.Tarjan.is_acyclic (Scan.graph pg)) in
+  let expected =
+    if cyclic then Names.Set.singleton (Precedence.summary_of_node pg 0).Summary.name
+    else Names.Set.empty
+  in
+  let stale =
+    let index = Precedence.Index.of_summaries base in
+    let pg = Precedence.build ~tentative ~base:index in
+    ignore (Precedence.is_acyclic pg);
+    Precedence.Index.clear index;
+    pg
+  in
+  List.for_all
+    (fun strategy ->
+      let before = Obs.Counter.value pruned in
+      let b = Obs.with_enabled true (fun () -> Backout.compute ~strategy pg) in
+      let cuts = Obs.Counter.value pruned - before in
+      Names.Set.equal b (Ref.compute ~strategy pg)
+      && Backout.breaks_all_cycles pg b
+      && ((not one)
+         || Names.Set.equal b expected
+            && (strategy <> Backout.Branch_and_bound || cuts = Bool.to_int cyclic)
+            && ((not cyclic) || Names.Set.equal (Backout.compute ~strategy stale) expected)))
+    Backout.all_strategies
+
+let prop_forced_backout =
+  QCheck.Test.make ~count:300 ~name:"one tentative: B is {t} or empty, as the reference, with no cone"
+    (QCheck.make ~print:print_summaries forced_case_gen)
+    forced_agrees
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -532,4 +585,5 @@ let () =
       ( "cone",
         Alcotest.test_case "full-graph degree pins greedy" `Quick test_cone_pins_greedy_degree
         :: qsuite [ prop_cone_matches_full ] );
+      ("forced", qsuite [ prop_forced_backout ]);
     ]

@@ -41,6 +41,45 @@ let test_smap_range_blocks () =
   let s = Smap.shard_of_item m "unknown" in
   checkb "fallback in range" true (s >= 0 && s < 4)
 
+(* The range construction [Smap.make] used to run: a heap sort under
+   polymorphic compare, then a hash probe per item, so each item keeps the
+   rank of its first copy. Off-universe items hash. *)
+let reference_range ~shards universe =
+  let sorted = Array.copy universe in
+  Array.sort compare sorted;
+  let index = Hashtbl.create (Array.length sorted * 2) in
+  Array.iteri (fun i x -> if not (Hashtbl.mem index x) then Hashtbl.add index x i) sorted;
+  let hash = Smap.make ~shards Smap.Hash in
+  ( sorted,
+    fun x ->
+      match Hashtbl.find_opt index x with
+      | Some i -> i * shards / max 1 (Array.length sorted)
+      | None -> Smap.shard_of_item hash x )
+
+let test_smap_range_matches_reference () =
+  let rng = Random.State.make [| 2026 |] in
+  (* 600 names and 400 repeats of them, shuffled. *)
+  let names = Array.init 600 (fun i -> Printf.sprintf "m%d.d%d" (i mod 41) i) in
+  let universe =
+    Array.append names (Array.init 400 (fun _ -> names.(Random.State.int rng (Array.length names))))
+  in
+  for i = Array.length universe - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = universe.(i) in
+    universe.(i) <- universe.(j);
+    universe.(j) <- x
+  done;
+  List.iter
+    (fun shards ->
+      let m = Smap.make ~shards (Smap.Range universe) in
+      let sorted, expected = reference_range ~shards universe in
+      checkb "sorted universe" true (Smap.scheme m = Smap.Range sorted);
+      Array.iter (fun x -> checki x (expected x) (Smap.shard_of_item m x)) universe;
+      List.iter
+        (fun x -> checki x (expected x) (Smap.shard_of_item m x))
+        [ ""; "unknown"; "m0"; "m40.d599x"; "zzz" ])
+    [ 1; 4; 16 ]
+
 let test_smap_footprint () =
   let universe = Array.init 8 (fun i -> Printf.sprintf "x%d" i) in
   let m = Smap.make ~shards:4 (Smap.Range universe) in
@@ -504,6 +543,8 @@ let () =
         [
           Alcotest.test_case "hash stable" `Quick test_smap_hash_stable;
           Alcotest.test_case "range blocks" `Quick test_smap_range_blocks;
+          Alcotest.test_case "range ranks = heap-sort reference" `Quick
+            test_smap_range_matches_reference;
           Alcotest.test_case "footprint" `Quick test_smap_footprint;
         ] );
       ( "dispatch",

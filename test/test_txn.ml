@@ -178,7 +178,7 @@ let prop_untouched_items_unchanged =
     (fun (s0, p) ->
       let after = Interp.apply s0 p in
       let untouched = Item.Set.diff (State.items s0) (Program.writeset p) in
-      State.equal_on untouched s0 after)
+      Item.Set.for_all (fun x -> State.get s0 x = State.get after x) untouched)
 
 (* ------------------------------------------------------------------ *)
 (* Analysis *)
@@ -399,7 +399,6 @@ let test_state_operations () =
   checki "set" 9 (State.get s' "a");
   checki "persistence: original untouched" 1 (State.get s "a");
   check G.state "restrict" (State.of_list [ ("a", 1) ]) (State.restrict s (Item.Set.of_names [ "a" ]));
-  checkb "equal_on" true (State.equal_on (Item.Set.of_names [ "b" ]) s s');
   checkb "equal treats missing as 0" true
     (State.equal (State.of_list [ ("x", 0) ]) State.empty);
   let merged = State.merge_updates s s' (Item.Set.of_names [ "a" ]) in
