@@ -9,7 +9,7 @@
    claims of Section 7.1: precedence-graph construction, back-out
    computation, the O(n^2) rewriters, pruning, and the end-to-end
    protocols, plus one serve of the merge service against padded
-   window origins. *)
+   window origins and the simulator's trace generation. *)
 
 open Repro_txn
 open Repro_history
@@ -132,6 +132,33 @@ let bench_tests () =
           ~name:(Printf.sprintf "service-window/pad=%d" pad)
           (Bechamel.Staged.stage (fun () -> ignore (Service.run svc sync wl trace))))
       [ 0; 10_000; 200_000 ]
+  in
+  (* Trace generation: one step of the simulator's event queue at the
+     size of a fleet-local trace's (replace the minimum with its
+     successor, one exponential gap later), and a whole 2,000-mobile Sim
+     trace. *)
+  let trace_tests =
+    let module Sim = Repro_service.Sim in
+    let n = 50_000 in
+    let q = Pqueue.create () in
+    let rng = Rng.create 900 in
+    let gap () = -10.0 *. log (1.0 -. Rng.float rng) in
+    for i = 0 to n - 1 do
+      Pqueue.push q (gap ()) i
+    done;
+    let cfg = { Sim.default_config with Sim.mobiles = 2_000; seed = 1 } in
+    let params = Sync.trace_params (Sim.sync_config cfg) and wl = Sim.workload cfg in
+    [
+      Bechamel.Test.make
+        ~name:(Printf.sprintf "pqueue/n=%d" n)
+        (Bechamel.Staged.stage (fun () ->
+             match Pqueue.min q with
+             | Some (t, v) -> Pqueue.replace_min q (t +. gap ()) v
+             | None -> ()));
+      Bechamel.Test.make
+        ~name:(Printf.sprintf "trace-generate/mobiles=%d" cfg.Sim.mobiles)
+        (Bechamel.Staged.stage (fun () -> ignore (Trace.generate params wl)));
+    ]
   in
   let backout_tests =
     List.map
@@ -281,7 +308,7 @@ let bench_tests () =
         (Bechamel.Staged.stage (wal_run ~grouped:true));
     ]
   in
-  graph_tests @ window_tests @ service_tests @ backout_tests @ damage_backout_tests
+  graph_tests @ window_tests @ service_tests @ trace_tests @ backout_tests @ damage_backout_tests
   @ bnb_backout_tests
   @ rewrite_tests Rewrite.Can_follow "alg1"
   @ rewrite_tests Rewrite.Can_follow_precede "alg2"

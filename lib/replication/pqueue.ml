@@ -1,64 +1,120 @@
-type 'a cell = { key : float; seq : int; value : 'a }
+(* A 4-ary heap over heap positions [0, size). Position [i] holds its
+   key in [keys.(i)], its insertion stamp in [stamps.(i)] and the slot of
+   its value in [slots.(i)]; the value itself stays in [values.(slot)]
+   from push to pop. Positions [size, capacity) hold the free slots, so
+   [slots] is always a permutation of [0, capacity). Sifting moves floats
+   and ints only. *)
+type 'a t = {
+  mutable keys : float array;
+  mutable stamps : int array;
+  mutable slots : int array;
+  mutable values : 'a array;
+  mutable size : int;
+  mutable next_stamp : int;
+}
 
-type 'a t = { mutable heap : 'a cell array; mutable size : int; mutable next_seq : int }
+let create () =
+  { keys = [||]; stamps = [||]; slots = [||]; values = [||]; size = 0; next_stamp = 0 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0 }
 let is_empty t = t.size = 0
 let size t = t.size
 
-let less a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
+let fresh_stamp t =
+  let s = t.next_stamp in
+  t.next_stamp <- s + 1;
+  s
 
-let grow t =
-  let cap = Array.length t.heap in
-  if t.size >= cap then begin
-    let dummy = t.heap.(0) in
-    let bigger = Array.make (max 16 (2 * cap)) dummy in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
+(* Room for one more entry; [v] fills the new value slots. *)
+let grow t v =
+  let cap = Array.length t.keys in
+  if t.size = cap then begin
+    let cap' = max 16 (2 * cap) in
+    let extend a fill =
+      let b = Array.make cap' fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    t.keys <- extend t.keys 0.0;
+    t.stamps <- extend t.stamps 0;
+    t.slots <- Array.init cap' (fun i -> if i < cap then t.slots.(i) else i);
+    t.values <- extend t.values v
   end
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less t.heap.(i) t.heap.(parent) then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(parent);
-      t.heap.(parent) <- tmp;
-      sift_up t parent
+(* [(k, s)] comes before position [i]: by key, then insertion stamp. *)
+let before t k s i =
+  let ki = t.keys.(i) in
+  k < ki || (k = ki && s < t.stamps.(i))
+
+(* Position [i] comes before position [j]; stamps are read on ties only. *)
+let less t i j =
+  let ki = t.keys.(i) and kj = t.keys.(j) in
+  ki < kj || (ki = kj && t.stamps.(i) < t.stamps.(j))
+
+let place t i k s slot =
+  t.keys.(i) <- k;
+  t.stamps.(i) <- s;
+  t.slots.(i) <- slot
+
+(* Fill the hole at [i] with [(k, s, slot)], moving parents down. *)
+let rec sift_up t i k s slot =
+  if i = 0 then place t 0 k s slot
+  else
+    let p = (i - 1) / 4 in
+    if before t k s p then begin
+      place t i t.keys.(p) t.stamps.(p) t.slots.(p);
+      sift_up t p k s slot
+    end
+    else place t i k s slot
+
+(* Fill the hole at [i] with [(k, s, slot)], moving the smallest child
+   up while it comes before the entry. *)
+let rec sift_down t i k s slot =
+  let c = (4 * i) + 1 in
+  if c >= t.size then place t i k s slot
+  else begin
+    let m = ref c in
+    for j = c + 1 to min (c + 3) (t.size - 1) do
+      if less t j !m then m := j
+    done;
+    let m = !m in
+    if before t k s m then place t i k s slot
+    else begin
+      place t i t.keys.(m) t.stamps.(m) t.slots.(m);
+      sift_down t m k s slot
     end
   end
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && less t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && less t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.heap.(i) in
-    t.heap.(i) <- t.heap.(!smallest);
-    t.heap.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
-
 let push t key value =
-  let cell = { key; seq = t.next_seq; value } in
-  t.next_seq <- t.next_seq + 1;
-  if Array.length t.heap = 0 then t.heap <- Array.make 16 cell;
-  grow t;
-  t.heap.(t.size) <- cell;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  grow t value;
+  let i = t.size in
+  let slot = t.slots.(i) in
+  t.values.(slot) <- value;
+  t.size <- i + 1;
+  sift_up t i key (fresh_stamp t) slot
 
 let pop t =
   if t.size = 0 then None
   else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      sift_down t 0
+    let key = t.keys.(0) and slot = t.slots.(0) in
+    let value = t.values.(slot) in
+    let last = t.size - 1 in
+    t.size <- last;
+    if last > 0 then begin
+      let k = t.keys.(last) and s = t.stamps.(last) and sl = t.slots.(last) in
+      t.slots.(last) <- slot;
+      sift_down t 0 k s sl
     end;
-    Some (top.key, top.value)
+    Some (key, value)
   end
 
-let peek_key t = if t.size = 0 then None else Some t.heap.(0).key
+let min t = if t.size = 0 then None else Some (t.keys.(0), t.values.(t.slots.(0)))
+
+let replace_min t key value =
+  if t.size = 0 then push t key value
+  else begin
+    let slot = t.slots.(0) in
+    t.values.(slot) <- value;
+    sift_down t 0 key (fresh_stamp t) slot
+  end
+
+let peek_key t = if t.size = 0 then None else Some t.keys.(0)

@@ -66,30 +66,37 @@ let generate params workload =
   let base_counter = ref 0 in
   let events_rev = ref [] in
   let emit t ev = events_rev := (t, ev) :: !events_rev in
+  (* Every event schedules exactly one successor, its own token one
+     interval later, so the loop replaces the queue's minimum with it:
+     a pop and a push in one sift, in the same tie order. *)
   let rec loop () =
-    match Pqueue.pop queue with
+    match Pqueue.min queue with
     | None -> ()
     | Some (t, _) when t > params.duration -> ()
     | Some (t, ev) ->
-      (match ev with
-      | S_mobile i ->
-        txn_counter.(i) <- txn_counter.(i) + 1;
-        let name = Printf.sprintf "M%dT%d" i txn_counter.(i) in
-        let program = workload.make_mobile_txn rng ~name in
-        emit t (Mobile_txn { mobile = i; program });
-        schedule (t +. exponential rng params.mean_mobile_txn_gap) (S_mobile i)
-      | S_base ->
-        incr base_counter;
-        let name = Printf.sprintf "B%d" !base_counter in
-        let program = workload.make_base_txn rng ~name in
-        emit t (Base_txn { program });
-        schedule (t +. exponential rng params.mean_base_txn_gap) S_base
-      | S_connect i ->
-        emit t (Connect { mobile = i });
-        schedule (t +. draw_gap rng params.connect_gap) (S_connect i)
-      | S_window ->
-        emit t Window_boundary;
-        schedule (t +. params.window) S_window);
+      let next =
+        match ev with
+        | S_mobile i ->
+          let n = txn_counter.(i) + 1 in
+          txn_counter.(i) <- n;
+          let name = "M" ^ string_of_int i ^ "T" ^ string_of_int n in
+          let program = workload.make_mobile_txn rng ~name in
+          emit t (Mobile_txn { mobile = i; program });
+          t +. exponential rng params.mean_mobile_txn_gap
+        | S_base ->
+          incr base_counter;
+          let name = "B" ^ string_of_int !base_counter in
+          let program = workload.make_base_txn rng ~name in
+          emit t (Base_txn { program });
+          t +. exponential rng params.mean_base_txn_gap
+        | S_connect i ->
+          emit t (Connect { mobile = i });
+          t +. draw_gap rng params.connect_gap
+        | S_window ->
+          emit t Window_boundary;
+          t +. params.window
+      in
+      Pqueue.replace_min queue next ev;
       loop ()
   in
   loop ();

@@ -68,11 +68,12 @@ let windows ~seed trace =
     let events = Array.of_list (List.rev !acc) in
     (* Stable sort on (time, seeded tie-break): normally the identity
        permutation, see [tie_break]. *)
-    let keyed = Array.map (fun e -> ((time_of e, tie_break seed e), e)) events in
-    let cmp (ka, _) (kb, _) = compare ka kb in
-    let sorted = Array.copy keyed in
-    Array.stable_sort cmp sorted;
-    out := { index = !cur; events = Array.map snd sorted } :: !out;
+    let keyed = Array.map (fun e -> (time_of e, tie_break seed e, e)) events in
+    let cmp (ta, ka, _) (tb, kb, _) =
+      match Float.compare ta tb with 0 -> Int.compare ka kb | c -> c
+    in
+    Array.stable_sort cmp keyed;
+    out := { index = !cur; events = Array.map (fun (_, _, e) -> e) keyed } :: !out;
     acc := [];
     incr cur
   in

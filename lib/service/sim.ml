@@ -47,8 +47,19 @@ let default_config =
     range_shards = true;
   }
 
-let home_item mobile j = Printf.sprintf "m%d.d%d" mobile j
-let shared_item j = Printf.sprintf "g%d" j
+let home_item mobile j = "m" ^ string_of_int mobile ^ ".d" ^ string_of_int j
+let shared_item j = "g" ^ string_of_int j
+
+(* The mobile of a trace name [M<mobile>T<n>] ({!Trace.generate}); 0 for
+   any other name. *)
+let mobile_of_name name =
+  let len = String.length name in
+  let rec digits i = if i < len && name.[i] >= '0' && name.[i] <= '9' then digits (i + 1) else i in
+  let m_end = digits 1 in
+  if m_end > 1 && m_end < len && name.[0] = 'M' && name.[m_end] = 'T'
+     && digits (m_end + 1) > m_end + 1
+  then Option.value ~default:0 (int_of_string_opt (String.sub name 1 (m_end - 1)))
+  else 0
 
 let universe cfg =
   Array.init
@@ -74,7 +85,6 @@ let workload cfg : Sync.workload =
      distinctness after a bounded number of draws, so a transaction can
      come out smaller under extreme skew. *)
   let pick rng ~mobile k =
-    let seen = Hashtbl.create 8 in
     let out = ref [] and n = ref 0 and attempts = ref 0 in
     while !n < k && !attempts < (k * 8) + 8 do
       incr attempts;
@@ -83,8 +93,7 @@ let workload cfg : Sync.workload =
           home_item mobile (Zipf.sample home_zipf rng)
         else shared_item (Zipf.sample shared_zipf rng)
       in
-      if not (Hashtbl.mem seen x) then begin
-        Hashtbl.add seen x ();
+      if not (List.exists (String.equal x) !out) then begin
         out := x :: !out;
         incr n
       end
@@ -115,10 +124,7 @@ let workload cfg : Sync.workload =
   {
     initial;
     make_mobile_txn =
-      (fun rng ~name ->
-        (* Trace names mobile transactions M<mobile>T<n>. *)
-        let mobile = try Scanf.sscanf name "M%dT%d" (fun m _ -> m) with _ -> 0 in
-        make rng ~name ~mobile);
+      (fun rng ~name -> make rng ~name ~mobile:(mobile_of_name name));
     make_base_txn = (fun rng ~name -> make rng ~name ~mobile:(-1));
   }
 

@@ -38,11 +38,10 @@ let pick_items p rng k = List.map (fun i -> p.item_names.(i)) (Zipf.sample_disti
 
 (* Additive type: every update is x := x + $amt, the saveable fragment. *)
 let additive_body rng writes reads =
-  let params = List.mapi (fun i _ -> (Printf.sprintf "amt%d" i, Rng.in_range rng (-20) 20)) writes in
+  let amts = List.mapi (fun i _ -> "amt" ^ string_of_int i) writes in
+  let params = List.map (fun p -> (p, Rng.in_range rng (-20) 20)) amts in
   let updates =
-    List.mapi
-      (fun i x -> Stmt.Update (x, Expr.Add (Expr.Item x, Expr.Param (Printf.sprintf "amt%d" i))))
-      writes
+    List.map2 (fun x p -> Stmt.Update (x, Expr.Add (Expr.Item x, Expr.Param p))) writes amts
   in
   let read_stmts = List.map (fun x -> Stmt.Read x) reads in
   (params, read_stmts @ updates)

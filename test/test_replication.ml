@@ -15,6 +15,7 @@ module Obs = Repro_obs.Obs
 module Report = Repro_obs.Report
 module Banking = Repro_workload.Banking
 module Rng = Repro_workload.Rng
+module Sim = Repro_service.Sim
 module G = Test_support.Generators
 
 let checki = Alcotest.check Alcotest.int
@@ -52,6 +53,84 @@ let prop_pqueue_sorts =
         | Some (k, ()) -> k >= prev && drain k
       in
       drain neg_infinity)
+
+(* The queue against a list model kept sorted by (key, insertion stamp),
+   where [replace_min] is a pop then a push with a fresh stamp. Keys come
+   from five values, so most pops break a tie; every value is the index
+   of the operation that pushed it, so a wrong tie order shows up as a
+   wrong value. *)
+type pq_op = Push of float | Pop | Min | Replace of float
+
+let prop_pqueue_matches_model =
+  let key = QCheck.Gen.(map (fun n -> float_of_int n /. 2.0) (int_bound 4)) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun k -> Push k) key);
+          (2, return Pop);
+          (1, return Min);
+          (3, map (fun k -> Replace k) key);
+        ])
+  in
+  let print = function
+    | Push k -> Printf.sprintf "push %g" k
+    | Pop -> "pop"
+    | Min -> "min"
+    | Replace k -> Printf.sprintf "replace_min %g" k
+  in
+  QCheck.Test.make ~count:300 ~name:"pqueue = sorted-list model (push, pop, min, replace_min)"
+    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_range 0 200) op))
+    (fun ops ->
+      let q = Pqueue.create () in
+      (* (key, stamp, value), ascending by (key, stamp) *)
+      let model = ref [] and stamp = ref 0 in
+      let insert k v =
+        let s = !stamp in
+        incr stamp;
+        let rec go = function
+          | ((k', s', _) as e) :: rest when k' < k || (k' = k && s' < s) -> e :: go rest
+          | l -> (k, s, v) :: l
+        in
+        model := go !model
+      in
+      let model_min () = match !model with [] -> None | (k, _, v) :: _ -> Some (k, v) in
+      let model_pop () =
+        let m = model_min () in
+        (match !model with [] -> () | _ :: rest -> model := rest);
+        m
+      in
+      let same what expected got =
+        if expected <> got then
+          QCheck.Test.fail_reportf "%s: expected %s, got %s" what
+            (match expected with None -> "none" | Some (k, v) -> Printf.sprintf "(%g, %d)" k v)
+            (match got with None -> "none" | Some (k, v) -> Printf.sprintf "(%g, %d)" k v)
+      in
+      List.iteri
+        (fun v op ->
+          (match op with
+          | Push k ->
+              Pqueue.push q k v;
+              insert k v
+          | Pop -> same "pop" (model_pop ()) (Pqueue.pop q)
+          | Min -> same "min" (model_min ()) (Pqueue.min q)
+          | Replace k ->
+              Pqueue.replace_min q k v;
+              ignore (model_pop ());
+              insert k v);
+          if Pqueue.size q <> List.length !model then QCheck.Test.fail_report "size";
+          if Pqueue.is_empty q <> (!model = []) then QCheck.Test.fail_report "is_empty";
+          if Pqueue.peek_key q <> Option.map fst (model_min ()) then
+            QCheck.Test.fail_report "peek_key")
+        ops;
+      (* Drain: everything left comes out in model order. *)
+      let rec drain () =
+        let m = model_pop () in
+        same "drain" m (Pqueue.pop q);
+        if m <> None then drain ()
+      in
+      drain ();
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol: constructed scenarios *)
@@ -788,6 +867,69 @@ let test_trace_rejects_non_positive_intervals () =
       ("connect gap mean", { params with Trace.connect_gap = Trace.Exponential 0.0 });
     ]
 
+(* Trace pins: a digest of everything [Trace.generate] produces — each
+   event's time in hex (exact to the bit), the event, the full program
+   it carries, and the workload's initial state. A change to the rng
+   draw order, the event queue's tie order or any generated name moves
+   it. *)
+let trace_digest params (workload : Sync.workload) =
+  let trace = Trace.generate params workload in
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  List.iter
+    (fun (t, ev) ->
+      Format.fprintf ppf "%h %a@." t Trace.pp_event ev;
+      match ev with
+      | Trace.Mobile_txn { program; _ } | Trace.Base_txn { program } ->
+          Format.fprintf ppf "%a@." Program.pp_full program
+      | Trace.Connect _ | Trace.Window_boundary -> ())
+    (Trace.events trace);
+  List.iter (fun (x, v) -> Format.fprintf ppf "%s=%d@." x v) (State.to_list workload.Sync.initial);
+  (Trace.length trace, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let sim_trace_pin cfg =
+  trace_digest (Sync.trace_params (Sim.sync_config cfg)) (Sim.workload cfg)
+
+let banking_trace_pin connect_alpha =
+  trace_digest
+    (Sync.trace_params
+       {
+         Sync.default_config with
+         Sync.n_mobiles = 8;
+         Sync.duration = 150.0;
+         Sync.window = 30.0;
+         Sync.mean_connect_gap = 12.0;
+         Sync.connect_alpha;
+         Sync.seed = 25;
+       })
+    (banking_workload 0.7)
+
+let check_pin what (events, digest) (events', digest') =
+  checki (what ^ " events") events events';
+  Alcotest.check Alcotest.string (what ^ " digest") digest digest'
+
+let test_trace_pin_fleet_local () =
+  check_pin "fleet-local shape" (13344, "698fc96bde1c5f2760fdc56a79e4fbfe")
+    (sim_trace_pin { Sim.default_config with Sim.mobiles = 2_000; duration = 10.0; seed = 1 })
+
+let test_trace_pin_fleet_hot () =
+  check_pin "fleet-hot shape" (418, "ff1f51d063fa505bcffc11949c508b95")
+    (sim_trace_pin
+       {
+         Sim.default_config with
+         Sim.mobiles = 60;
+         duration = 10.0;
+         locality = 0.6;
+         shared_items = 64;
+         seed = 1;
+       })
+
+let test_trace_pin_banking_exponential () =
+  check_pin "banking, exponential gaps" (852, "cf2afb527b1ddcaf6cb48f476e509123") (banking_trace_pin None)
+
+let test_trace_pin_banking_pareto () =
+  check_pin "banking, Pareto gaps" (872, "eb36d7624d3d9cc74cf88199ea262c2d") (banking_trace_pin (Some 1.5))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -798,7 +940,7 @@ let () =
           Alcotest.test_case "orders by key" `Quick test_pqueue_orders_by_key;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
         ]
-        @ qsuite [ prop_pqueue_sorts ] );
+        @ qsuite [ prop_pqueue_sorts; prop_pqueue_matches_model ] );
       ( "protocol",
         [
           Alcotest.test_case "conflict-free merge" `Quick test_merge_conflict_free;
@@ -837,5 +979,12 @@ let () =
             test_sync_merging_cheaper_on_commuting_workload;
           Alcotest.test_case "non-positive window or gap rejected" `Quick
             test_trace_rejects_non_positive_intervals;
+        ] );
+      ( "traces",
+        [
+          Alcotest.test_case "fleet-local shape" `Quick test_trace_pin_fleet_local;
+          Alcotest.test_case "fleet-hot shape" `Quick test_trace_pin_fleet_hot;
+          Alcotest.test_case "banking, exponential gaps" `Quick test_trace_pin_banking_exponential;
+          Alcotest.test_case "banking, Pareto gaps" `Quick test_trace_pin_banking_pareto;
         ] );
     ]
