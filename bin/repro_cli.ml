@@ -133,6 +133,15 @@ let positive_float =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
+let unit_interval =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when not (x >= 0.0 && x <= 1.0) ->
+      Error (`Msg (Printf.sprintf "%s is not in [0, 1]" s))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let floats_arg names default ~doc =
   Arg.(value & opt (list float) default & info names ~docv:"X,Y,..." ~doc)
 
@@ -817,11 +826,11 @@ let sim_cmd =
   in
   let jitter =
     Arg.(
-      value & opt float 0.0
+      value & opt unit_interval 0.0
       & info [ "jitter" ] ~docv:"J"
           ~doc:
-            "Retransmission jitter: spread each retry's backoff by up to ±$(docv) of the \
-             nominal timeout, drawn from the $(b,--retry-seed) stream (0.0 disables).")
+            "Retransmission jitter in [0, 1]: spread each retry's backoff by up to ±$(docv) \
+             of the nominal timeout, drawn from the $(b,--retry-seed) stream (0.0 disables).")
   in
   let run obs mobiles duration window seed strategy1 reprocess bias profiles faults drop_rate
       crash_at net_seed retry_seed jitter =

@@ -103,8 +103,6 @@ let string_of_parse_error = function
   | Bad_item x -> Printf.sprintf "bad item name %S" x
   | Bad_state b -> Printf.sprintf "bad state binding %S" b
 
-let pp_parse_error ppf e = Format.pp_print_string ppf (string_of_parse_error e)
-
 (* Strict decimal parser: optional leading '-', digits only. Unlike
    [int_of_string] it rejects '0x'/'0b' prefixes, '_' separators, '+'
    signs and empty strings, so the codec accepts exactly what

@@ -195,7 +195,6 @@ type parse_error =
   | Bad_state of string
 
 val string_of_parse_error : parse_error -> string
-val pp_parse_error : Format.formatter -> parse_error -> unit
 val entry_of_line : string -> (entry, parse_error) result
 
 (** {2 Verified decoding} *)

@@ -47,6 +47,7 @@ type 'a t = {
   rng : Rng.t;
   sched : schedule;
   describe : 'a -> string;  (* payload label for trace events *)
+  mutable crashes : crash_point list;  (* scheduled, not yet fired *)
   mutable to_base : 'a envelope list;  (* sorted by (arrival, seqno) *)
   mutable to_mobile : 'a envelope list;
   mutable seqno : int;
@@ -61,6 +62,7 @@ let create ?(describe = fun _ -> "msg") ~seed sched =
     rng = Rng.create seed;
     sched;
     describe;
+    crashes = sched.crashes;
     to_base = [];
     to_mobile = [];
     seqno = 0;
@@ -70,7 +72,10 @@ let create ?(describe = fun _ -> "msg") ~seed sched =
     delivered = 0;
   }
 
-let schedule t = t.sched
+let take_crash t p =
+  let fires = List.mem p t.crashes in
+  if fires then t.crashes <- List.filter (fun q -> q <> p) t.crashes;
+  fires
 
 let partitioned t time =
   List.exists (fun (a, b) -> time >= a && time < b) t.sched.partitions
@@ -145,6 +150,30 @@ let recv t ~now ~dst =
     wire_event t ~now ~dst "net.deliver" env.payload [];
     Some env.payload
   | _ -> None
+
+(* Ties go to the base: its reply is computed before the mobile reads
+   anything that arrived at the same instant. *)
+let rec await t ~now ~deadline ~base ~mobile =
+  let next =
+    match (next_arrival t ~dst:Base, next_arrival t ~dst:Mobile) with
+    | None, None -> None
+    | Some tb, None -> Some (tb, Base)
+    | None, Some tm -> Some (tm, Mobile)
+    | Some tb, Some tm -> if tb <= tm then Some (tb, Base) else Some (tm, Mobile)
+  in
+  match next with
+  | Some (arrival, dst) when arrival <= deadline -> (
+    now := max !now arrival;
+    let msg = match recv t ~now:!now ~dst with Some m -> m | None -> assert false in
+    match dst with
+    | Base ->
+      base msg;
+      await t ~now ~deadline ~base ~mobile
+    | Mobile -> (
+      match mobile msg with Some v -> Some v | None -> await t ~now ~deadline ~base ~mobile))
+  | _ ->
+    now := deadline;
+    None
 
 type stats = { sent : int; dropped : int; duplicated : int; delivered : int }
 

@@ -16,13 +16,20 @@
       [dup_rate] (the copy gets its own latency draw);
     - while the clock is inside a [partitions] interval the link is down
       and every send is dropped;
-    - [crashes] name protocol points at which an endpoint dies; they are
-      interpreted by the session driver ({!Session}), not the wire. *)
+    - [crashes] name protocol points at which an endpoint dies. The wire
+      keeps the ones not yet fired, and the protocol running over it
+      ({!Session}, [Repro_multibase.Exchange]) consumes each through
+      {!take_crash} at the point it names; what a crash does is up to
+      that protocol.
+
+    Both protocols deliver through {!await}, the one event loop, and
+    keep only their message handlers and retry policy. *)
 
 type endpoint = Mobile | Base
 
 (** A point in the session protocol at which a node crashes. Each crash
-    point fires at most once per session run. *)
+    point fires at most once per wire ({!take_crash}), and every session
+    or exchange runs on a wire of its own. *)
 type crash_point =
   | Base_after_handling of int
       (** the base dies on receipt of its [n]-th message, before
@@ -68,7 +75,11 @@ type 'a t
     defaults to ["msg"]. *)
 val create : ?describe:('a -> string) -> seed:int -> schedule -> 'a t
 
-val schedule : 'a t -> schedule
+(** [take_crash t p] — does a scheduled crash fire at [p]? True the
+    first time [p] is asked for, if the schedule lists it; the point is
+    then consumed, so it never fires again on [t] (a point listed twice
+    still fires once). *)
+val take_crash : 'a t -> crash_point -> bool
 
 (** Is the link partitioned at [time]? *)
 val partitioned : 'a t -> float -> bool
@@ -83,6 +94,24 @@ val next_arrival : 'a t -> dst:endpoint -> float option
 (** [recv t ~now ~dst] delivers the earliest message for [dst] whose
     arrival time is [<= now]. *)
 val recv : 'a t -> now:float -> dst:endpoint -> 'a option
+
+(** [await t ~now ~deadline ~base ~mobile] — the protocols' delivery loop.
+    It delivers queued messages earliest arrival first, a tie to [Base]
+    first, while the arrival is at most [deadline], and advances the
+    clock [now] to each arrival that is later than it. [base] handles
+    every message for [Base]; [mobile] handles each message for
+    [Mobile], and its first [Some v] ends the wait with [Some v]. When
+    nothing more arrives by [deadline], [now] is set to [deadline]
+    (which must not be before [!now]) and the result is [None]. An
+    exception from a handler propagates with [now] at that message's
+    arrival. *)
+val await :
+  'a t ->
+  now:float ref ->
+  deadline:float ->
+  base:('a -> unit) ->
+  mobile:('a -> 'b option) ->
+  'b option
 
 type stats = { sent : int; dropped : int; duplicated : int; delivered : int }
 

@@ -153,8 +153,9 @@ let chunk_entries n entries =
 
 let run_merge ?(sid = 1) ?retry_seed ~net ~session ~config ~params ~base ~base_history
     ~origin ~tentative () =
+  if not (session.jitter >= 0.0 && session.jitter <= 1.0) then
+    invalid_arg (Printf.sprintf "Session.run_merge: jitter %g is outside [0, 1]" session.jitter);
   Obs.Span.with_ ~name:"fault.session" @@ fun () ->
-  let sched = Net.schedule net in
   let cost = Cost.zero () in
   let now = ref 0.0 in
   (* Private stream for backoff jitter: seeded, so retry timing is as
@@ -167,14 +168,6 @@ let run_merge ?(sid = 1) ?retry_seed ~net ~session ~config ~params ~base ~base_h
   and storage_failed = ref false
   and forced = ref false in
   let base_handled = ref 0 and mobile_handled = ref 0 in
-  let crash_remaining = ref sched.Net.crashes in
-  let crash_now p =
-    if List.mem p !crash_remaining then begin
-      crash_remaining := List.filter (fun q -> q <> p) !crash_remaining;
-      true
-    end
-    else false
-  in
 
   (* ------------------------------------------------------------------ *)
   (* Base endpoint: a reactive handler over volatile session state.     *)
@@ -209,66 +202,36 @@ let run_merge ?(sid = 1) ?retry_seed ~net ~session ~config ~params ~base ~base_h
     raise Base_crashed
   in
 
-  (* The whole commit — forwarded updates, re-executions, journal marker —
-     is one unforced WAL group closed by a single force: durable all
-     together or lost all together. Shared by the real commit
-     ([journal_commit]) and by recovery replay on a scratch engine. *)
-  let commit ~engine ~journal_commit (g : Protocol.graph_phase) (r : Protocol.rewrite_phase)
-      =
-    (* Ride the WAL's group-commit layer: the commit group's single force
-       coalesces with any others sharing the engine's open group, and a
-       crash mid-commit abandons the group without a partial flush. *)
+  (* The whole commit — [Protocol.commit]'s forwarded updates and
+     re-executions, then the journal marker — is one unforced WAL group
+     closed by a single force: durable all together or lost all
+     together. The group rides the WAL's group-commit layer, so its force
+     coalesces with any others sharing the engine's open group, and a
+     crash mid-commit abandons the group without a partial flush. Shared
+     by the real commit ([journal_commit]) and by recovery replay on a
+     scratch engine. *)
+  let commit ~engine ~journal_commit g r =
     Engine.with_group engine @@ fun () ->
-    let plan = P.plan_commit ~graph:g ~rewrite:r ~base_history ~tentative in
-    let forwarded = plan.P.pl_forwarded_items in
     let first = Engine.next_txid engine in
-    cost.Cost.communication <-
-      cost.Cost.communication
-      +. (params.Cost.comm_per_unit *. float_of_int (Item.Set.cardinal forwarded));
-    if not (Item.Set.is_empty forwarded) then begin
-      Engine.apply_updates ~durably:false engine r.P.rp_pruned_state forwarded;
-      cost.Cost.base_cpu <- cost.Cost.base_cpu +. params.Cost.cc_per_txn
-    end;
-    let reexec_results =
-      List.map
-        (P.reexecute_one ~durably:false ~acceptance:config.P.acceptance ~params ~base:engine
-           ~tentative_exec:g.P.gp_tentative_exec ~cost)
-        plan.P.pl_backed_out_programs
+    let report =
+      P.commit ~durably:false ~config ~params ~cost ~base:engine ~base_history ~tentative g r
     in
-    let last = Engine.next_txid engine - 1 in
     if journal_commit then begin
-      if crash_now Net.Base_mid_commit then base_crash ();
-      Engine.journal engine ~session:sid (Printf.sprintf "applied %d %d" first last);
+      if Net.take_crash net Net.Base_mid_commit then base_crash ();
+      Engine.journal engine ~session:sid
+        (Printf.sprintf "applied %d %d" first (Engine.next_txid engine - 1));
       Engine.force engine;
       cost.Cost.base_io <- cost.Cost.base_io +. params.Cost.io_per_force
     end;
-    let rw = r.P.rp_rewrite in
-    let txns =
-      List.map
-        (fun name -> { P.name; outcome = P.Merged })
-        (Names.Set.elements rw.Rewrite.saved)
-      @ List.map fst reexec_results
-    in
-    let appended = List.filter_map snd reexec_results in
-    {
-      P.bad = g.P.gp_bad;
-      affected = rw.Rewrite.affected;
-      saved = rw.Rewrite.saved;
-      backed_out = r.P.rp_backed_out;
-      txns;
-      new_history = plan.P.pl_merged_core @ appended;
-      rewrite = rw;
-      pruned_by_compensation = r.P.rp_pruned_by_compensation;
-      cost;
-    }
+    report
   in
 
   (* The journal says [first..last] is durably applied but the report was
-     lost (crash after the force, or an exhausted commit retry budget):
-     rebuild it by rewinding to the pre-commit state and re-running the
-     commit on a scratch engine. Deterministic replay must reconverge on
-     the recovered base state. *)
-  let replay_applied (g : Protocol.graph_phase) (r : Protocol.rewrite_phase) ~first ~last =
+     lost (crash after the force, or an exhausted retry budget): rebuild
+     it by rewinding to the pre-commit state and re-running the commit on
+     a scratch engine. Deterministic replay must reconverge on the
+     recovered base state. *)
+  let replay_applied g r ~first ~last =
     let pre = Engine.rewind_txns base ~first ~last in
     let scratch = Engine.create pre in
     let report = commit ~engine:scratch ~journal_commit:false g r in
@@ -348,7 +311,7 @@ let run_merge ?(sid = 1) ?retry_seed ~net ~session ~config ~params ~base ~base_h
                 replay_applied g r ~first ~last
               | None ->
                 let report = commit ~engine:base ~journal_commit:true g r in
-                if crash_now Net.Base_after_commit then base_crash ();
+                if Net.take_crash net Net.Base_after_commit then base_crash ();
                 report
             in
             st.bs_report <- Some report;
@@ -362,55 +325,35 @@ let run_merge ?(sid = 1) ?retry_seed ~net ~session ~config ~params ~base ~base_h
   in
   let base_receive msg =
     incr base_handled;
-    if crash_now (Net.Base_after_handling !base_handled) then base_crash ();
-    if !storage_failed then reply (Fatal { sid }) else base_handle msg
+    try
+      if Net.take_crash net (Net.Base_after_handling !base_handled) then base_crash ();
+      if !storage_failed then reply (Fatal { sid }) else base_handle msg
+    with Base_crashed -> ()
+  in
+  (* The mobile's side of every delivery: crash point, [Nack] and
+     [Fatal] first, then the reply the pending RPC waits for. *)
+  let mobile_receive pred msg =
+    incr mobile_handled;
+    if Net.take_crash net (Net.Mobile_after_handling !mobile_handled) then begin
+      incr crashes;
+      Obs.Counter.incr obs_crashes;
+      if Obs.Event.capturing () then
+        Obs.Event.emit ~lane:Obs.Event.Mobile
+          ~attrs:[ ("sim_t", Obs.Event.Float !now) ]
+          "crash.mobile";
+      raise Mobile_crashed
+    end;
+    match msg with
+    | Nack { sid = s } when s = sid -> raise Session_lost
+    | Fatal { sid = s } when s = sid -> raise Storage_failed
+    | m -> pred m
   in
 
-  (* ------------------------------------------------------------------ *)
-  (* Event loop: deliver wire messages in arrival order, advancing the  *)
-  (* simulated clock; the mobile is the only active driver.             *)
-  (* ------------------------------------------------------------------ *)
-  let rec await deadline pred =
-    let nb = Net.next_arrival net ~dst:Net.Base in
-    let nm = Net.next_arrival net ~dst:Net.Mobile in
-    let next =
-      match (nb, nm) with
-      | None, None -> None
-      | Some t, None -> Some (t, Net.Base)
-      | None, Some t -> Some (t, Net.Mobile)
-      | Some tb, Some tm -> if tb <= tm then Some (tb, Net.Base) else Some (tm, Net.Mobile)
-    in
-    match next with
-    | Some (t, dst) when t <= deadline -> (
-      now := max !now t;
-      let msg = match Net.recv net ~now:!now ~dst with Some m -> m | None -> assert false in
-      match dst with
-      | Net.Base ->
-        (try base_receive msg with Base_crashed -> ());
-        await deadline pred
-      | Net.Mobile -> (
-        incr mobile_handled;
-        if crash_now (Net.Mobile_after_handling !mobile_handled) then begin
-          incr crashes;
-          Obs.Counter.incr obs_crashes;
-          if Obs.Event.capturing () then
-            Obs.Event.emit ~lane:Obs.Event.Mobile
-              ~attrs:[ ("sim_t", Obs.Event.Float !now) ]
-              "crash.mobile";
-          raise Mobile_crashed
-        end;
-        match msg with
-        | Nack { sid = s } when s = sid -> raise Session_lost
-        | Fatal { sid = s } when s = sid -> raise Storage_failed
-        | m -> ( match pred m with Some v -> Some v | None -> await deadline pred)))
-    | _ ->
-      now := deadline;
-      None
-  in
-
-  (* Stop-and-wait RPC with bounded retry and exponential backoff.
-     Retransmissions charge communication — the first copy of each
-     payload is costed by the protocol phases themselves. *)
+  (* Stop-and-wait RPC with bounded retry and exponential backoff; only
+     the mobile sends requests, and [Net.await] delivers to both
+     endpoints while it waits. Retransmissions charge communication —
+     the first copy of each payload is costed by the protocol phases
+     themselves. *)
   let rpc ?(attempts = session.max_retries) msg pred =
     let rec go attempt =
       if attempt >= attempts then None
@@ -441,7 +384,9 @@ let run_merge ?(sid = 1) ?retry_seed ~net ~session ~config ~params ~base ~base_h
           else 1.0 +. (session.jitter *. ((2.0 *. Rng.float jrng) -. 1.0))
         in
         let deadline = !now +. (session.retry_timeout *. backoff *. jitter) in
-        match await deadline pred with Some v -> Some v | None -> go (attempt + 1)
+        match Net.await net ~now ~deadline ~base:base_receive ~mobile:(mobile_receive pred) with
+        | Some v -> Some v
+        | None -> go (attempt + 1)
       end
     in
     go 0
@@ -462,24 +407,32 @@ let run_merge ?(sid = 1) ?retry_seed ~net ~session ~config ~params ~base ~base_h
      [Forward] was sent the base is provably untouched and giving up
      aborts directly. *)
   let forward_sent = ref false in
-  let give_up reason =
-    if not !forward_sent then Aborted reason
-    else begin
-      forced := true;
-      Obs.Counter.incr obs_forced;
-      if !storage_failed then Aborted "base storage corruption detected"
-      else
-        match find_applied base ~sid with
-        | Some (first, last) ->
-          let g =
-            P.analyze_graph ~strategy:config.P.strategy ~params ~cost ~base_history ~origin
-              ~tentative
-          in
-          let r = P.rewrite_local ~config ~params ~cost ~origin ~tentative ~bad:g.P.gp_bad in
-          Completed (replay_applied g r ~first ~last)
-        | None -> Aborted reason
-    end
+  (* The one in-doubt resolution. Only the durable journal can tell
+     whether the base committed (the marker is forced before [Done] is
+     ever sent): with the marker the report is rebuilt by replay, reusing
+     the mobile's [rewrite] when this run still holds it (an exhausted
+     [Forward] budget) and recomputing it after a restart, so the cost
+     tally charges exactly the phases that ran. *)
+  let resolve ?rewrite reason =
+    forced := true;
+    Obs.Counter.incr obs_forced;
+    if !storage_failed then Aborted "base storage corruption detected"
+    else
+      match find_applied base ~sid with
+      | None -> Aborted reason
+      | Some (first, last) ->
+        let g =
+          P.analyze_graph ~strategy:config.P.strategy ~params ~cost ~base_history ~origin
+            ~tentative
+        in
+        let r =
+          match rewrite with
+          | Some r -> r
+          | None -> P.rewrite_local ~config ~params ~cost ~origin ~tentative ~bad:g.P.gp_bad
+        in
+        Completed (replay_applied g r ~first ~last)
   in
+  let give_up reason = if !forward_sent then resolve reason else Aborted reason in
   let mobile_run () =
     match
       rpc (Hello { sid; chunks = n_chunks }) (function
@@ -528,22 +481,7 @@ let run_merge ?(sid = 1) ?retry_seed ~net ~session ~config ~params ~base ~base_h
             Net.send net ~now:!now ~dst:Net.Base (Fin { sid });
             incr messages;
             Completed report
-          | None -> (
-            (* In-doubt: the commit request may or may not have been
-               handled. Only the durable journal can tell (the marker is
-               forced before [Done] is ever sent). *)
-            forced := true;
-            Obs.Counter.incr obs_forced;
-            if !storage_failed then Aborted "base storage corruption detected"
-            else
-            match find_applied base ~sid with
-            | Some (first, last) ->
-              let g =
-                P.analyze_graph ~strategy:config.P.strategy ~params ~cost ~base_history
-                  ~origin ~tentative
-              in
-              Completed (replay_applied g r ~first ~last)
-            | None -> Aborted "commit undeliverable; journal shows no effect")))
+          | None -> resolve ~rewrite:r "commit undeliverable; journal shows no effect"))
   in
   let recover_event reason =
     if Obs.Event.capturing () then

@@ -4,11 +4,11 @@
     real link — a sequence of messages, any of which can be lost,
     duplicated or reordered, around nodes that can crash. This module
     runs the decomposed protocol ({!Repro_replication.Protocol}'s
-    [analyze_graph] / [rewrite_local] / [plan_commit] / [reexecute_one])
-    as a sequence-numbered, idempotent message exchange over {!Net},
-    with acks, bounded retry with exponential backoff, and a session
-    journal persisted through the base engine's WAL
-    ({!Repro_db.Engine.journal}), so that:
+    [analyze_graph] at the base, [rewrite_local] at the mobile, then
+    [commit] at the base) as a sequence-numbered, idempotent message
+    exchange over {!Net}, with acks, bounded retry with exponential
+    backoff, and a session journal persisted through the base engine's
+    WAL ({!Repro_db.Engine.journal}), so that:
 
     - a completed session applies its forwarded updates and
       re-executions {e exactly once}, no matter how many times the
@@ -17,15 +17,23 @@
       caller falls back to reprocessing.
 
     The exactly-once mechanism: the base performs the whole commit —
-    forwarded updates, re-executions, and a journal marker
+    [Protocol.commit ~durably:false]'s forwarded updates and
+    re-executions, then a journal marker
     ["applied <first_txid> <last_txid>"] — as one unforced WAL commit
     group closed by a single force. A crash before the force loses
     marker and effects together (the session restarts from scratch); a
     crash after keeps both, and any retransmitted commit request is
     answered by {e deterministic replay}: rewind the journaled txid
-    range to the pre-commit state, re-run the commit on a scratch
+    range to the pre-commit state, re-run the same commit on a scratch
     engine, check it reconverges on the recovered base state, and
-    return the rebuilt report. See docs/FAULTS.md. *)
+    return the rebuilt report. A session that gives up after a
+    [Forward] was sent resolves the in-doubt commit the same way, once
+    the journal shows the marker. See docs/FAULTS.md.
+
+    Both endpoints run in {!Net.await}, the delivery loop shared with
+    the multibase exchange, and the wire's crash points are consumed
+    through {!Net.take_crash}: the session keeps only its handlers and
+    its retry policy. *)
 
 open Repro_txn
 open Repro_history
@@ -69,10 +77,13 @@ type config = {
           is the in-doubt case and needs journal-peek resolution *)
   reboot_delay : float;  (** mobile crash-to-restart delay *)
   jitter : float;
-      (** seeded multiplicative jitter on the backoff timeout: each
-          retry waits [retry_timeout * backoff^attempt * (1 ± jitter)],
-          drawn from a private deterministic stream ([?retry_seed]).
-          [0.0] (the default) keeps the bare exponential schedule *)
+      (** seeded multiplicative jitter on the backoff timeout, in
+          [[0, 1]]: each retry waits
+          [retry_timeout * backoff^attempt * (1 ± jitter)], drawn from a
+          private deterministic stream ([?retry_seed]). [0.0] (the
+          default) keeps the bare exponential schedule; above [1.0] a
+          wait could be negative and run the clock backwards, so
+          {!run_merge} refuses it *)
 }
 
 val default_config : config
@@ -100,10 +111,14 @@ type result = {
 (** [run_merge ~net ~session ~config ~params ~base ~base_history ~origin
     ~tentative ()] drives one merge session to completion or abort. Both
     endpoints are simulated in one event loop over [net]'s clock; crash
-    points in [net]'s schedule fire during the run. On [Completed r],
+    points in [net]'s schedule fire during the run, each at most once
+    per [net], so every session gets a fresh wire. On [Completed r],
     the base engine holds the merged state, [r] is equivalent to what a
     fault-free {!Protocol.merge} would return, and [r.cost]
-    additionally charges retransmissions and recovery recomputation. *)
+    additionally charges retransmissions and recovery recomputation.
+
+    @raise Invalid_argument if [session.jitter] is outside [[0, 1]]
+    (NaN included). *)
 val run_merge :
   ?sid:int ->
   ?retry_seed:int ->

@@ -65,8 +65,3 @@ let pp ppf t =
   Format.fprintf ppf "@[<h>%a@]"
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ") pp_entry)
     t.items
-
-let pp_execution ppf exec =
-  Format.fprintf ppf "@[<v 2>execution from %a@ %a@ final: %a@]" State.pp exec.initial
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut Interp.pp_record)
-    exec.records State.pp exec.final

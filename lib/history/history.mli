@@ -64,4 +64,3 @@ val final_state : Repro_txn.State.t -> t -> Repro_txn.State.t
 val record_of : execution -> string -> Repro_txn.Interp.record
 
 val pp : Format.formatter -> t -> unit
-val pp_execution : Format.formatter -> execution -> unit

@@ -66,21 +66,12 @@ exception Initiator_crashed of string
 let run ~net ~config ~initiator ~responder () =
   Obs.Span.with_ ~lane:Obs.Event.Cluster ~name:"multibase.exchange" @@ fun () ->
   Obs.Counter.incr obs_exchanges;
-  let sched = Net.schedule net in
   let now = ref 0.0 in
   let retries = ref 0 and messages = ref 0 and crashes = ref 0 in
   let pulled = ref 0 and pushed = ref 0 in
   let resp_decided = ref [] and init_decided = ref [] in
   let resp_handled = ref 0 and init_handled = ref 0 in
   let resp_dead = ref false in
-  let crash_remaining = ref sched.Net.crashes in
-  let crash_now p =
-    if List.mem p !crash_remaining then begin
-      crash_remaining := List.filter (fun q -> q <> p) !crash_remaining;
-      true
-    end
-    else false
-  in
   let crash_base who =
     incr crashes;
     Obs.Counter.incr obs_crashes;
@@ -102,7 +93,7 @@ let run ~net ~config ~initiator ~responder () =
      (idempotence the nemesis checks lean on). *)
   let respond msg =
     incr resp_handled;
-    if crash_now (Net.Base_after_handling !resp_handled) then begin
+    if Net.take_crash net (Net.Base_after_handling !resp_handled) then begin
       if crash_base responder then resp_dead := true
     end
     else
@@ -117,13 +108,13 @@ let run ~net ~config ~initiator ~responder () =
         ignore (Mbase.integrate responder txns);
         Net.send net ~now:!now ~dst:Net.Mobile (Push_ack { nonce })
       | Bye d ->
-        if crash_now Net.Base_mid_commit then begin
+        if Net.take_crash net Net.Base_mid_commit then begin
           if crash_base responder then resp_dead := true
         end
         else begin
           Mbase.gossip responder d;
           resp_decided := !resp_decided @ Mbase.maybe_commit responder;
-          if crash_now Net.Base_after_commit then begin
+          if Net.take_crash net Net.Base_after_commit then begin
             if crash_base responder then resp_dead := true
           end
           else Net.send net ~now:!now ~dst:Net.Mobile (Bye_ack (Mbase.digest responder))
@@ -131,39 +122,16 @@ let run ~net ~config ~initiator ~responder () =
       | Offer _ | Txns _ | Push_ack _ | Bye_ack _ -> ()
   in
 
-  let rec await deadline pred =
-    let nb = Net.next_arrival net ~dst:Net.Base in
-    let nm = Net.next_arrival net ~dst:Net.Mobile in
-    let next =
-      match (nb, nm) with
-      | None, None -> None
-      | Some t, None -> Some (t, Net.Base)
-      | None, Some t -> Some (t, Net.Mobile)
-      | Some tb, Some tm -> if tb <= tm then Some (tb, Net.Base) else Some (tm, Net.Mobile)
-    in
-    match next with
-    | Some (t, dst) when t <= deadline -> (
-      now := max !now t;
-      let msg = match Net.recv net ~now:!now ~dst with Some m -> m | None -> assert false in
-      match dst with
-      | Net.Base ->
-        if not !resp_dead then respond msg;
-        await deadline pred
-      | Net.Mobile -> (
-        incr init_handled;
-        if crash_now (Net.Mobile_after_handling !init_handled) then begin
-          incr crashes;
-          Obs.Counter.incr obs_crashes;
-          let storage = crash_base initiator in
-          crashes := !crashes - 1 (* crash_base already counted it *);
-          raise
-            (Initiator_crashed
-               (if storage then "initiator storage corruption" else "initiator crashed"))
-        end;
-        match pred msg with Some v -> Some v | None -> await deadline pred))
-    | _ ->
-      now := deadline;
-      None
+  (* A responder that lost durable records hears nothing more. *)
+  let to_responder msg = if not !resp_dead then respond msg in
+  (* An initiator crash aborts the exchange; [crash_base] counts it. *)
+  let initiate pred msg =
+    incr init_handled;
+    if Net.take_crash net (Net.Mobile_after_handling !init_handled) then
+      raise
+        (Initiator_crashed
+           (if crash_base initiator then "initiator storage corruption" else "initiator crashed"));
+    pred msg
   in
 
   let rpc msg pred =
@@ -178,7 +146,9 @@ let run ~net ~config ~initiator ~responder () =
         Net.send net ~now:!now ~dst:Net.Base msg;
         let backoff = config.backoff ** float_of_int (min attempt 8) in
         let deadline = !now +. (config.retry_timeout *. backoff) in
-        match await deadline pred with Some v -> Some v | None -> go (attempt + 1)
+        match Net.await net ~now ~deadline ~base:to_responder ~mobile:(initiate pred) with
+        | Some v -> Some v
+        | None -> go (attempt + 1)
       end
     in
     go 0

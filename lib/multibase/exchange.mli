@@ -59,6 +59,8 @@ type result = {
   retries : int;
   messages : int;
   crashes : int;
+      (** crashes injected on either side, each counted once, as
+          [multibase.exchange_crashes] counts them *)
   initiator_decided : (Gtxn.id * bool) list;
   responder_decided : (Gtxn.id * bool) list;
   elapsed : float;  (** simulated exchange duration *)
@@ -66,7 +68,8 @@ type result = {
 
 (** [run ~net ~config ~initiator ~responder ()] drives one exchange to
     completion or abort; both endpoints are simulated in one event loop
-    over [net]'s clock. Newly decided commitments on either side are
+    over [net]'s clock ({!Repro_fault.Net.await}), and each crash point
+    is consumed through {!Repro_fault.Net.take_crash}. Newly decided commitments on either side are
     reported in the result (for the cluster's phantom-commit check).
     Every fault draw comes from [net], so the seed [net] was created
     with is the exchange's only seed. *)

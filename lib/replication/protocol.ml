@@ -83,23 +83,22 @@ type reprocess_report = {
   cost : Cost.tally;
 }
 
-let rec stmt_count_list stmts =
+(* Syntactic statement count: the cost model's code-size proxy. *)
+let rec stmt_count stmts =
   List.fold_left
     (fun acc s ->
       match s with
       | Stmt.Read _ | Stmt.Update _ | Stmt.Assign _ -> acc + 1
-      | Stmt.If (_, ss1, ss2) -> acc + 1 + stmt_count_list ss1 + stmt_count_list ss2)
+      | Stmt.If (_, ss1, ss2) -> acc + 1 + stmt_count ss1 + stmt_count ss2)
     0 stmts
 
-let stmt_count (p : Program.t) = stmt_count_list p.Program.body
-
-let reexecute_one ?(durably = true) ~acceptance ~params ~base ~tentative_exec ~cost
+let reexecute_one ~durably ~acceptance ~params ~base ~tentative_exec ~cost
     (program : Program.t) =
   let name = program.Program.name in
   (* Ship code and arguments, transform, re-execute with full query
      processing, one force per transaction (none when the surrounding
      session commit group forces once for the whole batch). *)
-  let stmts = float_of_int (stmt_count program) in
+  let stmts = float_of_int (stmt_count program.Program.body) in
   cost.Cost.communication <-
     cost.Cost.communication
     +. (params.Cost.comm_per_unit
@@ -118,9 +117,9 @@ let reexecute_one ?(durably = true) ~acceptance ~params ~base ~tentative_exec ~c
   end
   else ({ name; outcome = Rejected }, None)
 
-let reexecute_backed_out ~acceptance ~params ~base ~tentative_exec ~cost names_in_order =
+let reexecute_backed_out ~durably ~acceptance ~params ~base ~tentative_exec ~cost programs =
   Obs.Span.with_ ~lane:Obs.Event.Base ~name:"protocol.reexecute" @@ fun () ->
-  List.map (reexecute_one ~acceptance ~params ~base ~tentative_exec ~cost) names_in_order
+  List.map (reexecute_one ~durably ~acceptance ~params ~base ~tentative_exec ~cost) programs
 
 let outcome_name = function
   | Merged -> "merged"
@@ -311,13 +310,10 @@ let record_merge_metrics (report : merge_report) =
   count_outcomes report.txns;
   Obs.Dist.observe obs_merge_cost (Cost.total report.cost)
 
-let merge ~config ~params ~base ~base_history ~origin ~tentative =
-  Obs.Span.with_ ~name:"protocol.merge" @@ fun () ->
-  let cost = Cost.zero () in
-  let g = analyze_graph ~strategy:config.strategy ~params ~cost ~base_history ~origin ~tentative in
-  let r = rewrite_local ~config ~params ~cost ~origin ~tentative ~bad:g.gp_bad in
+let commit ?(durably = true) ~config ~params ~cost ~base ~base_history ~tentative g r =
   let rw = r.rp_rewrite in
   let plan = plan_commit ~graph:g ~rewrite:r ~base_history ~tentative in
+  (* Step 5: forward the repaired history's final values, one transaction. *)
   let forwarded_items = plan.pl_forwarded_items in
   cost.Cost.communication <-
     cost.Cost.communication
@@ -325,33 +321,35 @@ let merge ~config ~params ~base ~base_history ~origin ~tentative =
   Obs.Dist.observe_int obs_forwarded (Item.Set.cardinal forwarded_items);
   if not (Item.Set.is_empty forwarded_items) then begin
     Obs.Span.with_ ~lane:Obs.Event.Base ~name:"protocol.forward" (fun () ->
-        Engine.apply_updates base r.rp_pruned_state forwarded_items);
+        Engine.apply_updates ~durably base r.rp_pruned_state forwarded_items);
     cost.Cost.base_cpu <- cost.Cost.base_cpu +. params.Cost.cc_per_txn;
-    cost.Cost.base_io <- cost.Cost.base_io +. params.Cost.io_per_force
+    if durably then cost.Cost.base_io <- cost.Cost.base_io +. params.Cost.io_per_force
   end;
   (* Step 6: re-execute the backed-out tentative transactions. *)
   let reexec_results =
-    reexecute_backed_out ~acceptance:config.acceptance ~params ~base
+    reexecute_backed_out ~durably ~acceptance:config.acceptance ~params ~base
       ~tentative_exec:g.gp_tentative_exec ~cost plan.pl_backed_out_programs
   in
-  let txns =
-    List.map (fun name -> { name; outcome = Merged }) (Names.Set.elements rw.Rewrite.saved)
-    @ List.map fst reexec_results
-  in
-  let appended = List.filter_map snd reexec_results in
-  let report =
-    {
-      bad = g.gp_bad;
-      affected = rw.Rewrite.affected;
-      saved = rw.Rewrite.saved;
-      backed_out = r.rp_backed_out;
-      txns;
-      new_history = plan.pl_merged_core @ appended;
-      rewrite = rw;
-      pruned_by_compensation = r.rp_pruned_by_compensation;
-      cost;
-    }
-  in
+  {
+    bad = g.gp_bad;
+    affected = rw.Rewrite.affected;
+    saved = rw.Rewrite.saved;
+    backed_out = r.rp_backed_out;
+    txns =
+      List.map (fun name -> { name; outcome = Merged }) (Names.Set.elements rw.Rewrite.saved)
+      @ List.map fst reexec_results;
+    new_history = plan.pl_merged_core @ List.filter_map snd reexec_results;
+    rewrite = rw;
+    pruned_by_compensation = r.rp_pruned_by_compensation;
+    cost;
+  }
+
+let merge ~config ~params ~base ~base_history ~origin ~tentative =
+  Obs.Span.with_ ~name:"protocol.merge" @@ fun () ->
+  let cost = Cost.zero () in
+  let g = analyze_graph ~strategy:config.strategy ~params ~cost ~base_history ~origin ~tentative in
+  let r = rewrite_local ~config ~params ~cost ~origin ~tentative ~bad:g.gp_bad in
+  let report = commit ~config ~params ~cost ~base ~base_history ~tentative g r in
   record_merge_metrics report;
   report
 
@@ -360,7 +358,7 @@ let reprocess ~acceptance ~params ~base ~origin ~tentative =
   let cost = Cost.zero () in
   let tentative_exec = History.execute origin tentative in
   let results =
-    reexecute_backed_out ~acceptance ~params ~base ~tentative_exec ~cost
+    reexecute_backed_out ~durably:true ~acceptance ~params ~base ~tentative_exec ~cost
       (History.programs tentative)
   in
   Obs.Counter.incr obs_reprocess_sessions;

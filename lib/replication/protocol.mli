@@ -10,7 +10,8 @@
     {b B} if cyclic, rewrite the tentative history on the mobile, prune
     it, forward only the final values of the repaired history's writes
     (one transaction, one force), and re-execute only the backed-out
-    transactions.
+    transactions. Those last two steps are {!commit}, shared by the
+    atomic merge and the crash-safe session protocol.
 
     Both return the new {e logical} base history — the serial order the
     merged transactions are equivalent to — which a {!Window} maintains
@@ -116,8 +117,9 @@ val merge :
     boundaries; the fault-injection layer ({!Repro_fault.Session}) runs
     each phase at the endpoint that owns it, with an unreliable wire in
     between, and {!merge} composes them back into the original atomic
-    protocol. Each phase accumulates its share of the Section 7.1 cost
-    into the [cost] tally it is given. *)
+    protocol: {!analyze_graph}, {!rewrite_local}, then {!commit}. Each
+    phase accumulates its share of the Section 7.1 cost into the [cost]
+    tally it is given. *)
 
 (** Base side, steps 1-2: build [G(H_m, H_b)] from the shipped read/write
     sets and compute the back-out set {b B}. *)
@@ -181,25 +183,39 @@ val plan_commit :
   tentative:History.t ->
   plan
 
-(** Base side, one backed-out transaction of step 6: ship code, transform,
-    re-execute, accept or reject. The program runs once: an accepted
-    re-execution commits the very record the acceptance test judged
-    ({!Repro_db.Engine.commit}). [~durably:false] leaves the commit in
-    the volatile log tail (the session protocol's single-force commit
-    group) and charges no I/O. *)
-val reexecute_one :
+(** Base side, steps 5-6: [commit ~config ~params ~cost ~base
+    ~base_history ~tentative graph rewrite] applies the merge plan
+    ({!plan_commit}) to [base] and returns the merge's report. It
+    forwards the final values of the last-writer-filtered items as one
+    transaction, re-executes each backed-out program once (an accepted
+    re-execution commits the very record the acceptance test judged,
+    {!Repro_db.Engine.commit}), and charges their §7.1 costs to [cost],
+    which becomes the report's tally. The forward runs in the
+    [protocol.forward] span and the re-executions in
+    [protocol.reexecute]; one [protocol.forwarded_items] sample is
+    recorded. It is the only code that applies a plan: {!merge} calls
+    it, and so do the session layer's base commit and its replays
+    (a duplicate commit request, an in-doubt resolution). With [~durably:true] (the default, the atomic protocol)
+    every transaction is forced and charged one [io_per_force];
+    [~durably:false] leaves them in the volatile log tail and charges
+    no I/O, for a caller that closes its own commit group with one
+    force (the session protocol). *)
+val commit :
   ?durably:bool ->
-  acceptance:acceptance ->
+  config:merge_config ->
   params:Cost.params ->
-  base:Repro_db.Engine.t ->
-  tentative_exec:Repro_history.History.execution ->
   cost:Cost.tally ->
-  Program.t ->
-  txn_report * base_txn option
+  base:Repro_db.Engine.t ->
+  base_history:history ->
+  tentative:History.t ->
+  graph_phase ->
+  rewrite_phase ->
+  merge_report
 
 (** Count a finished merge against the protocol's observability metrics
     (merge counter, per-outcome counters, cost distribution) — called by
-    {!merge} itself and by the session layer for session-driven merges. *)
+    {!merge} itself and by the session layer once per completed session
+    (a replayed commit is not counted again). *)
 val record_merge_metrics : merge_report -> unit
 
 type reprocess_report = {
@@ -217,7 +233,3 @@ val reprocess :
   origin:State.t ->
   tentative:History.t ->
   reprocess_report
-
-(** Syntactic statement count of a program (code-size proxy for the cost
-    model). *)
-val stmt_count : Program.t -> int

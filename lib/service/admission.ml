@@ -26,8 +26,6 @@ let write_set = function
   | Base { program; _ } -> Program.writeset program
   | Session s -> s.writes
 
-let session_of = function Base _ -> None | Session s -> Some s
-
 (* Deterministic seeded tie-break for events admitted at the same
    instant: a splitmix64 finalizer over (seed, discriminant). Times are
    continuous draws, so ties are measure-zero in simulation — the

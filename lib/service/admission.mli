@@ -29,8 +29,6 @@ type window = {
   events : wevent array;  (** admission order *)
 }
 
-val time_of : wevent -> float
-
 (** Static item footprint: readset ∪ writeset. A superset of anything
     the event can dynamically touch, which is what makes footprint-based
     dispatch safe (see docs/SERVICE.md). *)
@@ -38,8 +36,6 @@ val footprint : wevent -> Item.Set.t
 
 (** Static writeset. *)
 val write_set : wevent -> Item.Set.t
-
-val session_of : wevent -> session option
 
 (** [windows ~seed trace] — the admission queues, one window per
     boundary event plus the trailing partial window, together with the

@@ -55,14 +55,4 @@ let sample t k l =
     List.filteri (fun i _ -> Hashtbl.mem chosen i) l
   end
 
-let shuffle t l =
-  let arr = Array.of_list l in
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done;
-  Array.to_list arr
-
 let split t = { state = mix (next t) }

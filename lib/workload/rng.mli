@@ -26,8 +26,5 @@ val pick : t -> 'a list -> 'a
     [k >= length l]), in stable order. *)
 val sample : t -> int -> 'a list -> 'a list
 
-(** [shuffle t l] — uniform permutation. *)
-val shuffle : t -> 'a list -> 'a list
-
 (** [split t] — an independent generator derived from [t]'s stream. *)
 val split : t -> t

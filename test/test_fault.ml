@@ -137,23 +137,82 @@ let expect_completed (res : Session.result) =
   | Session.Completed report -> report
   | Session.Aborted reason -> Alcotest.failf "session aborted: %s" reason
 
-let test_session_ideal_matches_merge () =
-  let fx = fixture 11 in
-  let ref_report, ref_engine = reference fx in
+(* The oracle of the shared commit ([Protocol.commit]): over an ideal
+   wire a session must return the atomic merge's whole report, reach its
+   final state and leave one marker. Every cost agrees except I/O, which
+   is one force for the session's commit group against one per forced
+   transaction for the merge. Returns the first disagreement. *)
+let ideal_wire_disagreement seed =
+  let ((s0, tentative, mk) as fx) = fixture seed in
+  let forces engine = Repro_db.Wal.force_count (Engine.log engine) in
+  let ref_engine, base_history = mk () in
+  let set_up_forces = forces ref_engine in
+  let want =
+    P.merge ~config:P.default_merge_config ~params:Cost.default_params ~base:ref_engine
+      ~base_history ~origin:s0 ~tentative
+  in
+  let merge_forces = forces ref_engine - set_up_forces in
   let res, engine = run_session ~schedule:Net.ideal ~net_seed:1 fx in
-  let report = expect_completed res in
-  check_state "same final state" (Engine.state ref_engine) (Engine.state engine);
-  checkb "same saved set" true (Names.Set.equal report.P.saved ref_report.P.saved);
-  checkb "same logical history" true
-    (List.map (fun (bt : P.base_txn) -> bt.P.program.Program.name) report.P.new_history
-    = List.map (fun (bt : P.base_txn) -> bt.P.program.Program.name) ref_report.P.new_history);
-  (* no faults: nothing retried, nothing resumed, and the communication
-     charge is exactly the atomic protocol's *)
-  checki "no retries" 0 res.Session.retries;
-  checkb "not resumed" false res.Session.resumed;
-  checkb "same communication cost" true
-    (report.P.cost.Cost.communication = ref_report.P.cost.Cost.communication);
-  checki "exactly one applied marker" 1 (markers engine)
+  match res.Session.outcome with
+  | Session.Aborted reason -> Some ("session aborted: " ^ reason)
+  | Session.Completed got ->
+    let names (r : P.merge_report) =
+      List.map (fun (bt : P.base_txn) -> bt.P.program.Program.name) r.P.new_history
+    in
+    let io = Cost.default_params.Cost.io_per_force in
+    let cost f = f got.P.cost = f want.P.cost in
+    List.find_map
+      (fun (what, agrees) -> if agrees then None else Some what)
+      [
+        ("bad", Names.Set.equal got.P.bad want.P.bad);
+        ("affected", Names.Set.equal got.P.affected want.P.affected);
+        ("saved", Names.Set.equal got.P.saved want.P.saved);
+        ("backed_out", Names.Set.equal got.P.backed_out want.P.backed_out);
+        ("txns (order and outcome)", got.P.txns = want.P.txns);
+        ("new_history names", names got = names want);
+        ("pruned_by_compensation", got.P.pruned_by_compensation = want.P.pruned_by_compensation);
+        ("communication", cost (fun c -> c.Cost.communication));
+        ("base_cpu", cost (fun c -> c.Cost.base_cpu));
+        ("mobile_cpu", cost (fun c -> c.Cost.mobile_cpu));
+        ("session base_io is one force", got.P.cost.Cost.base_io = io);
+        ("session forces once", forces engine - set_up_forces = 1);
+        ( "merge base_io is one per force",
+          want.P.cost.Cost.base_io = io *. float_of_int merge_forces );
+        ("no retries", res.Session.retries = 0);
+        ("not resumed", not res.Session.resumed);
+        ("final state", State.equal (Engine.state engine) (Engine.state ref_engine));
+        ("exactly one applied marker", markers engine = 1);
+      ]
+
+let test_session_ideal_matches_merge () =
+  match ideal_wire_disagreement 11 with
+  | None -> ()
+  | Some what -> Alcotest.failf "seed 11: session and atomic merge differ in %s" what
+
+let prop_ideal_wire_matches_merge =
+  QCheck.Test.make ~count:100 ~name:"session: ideal wire = atomic merge (whole report)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      match ideal_wire_disagreement seed with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "seed %d: differs in %s" seed what)
+
+let test_session_jitter_out_of_range () =
+  let s0, tentative, mk = fixture 17 in
+  List.iter
+    (fun jitter ->
+      let engine, base_history = mk () in
+      let pre = Engine.state engine in
+      let net = Net.create ~seed:1 Net.ideal in
+      let session = { Session.default_config with Session.jitter } in
+      (match
+         Session.run_merge ~net ~session ~config:P.default_merge_config
+           ~params:Cost.default_params ~base:engine ~base_history ~origin:s0 ~tentative ()
+       with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "jitter %g accepted" jitter);
+      check_state (Printf.sprintf "jitter %g: base untouched" jitter) pre (Engine.state engine))
+    [ -0.1; 1.5; 3.0; Float.nan ]
 
 let test_session_duplicate_delivery_idempotent () =
   let fx = fixture 12 in
@@ -526,7 +585,11 @@ let prop_two_sessions_exactly_once =
    blindly abort. The peek's verdict then decides the row: a marker
    (crash after the commit force) completes to the reference state; no
    marker (torn commit group, or a crash before the Forward) aborts with
-   the base untouched. *)
+   the base untouched. A completed row also names the in-doubt branch
+   that resolved it, by what the mobile's processor was charged: an
+   exhausted [Forward] budget reuses the rewrite the mobile still holds
+   (charged once, as in the fault-free merge), and a give-up after a
+   restart recomputes it (charged again). *)
 let in_doubt_case name ~crash ~cut ~expect ~resumed ~forced =
   Alcotest.test_case name `Quick (fun () ->
       let fx = fixture 31 in
@@ -551,25 +614,36 @@ let in_doubt_case name ~crash ~cut ~expect ~resumed ~forced =
       checkb "resumed as expected" resumed res.Session.resumed;
       checkb "journal peek engaged as expected" forced res.Session.forced_resolution;
       match (expect, res.Session.outcome) with
-      | `Completed, Session.Completed _ ->
+      | `Completed rewrite, Session.Completed report ->
         checki "exactly one applied marker" 1 (Session.applied_markers engine ~sid:1);
-        let _, ref_engine = reference fx in
+        let ref_report, ref_engine = reference fx in
         check_state "resolved to the reference merge state" (Engine.state ref_engine)
           (Engine.state engine);
+        checkb "same saved set" true (Names.Set.equal report.P.saved ref_report.P.saved);
+        let mobile_cpu (r : P.merge_report) = r.P.cost.Cost.mobile_cpu in
+        (match rewrite with
+        | `Reused ->
+          checkb "rewrite reused: mobile charged once" true
+            (mobile_cpu report = mobile_cpu ref_report)
+        | `Recomputed ->
+          checkb "rewrite recomputed: mobile charged again" true
+            (mobile_cpu report > mobile_cpu ref_report));
         check_state "committed state durable" (Engine.state engine) (Engine.recover engine)
       | `Aborted, Session.Aborted _ ->
         checki "no applied marker" 0 (Session.applied_markers engine ~sid:1);
         check_state "base untouched" pre (Engine.state engine)
-      | `Completed, Session.Aborted reason ->
+      | `Completed _, Session.Aborted reason ->
         Alcotest.failf "expected in-doubt completion, aborted: %s" reason
       | `Aborted, Session.Completed _ -> Alcotest.fail "expected abort, completed")
 
 let in_doubt_matrix =
   [
     in_doubt_case "marker present, commit retries exhausted -> resolved"
-      ~crash:Net.Base_after_commit ~cut:0.30 ~expect:`Completed ~resumed:false ~forced:true;
+      ~crash:Net.Base_after_commit ~cut:0.30 ~expect:(`Completed `Reused) ~resumed:false
+      ~forced:true;
     in_doubt_case "marker present, resumed hello budget exhausted -> resolved"
-      ~crash:Net.Base_after_commit ~cut:0.50 ~expect:`Completed ~resumed:true ~forced:true;
+      ~crash:Net.Base_after_commit ~cut:0.50 ~expect:(`Completed `Recomputed) ~resumed:true
+      ~forced:true;
     in_doubt_case "torn group, commit retries exhausted -> abort"
       ~crash:Net.Base_mid_commit ~cut:0.30 ~expect:`Aborted ~resumed:false ~forced:true;
     in_doubt_case "torn group, resumed hello budget exhausted -> abort"
@@ -617,8 +691,15 @@ let () =
             test_dead_link_aborts_counted_in_sync;
           Alcotest.test_case "backoff jitter deterministic" `Quick
             test_session_backoff_jitter_deterministic;
+          Alcotest.test_case "jitter outside [0, 1] rejected" `Quick
+            test_session_jitter_out_of_range;
         ]
-        @ qsuite [ prop_two_sessions_exactly_once; prop_sync_runner_matches_direct ] );
+        @ qsuite
+            [
+              prop_two_sessions_exactly_once;
+              prop_sync_runner_matches_direct;
+              prop_ideal_wire_matches_merge;
+            ] );
       ("in-doubt", in_doubt_matrix);
       ( "nemesis",
         [

@@ -193,6 +193,29 @@ let test_exchange_commit_window_crashes () =
       assert_converged bases)
     [ Net.Base_mid_commit; Net.Base_after_commit ]
 
+(* Each injected crash is counted once: [multibase.exchange_crashes]
+   moves by exactly the result's [crashes], for an initiator crash (which
+   aborts the exchange) as for a responder crash. *)
+let test_exchange_crashes_counted_once () =
+  List.iter
+    (fun (who, crash) ->
+      let bank, bases = mk 2 in
+      List.iter
+        (fun account ->
+          let name = Printf.sprintf "c%d" account in
+          ignore (Mbase.submit bases.(1) (Banking.deposit bank ~name ~account ~amount:2)))
+        [ 0; 1; 2 ];
+      Obs.reset ();
+      let r =
+        Obs.with_enabled true (fun () ->
+            xrun ~schedule:{ Net.ideal with Net.crashes = [ crash ] } ~seed:9 bases.(0) bases.(1))
+      in
+      checki (who ^ ": one crash in the result") 1 r.Exchange.crashes;
+      checki (who ^ ": counted once") r.Exchange.crashes
+        (Obs.Counter.value (Obs.Counter.make "multibase.exchange_crashes")))
+    [ ("initiator", Net.Mobile_after_handling 1); ("responder", Net.Base_after_handling 1) ];
+  Obs.reset ()
+
 let test_asymmetric_link () =
   (* Requests all dropped, replies clean: the exchange must abort (or
      degrade) without corrupting either side; healing converges. *)
@@ -423,6 +446,7 @@ let () =
             test_exchange_responder_crash_recovers;
           Alcotest.test_case "commit-window crashes" `Quick test_exchange_commit_window_crashes;
           Alcotest.test_case "asymmetric link" `Quick test_asymmetric_link;
+          Alcotest.test_case "crashes counted once" `Quick test_exchange_crashes_counted_once;
         ] );
       ( "cluster",
         [
