@@ -804,7 +804,7 @@ let sim_cmd =
   in
   let crash_at =
     Arg.(
-      value & opt (some int) None
+      value & opt (some (int_at_least 1)) None
       & info [ "crash-at" ] ~docv:"N"
           ~doc:
             "Crash the base node on receipt of its $(docv)-th message of every merge session, \

@@ -155,6 +155,13 @@ let run_merge ?(sid = 1) ?retry_seed ~net ~session ~config ~params ~base ~base_h
     ~origin ~tentative () =
   if not (session.jitter >= 0.0 && session.jitter <= 1.0) then
     invalid_arg (Printf.sprintf "Session.run_merge: jitter %g is outside [0, 1]" session.jitter);
+  (* A wait that is not positive would put the retry deadline in the
+     past, and the wire would set the clock back to it. *)
+  let positive what x =
+    if not (x > 0.0) then invalid_arg (Printf.sprintf "Session.run_merge: %s %g is not positive" what x)
+  in
+  positive "retry_timeout" session.retry_timeout;
+  positive "backoff" session.backoff;
   Obs.Span.with_ ~name:"fault.session" @@ fun () ->
   let cost = Cost.zero () in
   let now = ref 0.0 in

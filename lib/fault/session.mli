@@ -69,8 +69,8 @@ val wire_label : wire -> string
 
 type config = {
   chunk : int;  (** tentative-history entries per [Ship] *)
-  retry_timeout : float;  (** initial per-message ack timeout *)
-  backoff : float;  (** timeout multiplier per retry *)
+  retry_timeout : float;  (** initial per-message ack timeout, positive *)
+  backoff : float;  (** timeout multiplier per retry, positive *)
   max_retries : int;  (** per message, before the session aborts *)
   commit_retries : int;
       (** retry budget for [Forward] — higher, because giving up there
@@ -117,8 +117,9 @@ type result = {
     fault-free {!Protocol.merge} would return, and [r.cost]
     additionally charges retransmissions and recovery recomputation.
 
-    @raise Invalid_argument if [session.jitter] is outside [[0, 1]]
-    (NaN included). *)
+    @raise Invalid_argument if [session.jitter] is outside [[0, 1]], or
+    if [session.retry_timeout] or [session.backoff] is not positive (NaN
+    included in both cases): such a wait could set the clock back. *)
 val run_merge :
   ?sid:int ->
   ?retry_seed:int ->

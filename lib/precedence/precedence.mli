@@ -166,8 +166,8 @@ val acyclic_without : t -> removed:Repro_history.Names.Set.t -> bool
     A dense graph: successor and predecessor [int array]s ({!adjacency}),
     the outside degrees and the summaries. Each member's partner lists
     are filtered down to members before the base ones are sorted; no
-    [Digraph.t] is built and no edge is hashed. Valid after the index
-    changes. Cached on [t]; the cone of a cone is itself. *)
+    edge is hashed. Valid after the index changes. Cached on [t]; the
+    cone of a cone is itself. *)
 val cone : t -> t
 
 (** [adjacency t] — [(succ, pred)] of [cone t]: [succ.(v)] and

@@ -171,7 +171,7 @@ let run_trace config workload trace =
     | Strategy1 -> ()
   in
 
-  let handle_event (_t, ev) =
+  let handle_event _t ev =
     Obs.Counter.incr obs_events;
     match ev with
     | Trace.Mobile_txn { mobile = i; program = p } ->
@@ -185,7 +185,7 @@ let run_trace config workload trace =
     | Trace.Connect { mobile = i } -> handle_connect mobiles.(i)
     | Trace.Window_boundary -> check_window ()
   in
-  Obs.Span.with_ ~name:"sync.run" (fun () -> List.iter handle_event (Trace.events trace));
+  Obs.Span.with_ ~name:"sync.run" (fun () -> Trace.iter handle_event trace);
   check_window ();
   let c = Window.counts window in
   Obs.Counter.incr ~by:c.Window.late_sessions obs_late;

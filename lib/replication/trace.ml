@@ -26,7 +26,10 @@ type event =
   | Connect of { mobile : int }
   | Window_boundary
 
-type t = { params : params; events : (float * event) list }
+(* Event [i] happens at [times.(i)]: times sit unboxed in one float
+   array, and every connect of mobile [m] is the one [Connect] block
+   [generate] allocated for [m]. *)
+type t = { params : params; times : float array; events : event array }
 
 let exponential rng mean = -.mean *. log (1.0 -. Rng.float rng)
 
@@ -64,8 +67,25 @@ let generate params workload =
   schedule params.window S_window;
   let txn_counter = Array.make params.n_mobiles 0 in
   let base_counter = ref 0 in
-  let events_rev = ref [] in
-  let emit t ev = events_rev := (t, ev) :: !events_rev in
+  let connects = Array.init params.n_mobiles (fun mobile -> Connect { mobile }) in
+  (* Doubling buffers, trimmed to the [len] events emitted once the
+     loop ends. *)
+  let times = ref (Array.make 1024 0.0) and events = ref (Array.make 1024 Window_boundary) in
+  let len = ref 0 in
+  let emit t ev =
+    if !len = Array.length !times then begin
+      let grow a fill =
+        let b = Array.make (2 * !len) fill in
+        Array.blit a 0 b 0 !len;
+        b
+      in
+      times := grow !times 0.0;
+      events := grow !events Window_boundary
+    end;
+    !times.(!len) <- t;
+    !events.(!len) <- ev;
+    incr len
+  in
   (* Every event schedules exactly one successor, its own token one
      interval later, so the loop replaces the queue's minimum with it:
      a pop and a push in one sift, in the same tie order. *)
@@ -90,7 +110,7 @@ let generate params workload =
           emit t (Base_txn { program });
           t +. exponential rng params.mean_base_txn_gap
         | S_connect i ->
-          emit t (Connect { mobile = i });
+          emit t connects.(i);
           t +. draw_gap rng params.connect_gap
         | S_window ->
           emit t Window_boundary;
@@ -100,12 +120,12 @@ let generate params workload =
       loop ()
   in
   loop ();
-  { params; events = List.rev !events_rev }
+  { params; times = Array.sub !times 0 !len; events = Array.sub !events 0 !len }
 
-let events t = t.events
+let iter f t = Array.iteri (fun i ev -> f t.times.(i) ev) t.events
+
 let params t = t.params
-
-let length t = List.length t.events
+let length t = Array.length t.events
 
 let pp_event ppf = function
   | Mobile_txn { mobile; program } ->

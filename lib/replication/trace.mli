@@ -10,7 +10,15 @@
 
     [generate] replicates the historical draw order exactly: with the
     default exponential connect gap, [Sync.run] over a generated trace
-    produces the same statistics as the original inlined loop did. *)
+    produces the same statistics as the original inlined loop did.
+
+    Layout: a trace is two arrays indexed by event, the times unboxed
+    in a [float array] and the events in an [event array]. Every
+    connect of one mobile is the same [Connect] block, allocated once
+    per mobile, so an event costs two words plus its payload: a
+    three-word [Mobile_txn] or two-word [Base_txn] block and its
+    program, or nothing more for a connect or a window boundary.
+    {!iter} is the one way to walk a trace. *)
 
 open Repro_txn
 module Rng = Repro_workload.Rng
@@ -45,7 +53,9 @@ type event =
   | Mobile_txn of { mobile : int; program : Program.t }
       (** mobile [mobile] commits [program] tentatively while disconnected *)
   | Base_txn of { program : Program.t }  (** committed directly at the base *)
-  | Connect of { mobile : int }  (** reconnection: the pending session merges *)
+  | Connect of { mobile : int }
+      (** reconnection: the pending session merges. One block per
+          mobile, shared by all of that mobile's connects. *)
   | Window_boundary  (** resync window boundary (Strategy 2) *)
 
 type t
@@ -57,10 +67,12 @@ type t
     positive. *)
 val generate : params -> workload -> t
 
-(** Events in processing order (nondecreasing time; simultaneous events
-    in scheduling order). *)
-val events : t -> (float * event) list
+(** [iter f t] calls [f time event] on every event in processing order
+    (nondecreasing time; simultaneous events in scheduling order). *)
+val iter : (float -> event -> unit) -> t -> unit
 
 val params : t -> params
+
+(** Number of events. O(1). *)
 val length : t -> int
 val pp_event : Format.formatter -> event -> unit

@@ -75,8 +75,8 @@ let windows ~seed trace =
     acc := [];
     incr cur
   in
-  List.iter
-    (fun (at, ev) ->
+  Trace.iter
+    (fun at ev ->
       match ev with
       | Trace.Mobile_txn { mobile; program } ->
           incr tentative_txns;
@@ -105,6 +105,6 @@ let windows ~seed trace =
           buf.(mobile) <- [];
           started.(mobile) <- !cur
       | Trace.Window_boundary -> close_window ())
-    (Trace.events trace);
+    trace;
   close_window ();
   (List.rev !out, !base_txns, !tentative_txns)

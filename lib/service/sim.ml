@@ -80,18 +80,27 @@ let workload cfg : Sync.workload =
   let home_zipf = Zipf.make ~n:cfg.items_per_mobile ~skew:cfg.zipf_skew in
   let shared_zipf = Zipf.make ~n:cfg.shared_items ~skew:cfg.zipf_skew in
   let profile = { Gen.default_profile with commuting_fraction = cfg.commuting_fraction } in
+  (* Programs name their items by the universe's own strings (its
+     layout is in sim.mli), so a fleet's programs share one copy of
+     each name. A mobile outside [0, mobiles), which only a library
+     caller's trace can carry, has no home region there. *)
+  let universe = universe cfg in
+  let home mobile j =
+    if mobile < cfg.mobiles then universe.(cfg.shared_items + (mobile * cfg.items_per_mobile) + j)
+    else home_item mobile j
+  in
   (* [k] distinct items for one transaction of mobile [mobile]
      ([mobile < 0]: base — shared pool only). Best effort: gives up on
      distinctness after a bounded number of draws, so a transaction can
-     come out smaller under extreme skew. *)
+     come out smaller under extreme skew, though never empty: the first
+     draw cannot repeat. *)
   let pick rng ~mobile k =
     let out = ref [] and n = ref 0 and attempts = ref 0 in
     while !n < k && !attempts < (k * 8) + 8 do
       incr attempts;
       let x =
-        if mobile >= 0 && Rng.bool rng cfg.locality then
-          home_item mobile (Zipf.sample home_zipf rng)
-        else shared_item (Zipf.sample shared_zipf rng)
+        if mobile >= 0 && Rng.bool rng cfg.locality then home mobile (Zipf.sample home_zipf rng)
+        else universe.(Zipf.sample shared_zipf rng)
       in
       if not (List.exists (String.equal x) !out) then begin
         out := x :: !out;
@@ -114,12 +123,11 @@ let workload cfg : Sync.workload =
             (x :: a, b)
     in
     let writes, reads = split n_writes chosen in
-    let writes = if writes = [] then [ home_item (max 0 mobile) 0 ] else writes in
     Gen.transaction_over profile rng ~name ~writes ~reads
   in
   let initial =
     let vrng = Rng.create (cfg.seed lxor 0x5eed) in
-    State.of_list (Array.to_list (Array.map (fun x -> (x, Rng.in_range vrng 50 150)) (universe cfg)))
+    State.of_list (Array.to_list (Array.map (fun x -> (x, Rng.in_range vrng 50 150)) universe))
   in
   {
     initial;

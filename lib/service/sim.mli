@@ -37,10 +37,18 @@ type config = {
     16 range shards, 1 domain, seed 42. *)
 val default_config : config
 
-(** The full sorted item universe (shared pool then home regions) — the
-    range shard map's key space. *)
+(** The full item universe in generation order — the range shard map's
+    key space. Index [j] is shared item [g<j>] for [j < shared_items];
+    home item [m<mobile>.d<j>] is at
+    [shared_items + mobile * items_per_mobile + j]. *)
 val universe : config -> Repro_txn.Item.t array
 
+(** The workload model. It builds {!universe} once, seeds its initial
+    state with one value per entry, and names its programs' items by the
+    universe's own strings (looked up by the layout above), so one
+    workload's programs share one copy of each name. A mobile outside
+    [[0, mobiles)], which only a trace generated for a bigger fleet
+    carries, gets fresh home-item names. *)
 val workload : config -> Repro_replication.Sync.workload
 val sync_config : config -> Repro_replication.Sync.config
 val service_config : config -> Service.config

@@ -6,7 +6,6 @@
 
 open Repro_history
 open Repro_precedence
-module Digraph = Repro_graph.Digraph
 
 (* Tarjan's algorithm over hashtables, recursive, roots in increasing node
    order: components come out in reverse discovery order, members in the

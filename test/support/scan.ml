@@ -6,7 +6,6 @@
 open Repro_txn
 open Repro_history
 open Repro_precedence
-module Digraph = Repro_graph.Digraph
 
 let pairwise ~tentative ~base =
   let summaries = Array.of_list (tentative @ base) in

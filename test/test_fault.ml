@@ -197,22 +197,36 @@ let prop_ideal_wire_matches_merge =
       | None -> true
       | Some what -> QCheck.Test.fail_reportf "seed %d: differs in %s" seed what)
 
-let test_session_jitter_out_of_range () =
+(* Each labelled session config is refused before the session starts,
+   with the base untouched. *)
+let check_session_configs_rejected configs =
   let s0, tentative, mk = fixture 17 in
   List.iter
-    (fun jitter ->
+    (fun (what, session) ->
       let engine, base_history = mk () in
       let pre = Engine.state engine in
       let net = Net.create ~seed:1 Net.ideal in
-      let session = { Session.default_config with Session.jitter } in
       (match
          Session.run_merge ~net ~session ~config:P.default_merge_config
            ~params:Cost.default_params ~base:engine ~base_history ~origin:s0 ~tentative ()
        with
       | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "jitter %g accepted" jitter);
-      check_state (Printf.sprintf "jitter %g: base untouched" jitter) pre (Engine.state engine))
-    [ -0.1; 1.5; 3.0; Float.nan ]
+      | _ -> Alcotest.failf "%s accepted" what);
+      check_state (what ^ ": base untouched") pre (Engine.state engine))
+    configs
+
+let test_session_jitter_out_of_range () =
+  check_session_configs_rejected
+    (List.map
+       (fun jitter -> (Printf.sprintf "jitter %g" jitter, { Session.default_config with Session.jitter }))
+       [ -0.1; 1.5; 3.0; Float.nan ])
+
+(* A wait that is not positive puts the retry deadline in the past. *)
+let test_session_retry_wait_not_positive () =
+  let cases field set = List.map (fun x -> (Printf.sprintf "%s %g" field x, set x)) [ 0.0; -1.0; Float.nan ] in
+  check_session_configs_rejected
+    (cases "retry_timeout" (fun retry_timeout -> { Session.default_config with Session.retry_timeout })
+    @ cases "backoff" (fun backoff -> { Session.default_config with Session.backoff }))
 
 let test_session_duplicate_delivery_idempotent () =
   let fx = fixture 12 in
@@ -693,6 +707,8 @@ let () =
             test_session_backoff_jitter_deterministic;
           Alcotest.test_case "jitter outside [0, 1] rejected" `Quick
             test_session_jitter_out_of_range;
+          Alcotest.test_case "retry timeout or backoff not positive rejected" `Quick
+            test_session_retry_wait_not_positive;
         ]
         @ qsuite
             [

@@ -2,7 +2,7 @@
    build, the array Tarjan the merge path runs, and the weak components
    the window dispatcher's union-find finds. *)
 
-module Digraph = Repro_graph.Digraph
+module Digraph = Test_support.Digraph
 module Scc = Repro_graph.Scc
 module Ref_tarjan = Test_support.Ref_backout.Tarjan
 module Admission = Repro_service.Admission

@@ -5,7 +5,7 @@
 open Repro_txn
 open Repro_history
 open Repro_precedence
-module Digraph = Repro_graph.Digraph
+module Digraph = Test_support.Digraph
 module Ex = Test_support.Paper_examples
 module G = Test_support.Generators
 module Scan = Test_support.Scan

@@ -10,7 +10,7 @@ module Engine = Repro_db.Engine
 module Precedence = Repro_precedence.Precedence
 module Backout = Repro_precedence.Backout
 module Summary = Repro_precedence.Summary
-module Digraph = Repro_graph.Digraph
+module Digraph = Test_support.Digraph
 module Obs = Repro_obs.Obs
 module Report = Repro_obs.Report
 module Banking = Repro_workload.Banking
@@ -876,14 +876,14 @@ let trace_digest params (workload : Sync.workload) =
   let trace = Trace.generate params workload in
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
-  List.iter
-    (fun (t, ev) ->
+  Trace.iter
+    (fun t ev ->
       Format.fprintf ppf "%h %a@." t Trace.pp_event ev;
       match ev with
       | Trace.Mobile_txn { program; _ } | Trace.Base_txn { program } ->
           Format.fprintf ppf "%a@." Program.pp_full program
       | Trace.Connect _ | Trace.Window_boundary -> ())
-    (Trace.events trace);
+    trace;
   List.iter (fun (x, v) -> Format.fprintf ppf "%s=%d@." x v) (State.to_list workload.Sync.initial);
   (Trace.length trace, Digest.to_hex (Digest.string (Buffer.contents buf)))
 
@@ -908,9 +908,15 @@ let check_pin what (events, digest) (events', digest') =
   checki (what ^ " events") events events';
   Alcotest.check Alcotest.string (what ^ " digest") digest digest'
 
+let fleet_local_pin_cfg = { Sim.default_config with Sim.mobiles = 2_000; duration = 10.0; seed = 1 }
+
+let fleet_local_pin () =
+  let wl = Sim.workload fleet_local_pin_cfg in
+  (wl, Trace.generate (Sync.trace_params (Sim.sync_config fleet_local_pin_cfg)) wl)
+
 let test_trace_pin_fleet_local () =
   check_pin "fleet-local shape" (13344, "698fc96bde1c5f2760fdc56a79e4fbfe")
-    (sim_trace_pin { Sim.default_config with Sim.mobiles = 2_000; duration = 10.0; seed = 1 })
+    (sim_trace_pin fleet_local_pin_cfg)
 
 let test_trace_pin_fleet_hot () =
   check_pin "fleet-hot shape" (418, "ff1f51d063fa505bcffc11949c508b95")
@@ -929,6 +935,43 @@ let test_trace_pin_banking_exponential () =
 
 let test_trace_pin_banking_pareto () =
   check_pin "banking, Pareto gaps" (872, "eb36d7624d3d9cc74cf88199ea262c2d") (banking_trace_pin (Some 1.5))
+
+(* The trace's own memory, measured on the fleet-local pin trace: two
+   words per event for its time and its slot, the event block (none for
+   a connect, whose block is shared per mobile, or a window boundary),
+   and the programs, whose item names are the workload's own strings. *)
+let test_trace_words_per_event () =
+  let _, trace = fleet_local_pin () in
+  checki "events" 13344 (Trace.length trace);
+  let words = float_of_int (Obj.reachable_words (Obj.repr trace)) in
+  let per_event = words /. float_of_int (Trace.length trace) in
+  checkb (Printf.sprintf "%.2f words per event, at most 12" per_event) true (per_event <= 12.0)
+
+(* What the bound above cannot isolate, since a shared block or string
+   still counts once in [Obj.reachable_words]: every connect of a mobile
+   is one block, and every item a program names is the very string the
+   workload's initial state holds. *)
+let test_trace_shares_connects_and_names () =
+  let wl, trace = fleet_local_pin () in
+  let names = Hashtbl.create 16_384 in
+  List.iter (fun (x, _) -> Hashtbl.replace names x x) (State.to_list wl.Sync.initial);
+  let first_connect = Hashtbl.create 2_048 in
+  let fresh_connects = ref 0 and fresh_names = ref 0 in
+  Trace.iter
+    (fun _ ev ->
+      match ev with
+      | Trace.Connect { mobile } -> (
+          match Hashtbl.find_opt first_connect mobile with
+          | None -> Hashtbl.add first_connect mobile ev
+          | Some first -> if first != ev then incr fresh_connects)
+      | Trace.Mobile_txn { program; _ } | Trace.Base_txn { program } ->
+          Item.Set.iter
+            (fun x -> if Hashtbl.find names x != x then incr fresh_names)
+            (Program.readset program)
+      | Trace.Window_boundary -> ())
+    trace;
+  checki "connects with a block of their own" 0 !fresh_connects;
+  checki "item names that are not the initial state's" 0 !fresh_names
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -986,5 +1029,8 @@ let () =
           Alcotest.test_case "fleet-hot shape" `Quick test_trace_pin_fleet_hot;
           Alcotest.test_case "banking, exponential gaps" `Quick test_trace_pin_banking_exponential;
           Alcotest.test_case "banking, Pareto gaps" `Quick test_trace_pin_banking_pareto;
+          Alcotest.test_case "at most 12 words per event" `Quick test_trace_words_per_event;
+          Alcotest.test_case "connects and item names shared" `Quick
+            test_trace_shares_connects_and_names;
         ] );
     ]
