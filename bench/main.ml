@@ -9,7 +9,9 @@
    claims of Section 7.1: precedence-graph construction, back-out
    computation, the O(n^2) rewriters, pruning, and the end-to-end
    protocols, plus one serve of the merge service against padded
-   window origins and the simulator's trace generation. *)
+   window origins and the simulator's trace generation. Most tests start
+   each sample on a compacted heap; the trace-generation tests run warm,
+   and the output names each test's mode. *)
 
 open Repro_txn
 open Repro_history
@@ -76,6 +78,12 @@ let wal_run =
 
 let wal_commits = 64
 
+(* How a test's samples start. [Stabilized]: Bechamel compacts the heap
+   before every sample, so each one starts with its working set out of
+   cache. [Warm]: no compaction between samples, for a test that stands
+   for one step of a long loop that keeps its working set in cache. *)
+type mode = Stabilized | Warm
+
 let bench_tests () =
   let lengths = [ 16; 64; 256 ] in
   let cases = List.map (fun n -> (n, case_of_length n)) lengths in
@@ -136,7 +144,8 @@ let bench_tests () =
   (* Trace generation: one step of the simulator's event queue at the
      size of a fleet-local trace's (replace the minimum with its
      successor, one exponential gap later), and a whole 2,000-mobile Sim
-     trace. *)
+     trace. Both run warm: [Trace.generate] steps its queue half a
+     million times without a pause. *)
   let trace_tests =
     let module Sim = Repro_service.Sim in
     let n = 50_000 in
@@ -308,12 +317,15 @@ let bench_tests () =
         (Bechamel.Staged.stage (wal_run ~grouped:true));
     ]
   in
-  graph_tests @ window_tests @ service_tests @ trace_tests @ backout_tests @ damage_backout_tests
-  @ bnb_backout_tests
-  @ rewrite_tests Rewrite.Can_follow "alg1"
-  @ rewrite_tests Rewrite.Can_follow_precede "alg2"
-  @ rewrite_tests Rewrite.Commute_only "cbt"
-  @ static_rewrite_tests @ prune_tests @ protocol_tests @ obs_overhead_tests @ wal_tests
+  List.map
+    (fun t -> (Stabilized, t))
+    (graph_tests @ window_tests @ service_tests @ backout_tests @ damage_backout_tests
+    @ bnb_backout_tests
+    @ rewrite_tests Rewrite.Can_follow "alg1"
+    @ rewrite_tests Rewrite.Can_follow_precede "alg2"
+    @ rewrite_tests Rewrite.Commute_only "cbt"
+    @ static_rewrite_tests @ prune_tests @ protocol_tests @ obs_overhead_tests @ wal_tests)
+  @ List.map (fun t -> (Warm, t)) trace_tests
 
 let part2 () =
   Format.printf "=== Part 2: micro-benchmarks (Bechamel, monotonic clock) ===@.@.";
@@ -322,16 +334,23 @@ let part2 () =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
-  let grouped = Test.make_grouped ~name:"repro" ~fmt:"%s %s" (bench_tests ()) in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let results = Analyze.all ols instance raw in
-  let rows = Hashtbl.fold (fun name result acc -> (name, result) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> compare a b) rows in
-  Format.printf "%-40s %14s@." "benchmark" "time/run";
-  Format.printf "%s@." (String.make 56 '-');
+  let tests = bench_tests () in
+  let run mode =
+    let stabilize = mode = Stabilized in
+    let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 500) ~stabilize () in
+    let tests = List.filter_map (fun (m, t) -> if m = mode then Some t else None) tests in
+    let grouped = Test.make_grouped ~name:"repro" ~fmt:"%s %s" tests in
+    let raw = Benchmark.all cfg [ instance ] grouped in
+    let results = Analyze.all ols instance raw in
+    Hashtbl.fold (fun name result acc -> (name, mode, result) :: acc) results []
+  in
+  let rows = run Stabilized @ run Warm in
+  let rows = List.sort (fun (a, _, _) (b, _, _) -> compare a b) rows in
+  Format.printf "%-40s %14s  %s@." "benchmark" "time/run" "samples";
+  Format.printf "%s@." (String.make 66 '-');
   List.iter
-    (fun (name, result) ->
+    (fun (name, mode, result) ->
+      let mode = match mode with Stabilized -> "stabilized" | Warm -> "warm" in
       match Analyze.OLS.estimates result with
       | Some [ est ] ->
         let pretty =
@@ -339,8 +358,8 @@ let part2 () =
           else if est > 1_000.0 then Printf.sprintf "%8.2f us" (est /. 1_000.0)
           else Printf.sprintf "%8.0f ns" est
         in
-        Format.printf "%-40s %14s@." name pretty
-      | _ -> Format.printf "%-40s %14s@." name "n/a")
+        Format.printf "%-40s %14s  %s@." name pretty mode
+      | _ -> Format.printf "%-40s %14s  %s@." name "n/a" mode)
     rows
 
 (* ------------------------------------------------------------------ *)

@@ -1195,7 +1195,7 @@ let bases_sim_cmd =
   let crash_at =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_at_least 1)) None
       & info [ "base-crash-at" ] ~docv:"N"
           ~doc:
             "Crash-restart the responding base on receipt of its $(docv)-th message of every \

@@ -64,6 +64,13 @@ type result = {
 exception Initiator_crashed of string
 
 let run ~net ~config ~initiator ~responder () =
+  (* A wait that is not positive would put the retry deadline in the
+     past, and the wire would set the clock back to it. *)
+  let positive what x =
+    if not (x > 0.0) then invalid_arg (Printf.sprintf "Exchange.run: %s %g is not positive" what x)
+  in
+  positive "retry_timeout" config.retry_timeout;
+  positive "backoff" config.backoff;
   Obs.Span.with_ ~lane:Obs.Event.Cluster ~name:"multibase.exchange" @@ fun () ->
   Obs.Counter.incr obs_exchanges;
   let now = ref 0.0 in

@@ -43,8 +43,8 @@ val wire_label : wire -> string
 
 type config = {
   chunk : int;  (** transactions per [Txns] / [Push] batch *)
-  retry_timeout : float;
-  backoff : float;
+  retry_timeout : float;  (** initial per-request reply timeout, positive *)
+  backoff : float;  (** timeout multiplier per retry, positive *)
   max_retries : int;
 }
 
@@ -72,7 +72,10 @@ type result = {
     is consumed through {!Repro_fault.Net.take_crash}. Newly decided commitments on either side are
     reported in the result (for the cluster's phantom-commit check).
     Every fault draw comes from [net], so the seed [net] was created
-    with is the exchange's only seed. *)
+    with is the exchange's only seed.
+    @raise Invalid_argument if [config.retry_timeout] or [config.backoff]
+    is not positive (NaN included), before the [multibase.exchange] span
+    opens and before either base is touched. *)
 val run :
   net:wire Net.t ->
   config:config ->

@@ -40,49 +40,61 @@ let grow t v =
     t.values <- extend t.values v
   end
 
-(* [(k, s)] comes before position [i]: by key, then insertion stamp. *)
-let before t k s i =
-  let ki = t.keys.(i) in
-  k < ki || (k = ki && s < t.stamps.(i))
+(* Both sifts are loops over the flat arrays, not recursions, so no key
+   is boxed on the way down or up.
 
-(* Position [i] comes before position [j]; stamps are read on ties only. *)
-let less t i j =
-  let ki = t.keys.(i) and kj = t.keys.(j) in
-  ki < kj || (ki = kj && t.stamps.(i) < t.stamps.(j))
-
-let place t i k s slot =
-  t.keys.(i) <- k;
-  t.stamps.(i) <- s;
-  t.slots.(i) <- slot
-
-(* Fill the hole at [i] with [(k, s, slot)], moving parents down. *)
-let rec sift_up t i k s slot =
-  if i = 0 then place t 0 k s slot
-  else
-    let p = (i - 1) / 4 in
-    if before t k s p then begin
-      place t i t.keys.(p) t.stamps.(p) t.slots.(p);
-      sift_up t p k s slot
+   Fill the hole at [i] with [(k, s, slot)], moving parents down while
+   the entry comes before them: by key, then insertion stamp. *)
+let sift_up t i k s slot =
+  let keys = t.keys and stamps = t.stamps and slots = t.slots in
+  let i = ref i in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let p = (!i - 1) / 4 in
+    let kp = keys.(p) in
+    if k < kp || (k = kp && s < stamps.(p)) then begin
+      keys.(!i) <- kp;
+      stamps.(!i) <- stamps.(p);
+      slots.(!i) <- slots.(p);
+      i := p
     end
-    else place t i k s slot
+    else continue := false
+  done;
+  keys.(!i) <- k;
+  stamps.(!i) <- s;
+  slots.(!i) <- slot
 
 (* Fill the hole at [i] with [(k, s, slot)], moving the smallest child
-   up while it comes before the entry. *)
-let rec sift_down t i k s slot =
-  let c = (4 * i) + 1 in
-  if c >= t.size then place t i k s slot
-  else begin
-    let m = ref c in
-    for j = c + 1 to min (c + 3) (t.size - 1) do
-      if less t j !m then m := j
-    done;
-    let m = !m in
-    if before t k s m then place t i k s slot
+   up while it comes before the entry. Stamps are read on ties only. *)
+let sift_down t i k s slot =
+  let keys = t.keys and stamps = t.stamps and slots = t.slots and size = t.size in
+  let i = ref i in
+  let continue = ref true in
+  while !continue do
+    let c = (4 * !i) + 1 in
+    if c >= size then continue := false
     else begin
-      place t i t.keys.(m) t.stamps.(m) t.slots.(m);
-      sift_down t m k s slot
+      let m = ref c and km = ref keys.(c) in
+      for j = c + 1 to min (c + 3) (size - 1) do
+        let kj = keys.(j) in
+        if kj < !km || (kj = !km && stamps.(j) < stamps.(!m)) then begin
+          m := j;
+          km := kj
+        end
+      done;
+      let m = !m and km = !km in
+      if k < km || (k = km && s < stamps.(m)) then continue := false
+      else begin
+        keys.(!i) <- km;
+        stamps.(!i) <- stamps.(m);
+        slots.(!i) <- slots.(m);
+        i := m
+      end
     end
-  end
+  done;
+  keys.(!i) <- k;
+  stamps.(!i) <- s;
+  slots.(!i) <- slot
 
 let push t key value =
   grow t value;

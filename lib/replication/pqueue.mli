@@ -10,7 +10,11 @@
     [float array] and [int array] indexed by heap position. Each value
     stays in one slot of a value array from its push to its pop, and the
     heap positions name their slots, so sifting compares unboxed floats
-    and moves only floats and ints. *)
+    and moves only floats and ints. Both sifts run in place, as loops
+    that hold the moving key in a local, so they allocate nothing
+    whatever the depth they cross (a caller that computes a key boxes it
+    once, to pass it). They compare by key, then insertion stamp, so the
+    tie order above is the whole order. *)
 
 type 'a t
 

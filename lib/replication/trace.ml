@@ -99,13 +99,13 @@ let generate params workload =
         | S_mobile i ->
           let n = txn_counter.(i) + 1 in
           txn_counter.(i) <- n;
-          let name = "M" ^ string_of_int i ^ "T" ^ string_of_int n in
+          let name = Gen.numbered2 "M" i "T" n in
           let program = workload.make_mobile_txn rng ~name in
           emit t (Mobile_txn { mobile = i; program });
           t +. exponential rng params.mean_mobile_txn_gap
         | S_base ->
           incr base_counter;
-          let name = "B" ^ string_of_int !base_counter in
+          let name = Gen.numbered "B" !base_counter in
           let program = workload.make_base_txn rng ~name in
           emit t (Base_txn { program });
           t +. exponential rng params.mean_base_txn_gap

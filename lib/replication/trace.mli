@@ -18,7 +18,11 @@
     per mobile, so an event costs two words plus its payload: a
     three-word [Mobile_txn] or two-word [Base_txn] block and its
     program, or nothing more for a connect or a window boundary.
-    {!iter} is the one way to walk a trace. *)
+    {!iter} is the one way to walk a trace.
+
+    Generation steps one event queue ({!Pqueue}) per event, whose
+    sifts run in place and allocate nothing; names cost one string
+    each. *)
 
 open Repro_txn
 module Rng = Repro_workload.Rng
@@ -26,7 +30,8 @@ module Rng = Repro_workload.Rng
 (** What drives the simulated system. [initial] is the replicated
     database's starting state; the makers draw one transaction program
     per call (names are assigned by the generator: [M<i>T<n>] for
-    mobile [i], [B<n>] at the base). *)
+    mobile [i], [B<n>] at the base, each written digit by digit by
+    {!Repro_workload.Gen.numbered2} and {!Repro_workload.Gen.numbered}). *)
 type workload = {
   initial : State.t;
   make_mobile_txn : Rng.t -> name:string -> Program.t;

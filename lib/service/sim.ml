@@ -47,8 +47,8 @@ let default_config =
     range_shards = true;
   }
 
-let home_item mobile j = "m" ^ string_of_int mobile ^ ".d" ^ string_of_int j
-let shared_item j = "g" ^ string_of_int j
+let home_item mobile j = Gen.numbered2 "m" mobile ".d" j
+let shared_item j = Gen.numbered "g" j
 
 (* The mobile of a trace name [M<mobile>T<n>] ({!Trace.generate}); 0 for
    any other name. *)
@@ -127,7 +127,7 @@ let workload cfg : Sync.workload =
   in
   let initial =
     let vrng = Rng.create (cfg.seed lxor 0x5eed) in
-    State.of_list (Array.to_list (Array.map (fun x -> (x, Rng.in_range vrng 50 150)) universe))
+    Array.fold_left (fun s x -> State.set s x (Rng.in_range vrng 50 150)) State.empty universe
   in
   {
     initial;

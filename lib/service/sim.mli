@@ -40,13 +40,18 @@ val default_config : config
 (** The full item universe in generation order — the range shard map's
     key space. Index [j] is shared item [g<j>] for [j < shared_items];
     home item [m<mobile>.d<j>] is at
-    [shared_items + mobile * items_per_mobile + j]. *)
+    [shared_items + mobile * items_per_mobile + j]. Each name is one
+    string written digit by digit by {!Repro_workload.Gen.numbered} or
+    {!Repro_workload.Gen.numbered2}. *)
 val universe : config -> Repro_txn.Item.t array
 
-(** The workload model. It builds {!universe} once, seeds its initial
-    state with one value per entry, and names its programs' items by the
-    universe's own strings (looked up by the layout above), so one
-    workload's programs share one copy of each name. A mobile outside
+(** The workload model. It builds {!universe} once, folds its initial
+    state straight from it with one value per entry, in index order, and
+    names its programs' items by the universe's own strings (looked up
+    by the layout above), so one workload's programs share one copy of
+    each name. Its programs come from
+    {!Repro_workload.Gen.transaction_over}, whose additive parameters
+    take their [amt<i>] names from one shared table. A mobile outside
     [[0, mobiles)], which only a trace generated for a bigger fleet
     carries, gets fresh home-item names. *)
 val workload : config -> Repro_replication.Sync.workload

@@ -20,12 +20,55 @@ let default_profile =
     guard_fraction = 0.5;
   }
 
+(* Characters of [string_of_int n]. Digits are counted on the
+   non-positive side, where [min_int] has no overflowing negation. *)
+let int_length n =
+  let rec width m w = if m > -10 then w else width (m / 10) (w + 1) in
+  if n < 0 then width n 2 else width (-n) 1
+
+(* Writes [string_of_int n], [len] characters long, at [pos]. *)
+let blit_int b pos len n =
+  if n < 0 then Bytes.set b pos '-';
+  let m = ref (if n < 0 then n else -n) in
+  for i = pos + len - 1 downto pos + Bool.to_int (n < 0) do
+    Bytes.set b i (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done
+
+(* Prefixes are a character or two: a loop beats a [memmove] call. *)
+let blit_prefix p b pos =
+  for i = 0 to String.length p - 1 do
+    Bytes.set b (pos + i) p.[i]
+  done
+
+let numbered2 p n q m =
+  let lp = String.length p and ln = int_length n in
+  let lq = String.length q and lm = int_length m in
+  let b = Bytes.create (lp + ln + lq + lm) in
+  blit_prefix p b 0;
+  blit_int b lp ln n;
+  blit_prefix q b (lp + ln);
+  blit_int b (lp + ln + lq) lm m;
+  Bytes.unsafe_to_string b
+
+let numbered p n =
+  let lp = String.length p and ln = int_length n in
+  let b = Bytes.create (lp + ln) in
+  blit_prefix p b 0;
+  blit_int b lp ln n;
+  Bytes.unsafe_to_string b
+
+(* The additive parameters' names, one copy for every program; a longer
+   write list names the rest afresh. *)
+let amt_names = Array.init 8 (numbered "amt")
+let amt i = if i < Array.length amt_names then amt_names.(i) else numbered "amt" i
+
 type pool = { profile : profile; item_names : Item.t array; zipf : Zipf.t }
 
 let pool profile =
   {
     profile;
-    item_names = Array.init profile.n_items (fun i -> Printf.sprintf "d%d" i);
+    item_names = Array.init profile.n_items (numbered "d");
     zipf = Zipf.make ~n:profile.n_items ~skew:profile.zipf_skew;
   }
 
@@ -38,7 +81,7 @@ let pick_items p rng k = List.map (fun i -> p.item_names.(i)) (Zipf.sample_disti
 
 (* Additive type: every update is x := x + $amt, the saveable fragment. *)
 let additive_body rng writes reads =
-  let amts = List.mapi (fun i _ -> "amt" ^ string_of_int i) writes in
+  let amts = List.mapi (fun i _ -> amt i) writes in
   let params = List.map (fun p -> (p, Rng.in_range rng (-20) 20)) amts in
   let updates =
     List.map2 (fun x p -> Stmt.Update (x, Expr.Add (Expr.Item x, Expr.Param p))) writes amts
@@ -130,7 +173,7 @@ let power_law_disconnect ~mean ~alpha rng =
 
 let history p rng ~prefix ~length =
   History.of_programs
-    (List.init length (fun i -> transaction p rng ~name:(Printf.sprintf "%s%d" prefix (i + 1))))
+    (List.init length (fun i -> transaction p rng ~name:(numbered prefix (i + 1))))
 
 let mobile_base_pair p rng ~tentative_len ~base_len =
   let hm = history p rng ~prefix:"Tm" ~length:tentative_len in
@@ -139,7 +182,7 @@ let mobile_base_pair p rng ~tentative_len ~base_len =
 
 let summaries rng ~n_items ~tentative ~base ~reads ~writes ~skew ~blind =
   let zipf = Zipf.make ~n:n_items ~skew in
-  let item i = Printf.sprintf "d%d" i in
+  let item = numbered "d" in
   let one kind prefix i =
     let lo_w, hi_w = writes and lo_r, hi_r = reads in
     let n_w = Rng.in_range rng lo_w hi_w in
@@ -148,7 +191,7 @@ let summaries rng ~n_items ~tentative ~base ~reads ~writes ~skew ~blind =
     let rs = List.map item (Zipf.sample_distinct zipf rng n_r) in
     let read_back = List.filter (fun _ -> not (Rng.bool rng blind)) ws in
     Repro_precedence.Summary.make
-      ~name:(Printf.sprintf "%s%d" prefix (i + 1))
+      ~name:(numbered prefix (i + 1))
       ~kind ~reads:(rs @ read_back) ~writes:ws
   in
   ( List.init tentative (one Repro_precedence.Summary.Tentative "Tm"),

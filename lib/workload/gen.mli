@@ -32,6 +32,17 @@ type profile = {
 
 val default_profile : profile
 
+(** [numbered p n] is [p ^ string_of_int n], and [numbered2 p n q m] is
+    [p ^ string_of_int n ^ q ^ string_of_int m]: each is written digit
+    by digit into one fresh string, with no intermediate string and no
+    formatting. Generated names go through them: this module's items
+    and transactions, the simulator's [M<i>T<n>] and [B<n>]
+    ([Repro_replication.Trace.generate]) and the service workload's
+    [g<j>] and [m<i>.d<j>] ([Repro_service.Sim.universe]). *)
+val numbered : string -> int -> string
+
+val numbered2 : string -> int -> string -> int -> string
+
 type pool
 
 (** [pool profile] prepares the item universe and samplers. *)
@@ -50,7 +61,10 @@ val transaction : pool -> Rng.t -> name:string -> Program.t
     transaction instance over caller-chosen items: [writes] are updated,
     [reads] only read. Item selection is the caller's (e.g. a locality
     mixture in the service simulator); only the type mix and parameter
-    draws come from [profile]/[rng]. *)
+    draws come from [profile]/[rng]. An additive program names the
+    parameter of its [i]-th write [amt<i>]; the first eight of those
+    names come from one table, so programs share them instead of
+    carrying copies of their own. *)
 val transaction_over :
   profile -> Rng.t -> name:string -> writes:Item.t list -> reads:Item.t list -> Program.t
 

@@ -216,6 +216,32 @@ let test_exchange_crashes_counted_once () =
     [ ("initiator", Net.Mobile_after_handling 1); ("responder", Net.Base_after_handling 1) ];
   Obs.reset ()
 
+(* A wait that is not positive puts the retry deadline in the past. *)
+let test_exchange_retry_wait_not_positive () =
+  let cases field set =
+    List.map (fun x -> (Printf.sprintf "%s %g" field x, set x)) [ 0.0; -1.0; Float.nan ]
+  in
+  List.iter
+    (fun (what, config) ->
+      let bank, bases = mk 2 in
+      ignore (Mbase.submit bases.(0) (Banking.deposit bank ~name:"n0" ~account:0 ~amount:5));
+      ignore (Mbase.submit bases.(1) (Banking.deposit bank ~name:"n1" ~account:1 ~amount:3));
+      let seen b = (Mbase.digest b, Mbase.tentative_count b, Mbase.stable_len b) in
+      let before = Array.map (fun b -> (seen b, Mbase.applied b)) bases in
+      let net = Net.create ~describe:Exchange.wire_label ~seed:1 (Net.lossy ~drop_rate:0.4) in
+      (match Exchange.run ~net ~config ~initiator:bases.(0) ~responder:bases.(1) () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted" what);
+      Array.iteri
+        (fun i b ->
+          let seen0, applied0 = before.(i) in
+          let untouched = Printf.sprintf "%s: base %d untouched" what i in
+          checkb untouched true (seen b = seen0);
+          check_state untouched applied0 (Mbase.applied b))
+        bases)
+    (cases "retry_timeout" (fun retry_timeout -> { Exchange.default_config with Exchange.retry_timeout })
+    @ cases "backoff" (fun backoff -> { Exchange.default_config with Exchange.backoff }))
+
 let test_asymmetric_link () =
   (* Requests all dropped, replies clean: the exchange must abort (or
      degrade) without corrupting either side; healing converges. *)
@@ -447,6 +473,8 @@ let () =
           Alcotest.test_case "commit-window crashes" `Quick test_exchange_commit_window_crashes;
           Alcotest.test_case "asymmetric link" `Quick test_asymmetric_link;
           Alcotest.test_case "crashes counted once" `Quick test_exchange_crashes_counted_once;
+          Alcotest.test_case "retry timeout or backoff not positive rejected" `Quick
+            test_exchange_retry_wait_not_positive;
         ] );
       ( "cluster",
         [

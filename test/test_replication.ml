@@ -58,10 +58,10 @@ let prop_pqueue_sorts =
    where [replace_min] is a pop then a push with a fresh stamp. Keys come
    from five values, so most pops break a tie; every value is the index
    of the operation that pushed it, so a wrong tie order shows up as a
-   wrong value. *)
+   wrong value. [ops] bounds the length of a case. *)
 type pq_op = Push of float | Pop | Min | Replace of float
 
-let prop_pqueue_matches_model =
+let pqueue_model_test ~count ~name ~ops:(lo, hi) =
   let key = QCheck.Gen.(map (fun n -> float_of_int n /. 2.0) (int_bound 4)) in
   let op =
     QCheck.Gen.(
@@ -79,8 +79,8 @@ let prop_pqueue_matches_model =
     | Min -> "min"
     | Replace k -> Printf.sprintf "replace_min %g" k
   in
-  QCheck.Test.make ~count:300 ~name:"pqueue = sorted-list model (push, pop, min, replace_min)"
-    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_range 0 200) op))
+  QCheck.Test.make ~count ~name
+    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_range lo hi) op))
     (fun ops ->
       let q = Pqueue.create () in
       (* (key, stamp, value), ascending by (key, stamp) *)
@@ -131,6 +131,16 @@ let prop_pqueue_matches_model =
       in
       drain ();
       true)
+
+let prop_pqueue_matches_model =
+  pqueue_model_test ~count:300 ~name:"pqueue = sorted-list model (push, pop, min, replace_min)"
+    ~ops:(0, 200)
+
+(* Long cases: the queue grows to a few hundred entries, so sifts cross
+   five or more levels of the 4-ary heap. *)
+let prop_pqueue_matches_model_deep =
+  pqueue_model_test ~count:100 ~name:"pqueue = sorted-list model, 1,000-3,000 ops"
+    ~ops:(1_000, 3_000)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol: constructed scenarios *)
@@ -983,7 +993,7 @@ let () =
           Alcotest.test_case "orders by key" `Quick test_pqueue_orders_by_key;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
         ]
-        @ qsuite [ prop_pqueue_sorts; prop_pqueue_matches_model ] );
+        @ qsuite [ prop_pqueue_sorts; prop_pqueue_matches_model; prop_pqueue_matches_model_deep ] );
       ( "protocol",
         [
           Alcotest.test_case "conflict-free merge" `Quick test_merge_conflict_free;

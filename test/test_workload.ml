@@ -261,6 +261,26 @@ let test_rebook_moves_seat () =
   checki "destination decremented" 4 (State.get after "flight1");
   checki "source incremented" 6 (State.get after "flight0")
 
+(* Generated names are written digit by digit; each must be exactly the
+   concatenation it stands for, for any prefix and any int. The ints mix
+   every power of ten and the number one below it, their negations and
+   both ends of the range with arbitrary ones. *)
+let prop_numbered_is_concatenation =
+  let edges =
+    let rec powers p acc = if p > max_int / 10 then p :: acc else powers (p * 10) (p :: acc) in
+    [ 0; 9; 10; min_int; min_int + 1; max_int; max_int - 1 ]
+    @ List.concat_map (fun p -> [ p; p - 1; -p; 1 - p ]) (powers 1 [])
+  in
+  let n = QCheck.Gen.(oneof [ oneofl edges; int; int_range (-1000) 1000 ]) in
+  let prefix = QCheck.Gen.(string_size (int_bound 6)) in
+  QCheck.Test.make ~count:2000 ~name:"numbered names = prefix ^ string_of_int"
+    (QCheck.make
+       ~print:QCheck.Print.(quad string int string int)
+       QCheck.Gen.(quad prefix n prefix n))
+    (fun (p, n, q, m) ->
+      Gen_wl.numbered p n = p ^ string_of_int n
+      && Gen_wl.numbered2 p n q m = p ^ string_of_int n ^ q ^ string_of_int m)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -280,7 +300,12 @@ let () =
         ] );
       ( "generator",
         [ Alcotest.test_case "summaries" `Quick test_summaries_shapes ]
-        @ qsuite [ prop_generated_histories_well_formed; prop_commuting_fraction_respected ] );
+        @ qsuite
+            [
+              prop_generated_histories_well_formed;
+              prop_commuting_fraction_respected;
+              prop_numbered_is_concatenation;
+            ] );
       ( "profile-gen",
         [
           Alcotest.test_case "instantiates" `Quick test_profile_gen_instantiates;
