@@ -142,6 +142,17 @@ let unit_interval =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
+(* A Pareto tail index must exceed 1 for the mean to exist. NaN fails the
+   comparison, and an infinite index would make every length NaN. *)
+let tail_index =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when not (x > 1.0 && Float.is_finite x) ->
+      Error (`Msg (Printf.sprintf "%s is not a finite number above 1" s))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let floats_arg names default ~doc =
   Arg.(value & opt (list float) default & info names ~docv:"X,Y,..." ~doc)
 
@@ -199,7 +210,7 @@ let e3_cmd =
   let skews = floats_arg [ "skews" ] [ 0.0; 0.5; 0.9; 1.3 ] ~doc:"Zipf skews to sweep." in
   let commuting =
     Arg.(
-      value & opt float 0.5
+      value & opt unit_interval 0.5
       & info [ "commuting" ] ~docv:"F" ~doc:"Fraction of commuting transaction types.")
   in
   let run csv seeds skews commuting =
@@ -240,7 +251,7 @@ let e6_cmd =
   let skews = floats_arg [ "skews" ] [ 0.3; 0.9 ] ~doc:"Zipf skews to sweep." in
   let blind =
     Arg.(
-      value & opt float 0.3
+      value & opt unit_interval 0.3
       & info [ "blind" ] ~docv:"P" ~doc:"Blind-write probability in summaries.")
   in
   let run csv seeds skews blind =
@@ -366,7 +377,7 @@ let case_term =
   in
   let commuting =
     Arg.(
-      value & opt float 0.5
+      value & opt unit_interval 0.5
       & info [ "commuting" ] ~docv:"F" ~doc:"Fraction of commuting transaction types.")
   in
   let strategy =
@@ -778,7 +789,7 @@ let sim_cmd =
   in
   let bias =
     Arg.(
-      value & opt float 0.7
+      value & opt unit_interval 0.7
       & info [ "commuting-bias" ] ~docv:"F" ~doc:"Probability of commuting banking types.")
   in
   let profiles =
@@ -798,7 +809,7 @@ let sim_cmd =
   in
   let drop_rate =
     Arg.(
-      value & opt float 0.0
+      value & opt unit_interval 0.0
       & info [ "drop-rate" ] ~docv:"P"
           ~doc:"Message drop probability for the faulty transport (implies $(b,--faults)).")
   in
@@ -950,18 +961,18 @@ let service_sim_cmd =
   in
   let locality =
     Arg.(
-      value & opt float 0.99
+      value & opt unit_interval 0.99
       & info [ "locality" ] ~docv:"P"
           ~doc:"Probability an item pick stays in the mobile's home region.")
   in
   let disconnect_alpha =
     Arg.(
       value
-      & opt (some float) (Some 1.6)
+      & opt (some tail_index) (Some 1.6)
       & info [ "disconnect-alpha" ] ~docv:"A"
           ~doc:
-            "Pareto tail index for power-law disconnection lengths; omit via \
-             $(b,--exp-disconnects) for exponential.")
+            "Pareto tail index for power-law disconnection lengths, a finite number above 1; \
+             omit via $(b,--exp-disconnects) for exponential.")
   in
   let exp_disconnects =
     Arg.(
@@ -1186,7 +1197,7 @@ let bases_sim_cmd =
   in
   let partition_rate =
     Arg.(
-      value & opt float 0.3
+      value & opt unit_interval 0.3
       & info [ "base-partition-rate" ] ~docv:"P"
           ~doc:
             "Probability a drawn base-pair (or mobile) link schedule carries a partition; half \
@@ -1240,13 +1251,13 @@ let nemesis_bases_cmd =
   in
   let partition_rate =
     Arg.(
-      value & opt float 0.3
+      value & opt unit_interval 0.3
       & info [ "base-partition-rate" ] ~docv:"P"
           ~doc:"Per-schedule partition probability (half hard, half transient).")
   in
   let crash_rate =
     Arg.(
-      value & opt float 0.2
+      value & opt unit_interval 0.2
       & info [ "base-crash-rate" ] ~docv:"P"
           ~doc:"Per-schedule probability of an injected responder crash-restart.")
   in

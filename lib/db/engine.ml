@@ -74,10 +74,10 @@ let apply_updates ?(durably = true) t values items =
   Wal.append t.wal (Wal.Begin txid);
   Item.Set.iter
     (fun x ->
-      let before = State.get t.state x in
       let after = State.get values x in
+      let before, state = State.exchange t.state x after in
       Wal.append t.wal (Wal.Write (txid, x, before, after));
-      t.state <- State.set t.state x after)
+      t.state <- state)
     items;
   Wal.append t.wal (Wal.Commit txid);
   if durably then Wal.force t.wal;

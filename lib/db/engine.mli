@@ -55,8 +55,11 @@ val execute_batch : ?force:bool -> t -> Repro_history.History.entry list -> Inte
 
 (** [apply_updates t values items] — overwrite [items] with their values
     in [values] as one logged transaction (the protocol's forwarded
-    updates). [~durably:false] skips the force, leaving the transaction in
-    the volatile tail (used by the session protocol's atomic commit). *)
+    updates). Each item costs one lookup in [values] and one walk of the
+    engine's state, which reads the before-image and writes the new
+    value together ({!State.exchange}). [~durably:false] skips the force,
+    leaving the transaction in the volatile tail (used by the session
+    protocol's atomic commit). *)
 val apply_updates : ?durably:bool -> t -> State.t -> Item.Set.t -> unit
 
 (** [undo t record] — restore the physical before-images of a previously

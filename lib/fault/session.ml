@@ -435,7 +435,9 @@ let run_merge ?(sid = 1) ?retry_seed ~net ~session ~config ~params ~base ~base_h
         let r =
           match rewrite with
           | Some r -> r
-          | None -> P.rewrite_local ~config ~params ~cost ~origin ~tentative ~bad:g.P.gp_bad
+          | None ->
+            P.rewrite_local ~config ~params ~cost ~tentative_exec:g.P.gp_tentative_exec
+              ~bad:g.P.gp_bad
         in
         Completed (replay_applied g r ~first ~last)
   in
@@ -471,7 +473,8 @@ let run_merge ?(sid = 1) ?retry_seed ~net ~session ~config ~params ~base ~base_h
         | None -> give_up "merge request: retry budget exhausted"
         | Some bad -> (
           (* Steps 3-4 run at the mobile. *)
-          let r = P.rewrite_local ~config ~params ~cost ~origin ~tentative ~bad in
+          let tentative_exec = History.execute origin tentative in
+          let r = P.rewrite_local ~config ~params ~cost ~tentative_exec ~bad in
           forward_sent := true;
           match
             rpc ~attempts:session.commit_retries (Forward { sid; rewrite = r }) (function

@@ -28,10 +28,10 @@ let mem t name = List.exists (fun e -> String.equal e.program.Program.name name)
 let restrict t keep = { items = List.filter (fun e -> keep e.program.Program.name) t.items }
 
 let readset t =
-  List.fold_left (fun acc e -> Item.Set.union acc (Program.readset e.program)) Item.Set.empty t.items
+  List.fold_left (fun acc e -> Program.add_readset e.program acc) Item.Set.empty t.items
 
 let writeset t =
-  List.fold_left (fun acc e -> Item.Set.union acc (Program.writeset e.program)) Item.Set.empty t.items
+  List.fold_left (fun acc e -> Program.add_writeset e.program acc) Item.Set.empty t.items
 
 type execution = {
   history : t;

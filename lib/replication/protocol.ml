@@ -195,11 +195,11 @@ type rewrite_phase = {
   rp_backed_out : Names.Set.t;
 }
 
-let rewrite_local ~config ~params ~cost ~origin ~tentative ~bad =
+let rewrite_local ~config ~params ~cost ~tentative_exec ~bad =
   (* Steps 3-4: rewrite and prune on the mobile. *)
   let rw =
-    Rewrite.run ~theory:config.theory ~fix_mode:config.fix_mode
-      ~capture:config.capture_provenance config.algorithm ~s0:origin tentative ~bad
+    Rewrite.run_execution ~theory:config.theory ~fix_mode:config.fix_mode
+      ~capture:config.capture_provenance config.algorithm tentative_exec ~bad
   in
   cost.Cost.mobile_cpu <-
     cost.Cost.mobile_cpu +. (params.Cost.rewrite_per_check *. float_of_int rw.Rewrite.pair_checks);
@@ -231,7 +231,8 @@ let rewrite_local ~config ~params ~cost ~origin ~tentative ~bad =
     rp_rewrite = rw;
     rp_pruned_state = pruned_state;
     rp_pruned_by_compensation = pruned_by_compensation;
-    rp_backed_out = Names.Set.diff (History.name_set tentative) rw.Rewrite.saved;
+    rp_backed_out =
+      Names.Set.diff (History.name_set tentative_exec.History.history) rw.Rewrite.saved;
   }
 
 type plan = {
@@ -348,7 +349,9 @@ let merge ~config ~params ~base ~base_history ~origin ~tentative =
   Obs.Span.with_ ~name:"protocol.merge" @@ fun () ->
   let cost = Cost.zero () in
   let g = analyze_graph ~strategy:config.strategy ~params ~cost ~base_history ~origin ~tentative in
-  let r = rewrite_local ~config ~params ~cost ~origin ~tentative ~bad:g.gp_bad in
+  let r =
+    rewrite_local ~config ~params ~cost ~tentative_exec:g.gp_tentative_exec ~bad:g.gp_bad
+  in
   let report = commit ~config ~params ~cost ~base ~base_history ~tentative g r in
   record_merge_metrics report;
   report

@@ -77,9 +77,10 @@ type merge_config = {
           derivable compensator, otherwise by undo + undo-repair *)
   acceptance : acceptance;
   capture_provenance : bool;
-      (** thread [~capture:true] through {!Rewrite.run} so the report's
-          [rewrite.attempts] records every pair verdict — the input of
-          {!Provenance.of_merge}. Off by default (zero hot-path cost). *)
+      (** thread [~capture:true] through {!Rewrite.run_execution} so the
+          report's [rewrite.attempts] records every pair verdict — the
+          input of {!Provenance.of_merge}. Off by default (zero hot-path
+          cost). *)
 }
 
 val default_merge_config : merge_config
@@ -101,7 +102,8 @@ type merge_report = {
     whose logical history since the common [origin] is [base_history].
     The base engine's state is updated (forwarded updates plus
     re-executions); [base_history] is not (a {!Window} replaces it by the
-    report's [new_history]). *)
+    report's [new_history]). The tentative history is executed once:
+    the rewrite starts from the execution {!analyze_graph} made. *)
 val merge :
   config:merge_config ->
   params:Cost.params ->
@@ -155,12 +157,17 @@ type rewrite_phase = {
   rp_backed_out : Names.Set.t;
 }
 
+(** [rewrite_local ~config ~params ~cost ~tentative_exec ~bad] rewrites
+    from [tentative_exec], the tentative history's execution from the
+    origin ({!Rewrite.run_execution}); it does not execute the history
+    again. {!merge} and the session layer's in-doubt resolution pass the
+    [gp_tentative_exec] that {!analyze_graph} made; the session's mobile
+    side executes its own history once and passes that. *)
 val rewrite_local :
   config:merge_config ->
   params:Cost.params ->
   cost:Cost.tally ->
-  origin:State.t ->
-  tentative:History.t ->
+  tentative_exec:History.execution ->
   bad:Names.Set.t ->
   rewrite_phase
 

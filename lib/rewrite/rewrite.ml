@@ -255,8 +255,13 @@ let observe_result (r : result) =
   end;
   r
 
-let run ~theory ~fix_mode ?(set_mode = Dynamic) ?(capture = false) algorithm ~s0 history ~bad =
+(* The body of [run], from an execution the caller already made: the
+   merge passes the one its graph phase ran, so a merge executes its
+   tentative history once. *)
+let run_execution ~theory ~fix_mode ?(set_mode = Dynamic) ?(capture = false) algorithm
+    (execution : History.execution) ~bad =
   Obs.Span.with_ ~lane:Obs.Event.Mobile ~name:"rewrite.run" @@ fun () ->
+  let history = execution.History.history in
   List.iter
     (fun (e : History.entry) ->
       if not (Fix.is_empty e.History.fix) then
@@ -267,7 +272,6 @@ let run ~theory ~fix_mode ?(set_mode = Dynamic) ?(capture = false) algorithm ~s0
       if not (History.mem history name) then
         invalid_arg ("Rewrite.run: unknown bad transaction " ^ name))
     bad;
-  let execution = History.execute s0 history in
   let affected =
     match set_mode with
     | Dynamic -> Readsfrom.affected execution ~bad
@@ -353,6 +357,9 @@ let run ~theory ~fix_mode ?(set_mode = Dynamic) ?(capture = false) algorithm ~s0
       trace = List.rev st.rev_trace;
       attempts = List.rev st.rev_attempts;
     }
+
+let run ~theory ~fix_mode ?set_mode ?capture algorithm ~s0 history ~bad =
+  run_execution ~theory ~fix_mode ?set_mode ?capture algorithm (History.execute s0 history) ~bad
 
 let suffix r =
   let keep = History.name_set r.repaired in

@@ -85,7 +85,9 @@ type result = {
 }
 
 (** [run ~theory ~fix_mode ?set_mode ?capture algorithm ~s0 history ~bad]
-    rewrites [history]. [set_mode] defaults to [Dynamic]. With
+    rewrites [history]: it executes [history] from [s0] and rewrites
+    from that execution ({!run_execution}). [set_mode] defaults to
+    [Dynamic]. With
     [~capture:true] (default false) the result's [attempts] records
     every pair verdict the scan evaluated — the raw material of merge
     provenance; capture performs exactly the same relation tests in the
@@ -103,6 +105,24 @@ val run :
   algorithm ->
   s0:State.t ->
   History.t ->
+  bad:Names.Set.t ->
+  result
+
+(** [run_execution ~theory ~fix_mode ?set_mode ?capture algorithm execution
+    ~bad] is [run]'s body, started from an execution the caller already
+    made: [run ~s0 history] is [run_execution (History.execute s0 history)].
+    The rewrite reads the history, its records and its states from
+    [execution], and the result's [execution] is [execution] itself, so
+    a caller that has executed the history (the merge's graph phase)
+    does not execute it again. [bad] and the history's fixes are checked as for [run], with
+    [run]'s messages. *)
+val run_execution :
+  theory:Semantics.theory ->
+  fix_mode:fix_mode ->
+  ?set_mode:set_mode ->
+  ?capture:bool ->
+  algorithm ->
+  History.execution ->
   bad:Names.Set.t ->
   result
 

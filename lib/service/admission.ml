@@ -19,7 +19,7 @@ type window = { index : int; events : wevent array }
 let time_of = function Base { at; _ } -> at | Session s -> s.at
 
 let footprint = function
-  | Base { program; _ } -> Item.Set.union (Program.readset program) (Program.writeset program)
+  | Base { program; _ } -> Program.add_writeset program (Program.readset program)
   | Session s -> Item.Set.union s.reads s.writes
 
 let write_set = function
@@ -90,14 +90,10 @@ let windows ~seed trace =
           | rev ->
               let programs = List.rev rev in
               let reads =
-                List.fold_left
-                  (fun s p -> Item.Set.union s (Program.readset p))
-                  Item.Set.empty programs
+                List.fold_left (fun s p -> Program.add_readset p s) Item.Set.empty programs
               in
               let writes =
-                List.fold_left
-                  (fun s p -> Item.Set.union s (Program.writeset p))
-                  Item.Set.empty programs
+                List.fold_left (fun s p -> Program.add_writeset p s) Item.Set.empty programs
               in
               acc :=
                 Session { mobile; at; window_started = started.(mobile); programs; reads; writes }

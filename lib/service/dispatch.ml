@@ -33,12 +33,13 @@ let conflicted events groups =
       if s >= 2 then acc + s else acc)
     0 groups
 
-(* Union-find over the events [0, n): [iter_keys i meet] calls [meet] on
-   each of event [i]'s keys, and events sharing a key are grouped. A
-   union keeps the smaller root, so every root is its group's smallest
-   member and scanning events in order lists the groups by smallest
-   member, members ascending. *)
-let group n iter_keys =
+(* Union-find over the events [0, n): [iter_cells i meet] calls [meet] on
+   the holder cell of each of event [i]'s keys, and events sharing a key
+   are grouped. A cell holds its key's first holder, [-1] until an event
+   meets it, so grouping looks up no key. A union keeps the smaller root,
+   so every root is its group's smallest member and scanning events in
+   order lists the groups by smallest member, members ascending. *)
+let group n iter_cells =
   let parent = Array.init n Fun.id in
   let rec find i =
     let p = parent.(i) in
@@ -48,14 +49,14 @@ let group n iter_keys =
       find parent.(i)
     end
   in
-  let holder = Hashtbl.create 64 in
   for i = 0 to n - 1 do
-    iter_keys i (fun key ->
-        match Hashtbl.find_opt holder key with
-        | None -> Hashtbl.add holder key i
-        | Some j ->
-            let a = find j and b = find i in
-            if a < b then parent.(b) <- a else if b < a then parent.(a) <- b)
+    iter_cells i (fun cell ->
+        let j = !cell in
+        if j < 0 then cell := i
+        else begin
+          let a = find j and b = find i in
+          if a < b then parent.(b) <- a else if b < a then parent.(a) <- b
+        end)
   done;
   let members = Array.make n [] in
   for i = n - 1 downto 0 do
@@ -92,14 +93,22 @@ let components ~smap (events : Admission.wevent array) =
     (* Each event's item and shard footprints, computed once. *)
     let footprints = Array.map Admission.footprint events in
     let shard_footprints = Array.map (Smap.footprint smap) footprints in
-    let shard_groups = group n (fun i meet -> List.iter meet shard_footprints.(i)) in
+    let shard_cells = Array.init n_shards (fun _ -> ref (-1)) in
+    let shard_groups =
+      group n (fun i meet -> List.iter (fun s -> meet shard_cells.(s)) shard_footprints.(i))
+    in
+    (* The written items' holder cells: a footprint item with no cell is
+       one nobody writes this window, and links nothing. *)
     let written = Hashtbl.create 64 in
     Array.iter
-      (fun ev -> Item.Set.iter (fun x -> Hashtbl.replace written x ()) (Admission.write_set ev))
+      (fun ev ->
+        Item.Set.iter (fun x -> Hashtbl.replace written x (ref (-1))) (Admission.write_set ev))
       events;
     let item_groups =
       group n (fun i meet ->
-          Item.Set.iter (fun x -> if Hashtbl.mem written x then meet x) footprints.(i))
+          Item.Set.iter
+            (fun x -> match Hashtbl.find_opt written x with Some cell -> meet cell | None -> ())
+            footprints.(i))
     in
     let comps =
       List.map

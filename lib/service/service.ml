@@ -93,12 +93,14 @@ type report = {
   breakdown : breakdown;
 }
 
-(* Per-component worker result. [deltas] are the canonical-base write
-   sets in admission order, keyed by window event index. *)
+(* Per-component worker result. [deltas] hold, for each event that
+   changed an item, its window event index, the component engine's state
+   just after it and the items it changed, in admission order: the
+   canonical base takes the changed items' values from that state. *)
 type comp_result = {
   r_counts : Window.counts;
   r_violation : bool;
-  r_deltas : (int * (Item.t * int) list) list;
+  r_deltas : (int * State.t * Item.Set.t) list;
   r_latencies : float list;
   r_weight : float;
   r_busy : float;
@@ -160,12 +162,13 @@ let run_component ~(sync : Sync.config) ~(origins : State.t array) ~window_index
       match events.(idx) with
       | Admission.Base { program; _ } ->
           let record = Window.base_txn window program in
-          let writes =
-            List.filter_map
-              (fun (x, before, v) -> if before <> v then Some (x, v) else None)
-              record.Interp.writes
+          let changed =
+            List.fold_left
+              (fun acc (x, before, v) -> if before <> v then Item.Set.add x acc else acc)
+              Item.Set.empty record.Interp.writes
           in
-          if writes <> [] then deltas := (idx, writes) :: !deltas
+          if not (Item.Set.is_empty changed) then
+            deltas := (idx, record.Interp.after, changed) :: !deltas
       | Admission.Session s ->
           let t0 = Unix.gettimeofday () in
           let before = Engine.state engine in
@@ -175,14 +178,10 @@ let run_component ~(sync : Sync.config) ~(origins : State.t array) ~window_index
                    ~origin:(origin_of s.window_started)
                    (History.of_programs s.programs)));
           let after = Engine.state engine in
-          let writes =
-            Item.Set.fold
-              (fun x acc ->
-                let v = State.get after x in
-                if State.get before x <> v then (x, v) :: acc else acc)
-              s.Admission.writes []
+          let changed =
+            Item.Set.filter (fun x -> State.get before x <> State.get after x) s.Admission.writes
           in
-          if writes <> [] then deltas := (idx, writes) :: !deltas;
+          if not (Item.Set.is_empty changed) then deltas := (idx, after, changed) :: !deltas;
           latencies := (Unix.gettimeofday () -. t0) :: !latencies)
     members;
   (* Per-component ground-truth serializability check, the component
@@ -285,15 +284,12 @@ let run ?recorder config (sync : Sync.config) (workload : Sync.workload) trace =
        mid-window loses the window atomically. *)
     let all_deltas =
       List.sort
-        (fun (a, _) (b, _) -> compare (a : int) b)
+        (fun (a, _, _) (b, _, _) -> compare (a : int) b)
         (List.concat_map (fun (r, _, _) -> r.r_deltas) (Array.to_list results))
     in
     Engine.with_group canonical (fun () ->
         List.iter
-          (fun (_idx, writes) ->
-            Engine.apply_updates canonical
-              (State.of_list writes)
-              (Item.Set.of_list (List.map fst writes)))
+          (fun (_idx, values, changed) -> Engine.apply_updates canonical values changed)
           all_deltas);
     (* Aggregate in task order — deterministic regardless of which
        domain ran what. *)

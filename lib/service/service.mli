@@ -14,8 +14,10 @@
       origin restricted to the component's footprint
       ({!Dispatch.component}), running the same
       {!Repro_replication.Window} handlers as [Sync];
-    + the coordinator folds every component's write sets back into the
-      canonical WAL-backed base in admission order, runs the
+    + the coordinator folds every component's deltas back into the
+      canonical WAL-backed base in admission order (an event's delta is
+      the component engine's state after it and the items it changed,
+      applied by {!Repro_db.Engine.apply_updates}), runs the
       per-component ground-truth serializability checks, and opens the
       next window at the folded state.
 

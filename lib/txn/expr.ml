@@ -28,12 +28,15 @@ let rec eval ~param ~read = function
   | Min (a, b) -> min (eval ~param ~read a) (eval ~param ~read b)
   | Max (a, b) -> max (eval ~param ~read a) (eval ~param ~read b)
 
-let rec items = function
-  | Const _ | Param _ -> Item.Set.empty
-  | Item x -> Item.Set.singleton x
-  | Neg e -> items e
+let rec add_items e acc =
+  match e with
+  | Const _ | Param _ -> acc
+  | Item x -> Item.Set.add x acc
+  | Neg e -> add_items e acc
   | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b) | Min (a, b) | Max (a, b)
-    -> Item.Set.union (items a) (items b)
+    -> add_items b (add_items a acc)
+
+let items e = add_items e Item.Set.empty
 
 let rec params = function
   | Const _ | Item _ -> []

@@ -30,6 +30,10 @@ val eval : param:(string -> int) -> read:(Item.t -> int) -> t -> int
 (** All data items mentioned by the expression. *)
 val items : t -> Item.Set.t
 
+(** [add_items e acc] is [Item.Set.union (items e) acc], built by adding
+    each item to [acc] rather than by unioning fresh sets. *)
+val add_items : t -> Item.Set.t -> Item.Set.t
+
 (** All input parameters mentioned by the expression. *)
 val params : t -> string list
 

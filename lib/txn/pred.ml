@@ -26,12 +26,15 @@ let rec eval ~param ~read p =
   | And (a, b) -> eval ~param ~read a && eval ~param ~read b
   | Or (a, b) -> eval ~param ~read a || eval ~param ~read b
 
-let rec items = function
-  | True | False -> Item.Set.empty
+let rec add_items p acc =
+  match p with
+  | True | False -> acc
   | Eq (a, b) | Ne (a, b) | Lt (a, b) | Le (a, b) | Gt (a, b) | Ge (a, b) ->
-    Item.Set.union (Expr.items a) (Expr.items b)
-  | Not q -> items q
-  | And (a, b) | Or (a, b) -> Item.Set.union (items a) (items b)
+    Expr.add_items b (Expr.add_items a acc)
+  | Not q -> add_items q acc
+  | And (a, b) | Or (a, b) -> add_items b (add_items a acc)
+
+let items p = add_items p Item.Set.empty
 
 let rec params = function
   | True | False -> []

@@ -19,5 +19,9 @@ val eval : param:(string -> int) -> read:(Item.t -> int) -> t -> bool
 (** Data items read when evaluating the predicate. *)
 val items : t -> Item.Set.t
 
+(** [add_items p acc] is [Item.Set.union (items p) acc], accumulated as
+    {!Expr.add_items} does. *)
+val add_items : t -> Item.Set.t -> Item.Set.t
+
 val params : t -> string list
 val pp : Format.formatter -> t -> unit

@@ -44,8 +44,10 @@ let make ~name ?(ttype = "adhoc") ?(params = []) body =
   { name; ttype; params; body }
 
 let rename t name = { t with name }
-let readset t = Stmt.reads_of_seq t.body
-let writeset t = Stmt.writes_of_seq t.body
+let add_readset t acc = Stmt.add_reads_of_seq t.body acc
+let add_writeset t acc = Stmt.add_writes_of_seq t.body acc
+let readset t = add_readset t Item.Set.empty
+let writeset t = add_writeset t Item.Set.empty
 let read_only_items t = Item.Set.diff (readset t) (writeset t)
 let is_read_only t = Item.Set.is_empty (writeset t)
 

@@ -36,6 +36,14 @@ val readset : t -> Item.Set.t
 (** Static write set: every item the body can update on some path. *)
 val writeset : t -> Item.Set.t
 
+(** [add_readset t acc] is [Item.Set.union (readset t) acc] and
+    [add_writeset t acc] is [Item.Set.union (writeset t) acc]. Both add
+    the body's items to [acc] one by one ({!Stmt.add_reads_of_seq}), so
+    folding them over a list of programs builds one set per fold. *)
+val add_readset : t -> Item.Set.t -> Item.Set.t
+
+val add_writeset : t -> Item.Set.t -> Item.Set.t
+
 (** [readset t - writeset t]; Lemma 2's coarse fix. *)
 val read_only_items : t -> Item.Set.t
 

@@ -6,6 +6,19 @@ let to_list state = Item.Map.bindings state
 let get state x = match Item.Map.find_opt x state with Some v -> v | None -> 0
 let set state x v = Item.Map.add x v state
 
+(* One [update] walk both reads the old binding and writes the new one;
+   it leaves the same tree as [set]. *)
+let exchange state x v =
+  let before = ref 0 in
+  let state =
+    Item.Map.update x
+      (fun old ->
+        (match old with Some b -> before := b | None -> ());
+        Some v)
+      state
+  in
+  (!before, state)
+
 (* One lookup per item of [items], not a walk of [state]. *)
 let restrict state items =
   Item.Set.fold
@@ -14,13 +27,6 @@ let restrict state items =
     items Item.Map.empty
 
 let items state = Item.Map.keys state
-
-(* One simultaneous traversal; a binding present on one side only is
-   equal iff it holds the default 0. *)
-let equal s1 s2 =
-  Item.Map.equal ( = )
-    (Item.Map.filter (fun _ v -> v <> 0) s1)
-    (Item.Map.filter (fun _ v -> v <> 0) s2)
 
 (* One ordered walk of both maps; an item bound on one side only differs
    iff its value is not the default 0. *)
@@ -38,6 +44,11 @@ let diff s1 s2 =
       else walk (add_if (w <> 0) y acc) n1 (r2 ())
   in
   walk Item.Set.empty (Item.Map.to_seq s1 ()) (Item.Map.to_seq s2 ())
+
+(* Identical bindings settle it in one [Item.Map.equal] walk, which
+   copies neither map; only states that differ as maps take [diff]'s
+   walk, which reads an item bound on one side as 0 on the other. *)
+let equal s1 s2 = s1 == s2 || Item.Map.equal Int.equal s1 s2 || Item.Set.is_empty (diff s1 s2)
 
 let pp = Item.Map.pp Format.pp_print_int
 

@@ -24,6 +24,12 @@ val get : t -> Item.t -> int
 (** [set state x v] rebinds [x] to [v]. *)
 val set : t -> Item.t -> int -> t
 
+(** [exchange state x v] is [(get state x, set state x v)] in one walk
+    from the root to [x] instead of two: the value [x] had (the default
+    [0] when unbound) and the state with [x] rebound to [v]. The new
+    state is the tree [set] builds. *)
+val exchange : t -> Item.t -> int -> int * t
+
 (** [restrict state items] keeps only the bindings of [items]: an item
     of [items] unbound in [state] stays unbound. One lookup per item,
     O(k log n) for k items over a state of n bindings, so projecting a
@@ -32,7 +38,10 @@ val set : t -> Item.t -> int -> t
 val restrict : t -> Item.Set.t -> t
 
 (** Structural equality on the non-default bindings, treating missing items
-    as [0] on either side. *)
+    as [0] on either side. O(1) on physically equal states; otherwise one
+    ordered walk of both, O(|s1| + |s2|), when their bindings are
+    identical, and a {!diff} walk as well when they are not. It builds no
+    filtered copies. *)
 val equal : t -> t -> bool
 
 val items : t -> Item.Set.t

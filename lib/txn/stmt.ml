@@ -4,23 +4,28 @@ type t =
   | Assign of Item.t * Expr.t
   | If of Pred.t * t list * t list
 
-let rec read_items = function
-  | Read x -> Item.Set.singleton x
-  | Update (x, e) -> Item.Set.add x (Expr.items e)
-  | Assign (_, e) -> Expr.items e
-  | If (c, ss1, ss2) ->
-    Item.Set.union (Pred.items c) (Item.Set.union (reads_of_seq ss1) (reads_of_seq ss2))
+(* Read and write sets accumulate: every item is added to one set that
+   the whole statement sequence threads through. *)
+let rec add_reads s acc =
+  match s with
+  | Read x -> Item.Set.add x acc
+  | Update (x, e) -> Item.Set.add x (Expr.add_items e acc)
+  | Assign (_, e) -> Expr.add_items e acc
+  | If (c, ss1, ss2) -> add_reads_of_seq ss2 (add_reads_of_seq ss1 (Pred.add_items c acc))
 
-and reads_of_seq ss =
-  List.fold_left (fun acc s -> Item.Set.union acc (read_items s)) Item.Set.empty ss
+and add_reads_of_seq ss acc = List.fold_left (fun acc s -> add_reads s acc) acc ss
 
-let rec write_items = function
-  | Read _ -> Item.Set.empty
-  | Update (x, _) | Assign (x, _) -> Item.Set.singleton x
-  | If (_, ss1, ss2) -> Item.Set.union (writes_of_seq ss1) (writes_of_seq ss2)
+let read_items s = add_reads s Item.Set.empty
 
-and writes_of_seq ss =
-  List.fold_left (fun acc s -> Item.Set.union acc (write_items s)) Item.Set.empty ss
+let rec add_writes s acc =
+  match s with
+  | Read _ -> acc
+  | Update (x, _) | Assign (x, _) -> Item.Set.add x acc
+  | If (_, ss1, ss2) -> add_writes_of_seq ss2 (add_writes_of_seq ss1 acc)
+
+and add_writes_of_seq ss acc = List.fold_left (fun acc s -> add_writes s acc) acc ss
+
+let write_items s = add_writes s Item.Set.empty
 
 let rec must_write_items = function
   | Read _ -> Item.Set.empty

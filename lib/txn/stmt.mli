@@ -46,7 +46,11 @@ val params_of_seq : t list -> string list
 val pp : Format.formatter -> t -> unit
 val pp_list : Format.formatter -> t list -> unit
 
-(** Set helpers over statement sequences. *)
+(** Set accumulators over statement sequences: [add_reads_of_seq ss acc]
+    is the union of [acc] and the {!read_items} of every statement of
+    [ss], and [add_writes_of_seq] the same for {!write_items}. Each item
+    is added to [acc] directly, so no set is built per statement or per
+    expression node. *)
 
-val reads_of_seq : t list -> Item.Set.t
-val writes_of_seq : t list -> Item.Set.t
+val add_reads_of_seq : t list -> Item.Set.t -> Item.Set.t
+val add_writes_of_seq : t list -> Item.Set.t -> Item.Set.t

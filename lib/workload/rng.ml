@@ -1,17 +1,27 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes: a mutable [int64]
+   field would box a fresh value on every draw. With [mix] and [next]
+   inlined the arithmetic stays in registers, so [int] allocates nothing
+   and [float] only its result. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix state
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
+
+let create seed = of_state (mix (Int64.of_int seed))
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -55,4 +65,4 @@ let sample t k l =
     List.filteri (fun i _ -> Hashtbl.mem chosen i) l
   end
 
-let split t = { state = mix (next t) }
+let split t = of_state (mix (next t))

@@ -27,7 +27,8 @@ let test_execute_updates_state () =
   let r = Engine.execute e (inc "T1" "a" 5) in
   check_state "state advanced" (State.of_list [ ("a", 15); ("b", 20); ("c", 30) ]) (Engine.state e);
   checki "one commit" 1 (Engine.transactions_committed e);
-  checkb "record reflects run" true (Interp.dynamic_writeset r = Item.Set.of_names [ "a" ])
+  checkb "record reflects run" true
+    (Item.Set.equal (Interp.dynamic_writeset r) (Item.Set.of_names [ "a" ]))
 
 let test_wal_structure () =
   let e = Engine.create s0 in
@@ -67,6 +68,48 @@ let test_apply_updates () =
   Engine.apply_updates e values (Item.Set.of_names [ "a"; "c" ]);
   check_state "forwarded" (State.of_list [ ("a", 100); ("b", 20); ("c", 300) ]) (Engine.state e);
   checki "one force" 1 (Wal.force_count (Engine.log e) - before)
+
+(* [apply_updates] against the get-then-set loop it replaced: the same
+   log entries after the creation checkpoint (one [Write] per item, in
+   item order, with the engine's before-image and [values]' value) and
+   the same bindings. States bind explicit zeros, and items "g" and "h"
+   are bound in neither. *)
+let prop_apply_updates_matches_get_then_set =
+  let binding x =
+    QCheck.Gen.(map (Option.map (fun v -> (x, v))) (opt ~ratio:0.7 (int_range (-2) 2)))
+  in
+  let state_gen =
+    QCheck.Gen.(
+      map
+        (fun bs -> State.of_list (List.filter_map Fun.id bs))
+        (flatten_l (List.map binding [ "a"; "b"; "c"; "d"; "e"; "f" ])))
+  in
+  let items_gen =
+    QCheck.Gen.(
+      map Item.Set.of_list
+        (list_size (int_range 0 8) (oneofl [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ])))
+  in
+  QCheck.Test.make ~count:1000 ~name:"apply_updates = get-then-set reference"
+    (QCheck.make
+       ~print:(fun ((s, v), items) ->
+         Format.asprintf "%a / %a / %a" State.pp s State.pp v Item.Set.pp items)
+       QCheck.Gen.(pair (pair state_gen state_gen) items_gen))
+    (fun ((s, values), items) ->
+      let e = Engine.create s in
+      ignore (Engine.execute e (inc "T1" "a" 1));
+      let pre = Engine.state e and txid = Engine.next_txid e in
+      let skip = List.length (Wal.entries (Engine.log e)) in
+      Engine.apply_updates e values items;
+      let writes, expected =
+        Item.Set.fold
+          (fun x (ws, st) ->
+            let before = State.get st x and after = State.get values x in
+            (Wal.Write (txid, x, before, after) :: ws, State.set st x after))
+          items ([], pre)
+      in
+      let logged = List.filteri (fun i _ -> i >= skip) (Wal.entries (Engine.log e)) in
+      logged = (Wal.Begin txid :: List.rev writes) @ [ Wal.Commit txid ]
+      && State.to_list (Engine.state e) = State.to_list expected)
 
 let test_undo_restores_before_images () =
   let e = Engine.create s0 in
@@ -1201,6 +1244,7 @@ let () =
               prop_engine_matches_interpreter;
               prop_undo_inverts_last;
               prop_commit_matches_execute;
+              prop_apply_updates_matches_get_then_set;
             ] );
       ( "recovery",
         [

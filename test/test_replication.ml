@@ -384,7 +384,8 @@ let plan_matches_oracle ~origin ~tentative ~base_programs (algorithm, strategy) 
   let params = Cost.default_params and cost = Cost.zero () in
   let g = Protocol.analyze_graph ~strategy ~params ~cost ~base_history ~origin ~tentative in
   let r =
-    Protocol.rewrite_local ~config ~params ~cost ~origin ~tentative ~bad:g.Protocol.gp_bad
+    Protocol.rewrite_local ~config ~params ~cost ~tentative_exec:g.Protocol.gp_tentative_exec
+      ~bad:g.Protocol.gp_bad
   in
   let plan = Protocol.plan_commit ~graph:g ~rewrite:r ~base_history ~tentative in
   let saved = r.Protocol.rp_rewrite.Repro_rewrite.Rewrite.saved in

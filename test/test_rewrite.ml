@@ -562,6 +562,138 @@ let prop_static_mode_coarse_equivalence =
         (History.final_state s0 r.Rewrite.rewritten))
 
 (* ------------------------------------------------------------------ *)
+(* A rewrite from an execution *)
+
+(* Two results agree on everything a rewrite produces: histories with
+   their fixes, name sets, counts, the scan trace, every captured
+   verdict, and the execution's states and records. *)
+let same_result (a : Rewrite.result) (b : Rewrite.result) =
+  let entries h =
+    List.map
+      (fun (e : History.entry) -> (e.History.program.Program.name, Fix.to_list e.History.fix))
+      (History.entries h)
+  in
+  let same_verdict x y =
+    match (x, y) with
+    | Rewrite.Follows, Rewrite.Follows | Rewrite.Commutes, Rewrite.Commutes -> true
+    | Rewrite.Precedes d, Rewrite.Precedes d' | Rewrite.Blocked d, Rewrite.Blocked d' ->
+      Item.Set.equal d d'
+    | _ -> false
+  in
+  let same_decision (d : Rewrite.decision) (d' : Rewrite.decision) =
+    String.equal d.Rewrite.target d'.Rewrite.target
+    && same_verdict d.Rewrite.verdict d'.Rewrite.verdict
+  in
+  let same_attempt (x : Rewrite.attempt) (y : Rewrite.attempt) =
+    String.equal x.Rewrite.att_mover y.Rewrite.att_mover
+    && x.Rewrite.moved = y.Rewrite.moved
+    && List.equal same_decision x.Rewrite.decisions y.Rewrite.decisions
+  in
+  let same_record (r : Interp.record) (r' : Interp.record) =
+    String.equal r.Interp.program.Program.name r'.Interp.program.Program.name
+    && r.Interp.reads = r'.Interp.reads && r.Interp.writes = r'.Interp.writes
+  in
+  let ea = a.Rewrite.execution and eb = b.Rewrite.execution in
+  a.Rewrite.algorithm = b.Rewrite.algorithm
+  && entries a.Rewrite.original = entries b.Rewrite.original
+  && entries a.Rewrite.rewritten = entries b.Rewrite.rewritten
+  && entries a.Rewrite.repaired = entries b.Rewrite.repaired
+  && Names.Set.equal a.Rewrite.saved b.Rewrite.saved
+  && Names.Set.equal a.Rewrite.bad b.Rewrite.bad
+  && Names.Set.equal a.Rewrite.affected b.Rewrite.affected
+  && a.Rewrite.moves = b.Rewrite.moves
+  && a.Rewrite.pair_checks = b.Rewrite.pair_checks
+  && a.Rewrite.trace = b.Rewrite.trace
+  && List.equal same_attempt a.Rewrite.attempts b.Rewrite.attempts
+  && State.equal ea.History.initial eb.History.initial
+  && State.equal ea.History.final eb.History.final
+  && List.equal same_record ea.History.records eb.History.records
+
+(* [Rewrite.run] from [s0] against a rewrite from an execution, on
+   generated merge cases, for all four algorithms under both fix modes
+   and both set modes: from [History.execute s0], and from the execution
+   the merge's graph phase made ([Protocol.analyze_graph] over the case's
+   base history), also through [Protocol.rewrite_local]. *)
+let test_run_execution_equals_run () =
+  let module Mergecase = Repro_experiments.Mergecase in
+  let module Protocol = Repro_replication.Protocol in
+  let module Cost = Repro_replication.Cost in
+  let module Engine = Repro_db.Engine in
+  let strategy = Repro_precedence.Backout.Two_cycle_then_greedy in
+  let params = Cost.default_params in
+  let modes =
+    [
+      (Rewrite.Exact, Rewrite.Dynamic);
+      (Rewrite.Coarse, Rewrite.Dynamic);
+      (Rewrite.Exact, Rewrite.Static);
+      (Rewrite.Coarse, Rewrite.Static);
+    ]
+  in
+  let backed_out = ref 0 in
+  for seed = 1 to 30 do
+    let case =
+      Mergecase.generate ~seed ~profile:Gen_wl.default_profile ~tentative_len:8 ~base_len:8
+        ~strategy
+    in
+    let s0 = case.Mergecase.s0 and h = case.Mergecase.tentative and bad = case.Mergecase.bad in
+    if not (Names.Set.is_empty bad) then incr backed_out;
+    let engine = Engine.create s0 in
+    let base_history =
+      Protocol.index_history
+        (List.map
+           (fun p -> { Protocol.program = p; Protocol.record = Engine.execute engine p })
+           (History.programs case.Mergecase.base))
+    in
+    let g =
+      Protocol.analyze_graph ~strategy ~params ~cost:(Cost.zero ()) ~base_history ~origin:s0
+        ~tentative:h
+    in
+    let graph_exec = g.Protocol.gp_tentative_exec in
+    List.iter
+      (fun algorithm ->
+        List.iter
+          (fun (fix_mode, set_mode) ->
+            let from_s0 =
+              Rewrite.run ~theory:thy ~fix_mode ~set_mode ~capture:true algorithm ~s0 h ~bad
+            in
+            let exec = History.execute s0 h in
+            let from_exec =
+              Rewrite.run_execution ~theory:thy ~fix_mode ~set_mode ~capture:true algorithm exec
+                ~bad
+            in
+            let from_graph =
+              Rewrite.run_execution ~theory:thy ~fix_mode ~set_mode ~capture:true algorithm
+                graph_exec ~bad
+            in
+            let what = Printf.sprintf "seed %d, %s" seed (Rewrite.algorithm_name algorithm) in
+            checkb (what ^ ": from an execution") true (same_result from_s0 from_exec);
+            checkb (what ^ ": from the graph phase's execution") true
+              (same_result from_s0 from_graph);
+            checkb (what ^ ": keeps the execution it was given") true
+              (from_exec.Rewrite.execution == exec))
+          modes;
+        let config =
+          {
+            Protocol.default_merge_config with
+            Protocol.algorithm;
+            Protocol.capture_provenance = true;
+          }
+        in
+        let r =
+          Protocol.rewrite_local ~config ~params ~cost:(Cost.zero ()) ~tentative_exec:graph_exec
+            ~bad
+        in
+        let from_s0 =
+          Rewrite.run ~theory:config.Protocol.theory ~fix_mode:config.Protocol.fix_mode
+            ~capture:true algorithm ~s0 h ~bad
+        in
+        checkb
+          (Printf.sprintf "seed %d, %s: rewrite_local" seed (Rewrite.algorithm_name algorithm))
+          true
+          (same_result from_s0 r.Repro_replication.Protocol.rp_rewrite))
+      Rewrite.all_algorithms
+  done;
+  checkb "some cases back transactions out" true (!backed_out >= 10)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -588,6 +720,8 @@ let () =
           Alcotest.test_case "independent goods saved" `Quick test_bad_first_good_later_saved;
           Alcotest.test_case "read-only transactions" `Quick test_read_only_good_always_saved;
           Alcotest.test_case "dynamic sets beat static" `Quick test_dynamic_sets_beat_static;
+          Alcotest.test_case "run from an execution = run from s0" `Quick
+            test_run_execution_equals_run;
         ] );
       ("theorems", qsuite
         [

@@ -94,6 +94,172 @@ let prop_no_blind_writes =
     (QCheck.make (G.program_gen ~name:"P"))
     (fun p -> Item.Set.subset (Program.writeset p) (Program.readset p))
 
+(* The union-built read and write sets that the accumulators replaced:
+   a fresh set per expression node and per statement, unioned upwards. *)
+let rec union_expr_items = function
+  | Expr.Const _ | Expr.Param _ -> Item.Set.empty
+  | Expr.Item x -> Item.Set.singleton x
+  | Expr.Neg e -> union_expr_items e
+  | Expr.Add (a, b)
+  | Expr.Sub (a, b)
+  | Expr.Mul (a, b)
+  | Expr.Div (a, b)
+  | Expr.Mod (a, b)
+  | Expr.Min (a, b)
+  | Expr.Max (a, b) ->
+    Item.Set.union (union_expr_items a) (union_expr_items b)
+
+let rec union_pred_items = function
+  | Pred.True | Pred.False -> Item.Set.empty
+  | Pred.Eq (a, b) | Pred.Ne (a, b) | Pred.Lt (a, b) | Pred.Le (a, b) | Pred.Gt (a, b)
+  | Pred.Ge (a, b) ->
+    Item.Set.union (union_expr_items a) (union_expr_items b)
+  | Pred.Not q -> union_pred_items q
+  | Pred.And (a, b) | Pred.Or (a, b) -> Item.Set.union (union_pred_items a) (union_pred_items b)
+
+let rec union_reads = function
+  | Stmt.Read x -> Item.Set.singleton x
+  | Stmt.Update (x, e) -> Item.Set.add x (union_expr_items e)
+  | Stmt.Assign (_, e) -> union_expr_items e
+  | Stmt.If (c, ss1, ss2) ->
+    Item.Set.union (union_pred_items c)
+      (Item.Set.union (union_reads_seq ss1) (union_reads_seq ss2))
+
+and union_reads_seq ss =
+  List.fold_left (fun acc s -> Item.Set.union acc (union_reads s)) Item.Set.empty ss
+
+let rec union_writes = function
+  | Stmt.Read _ -> Item.Set.empty
+  | Stmt.Update (x, _) | Stmt.Assign (x, _) -> Item.Set.singleton x
+  | Stmt.If (_, ss1, ss2) -> Item.Set.union (union_writes_seq ss1) (union_writes_seq ss2)
+
+and union_writes_seq ss =
+  List.fold_left (fun acc s -> Item.Set.union acc (union_writes s)) Item.Set.empty ss
+
+(* Programs with [If]s nested up to three deep, over every expression
+   and predicate constructor, blind writes included. Each update writes
+   a fresh item "w<k>", so no path updates an item twice; reads draw
+   from a pool that holds the written items too. *)
+let nested_program_gen =
+  let open QCheck.Gen in
+  let pool = [ "a"; "b"; "c"; "w0"; "w1"; "w2"; "w3" ] in
+  let leaf =
+    oneof
+      [
+        map (fun n -> Expr.Const n) (int_range (-3) 3);
+        map (fun x -> Expr.Item x) (oneofl pool);
+        return (Expr.Param "p");
+      ]
+  in
+  let binary =
+    oneofl
+      [
+        (fun a b -> Expr.Add (a, b));
+        (fun a b -> Expr.Sub (a, b));
+        (fun a b -> Expr.Mul (a, b));
+        (fun a b -> Expr.Div (a, b));
+        (fun a b -> Expr.Mod (a, b));
+        (fun a b -> Expr.Min (a, b));
+        (fun a b -> Expr.Max (a, b));
+      ]
+  in
+  let rec expr depth =
+    if depth = 0 then leaf
+    else
+      let sub = expr (depth - 1) in
+      frequency
+        [
+          (2, leaf);
+          (1, map (fun e -> Expr.Neg e) sub);
+          (3, map3 (fun op a b -> op a b) binary sub sub);
+        ]
+  in
+  let compare_op =
+    oneofl
+      [
+        (fun a b -> Pred.Eq (a, b));
+        (fun a b -> Pred.Ne (a, b));
+        (fun a b -> Pred.Lt (a, b));
+        (fun a b -> Pred.Le (a, b));
+        (fun a b -> Pred.Gt (a, b));
+        (fun a b -> Pred.Ge (a, b));
+      ]
+  in
+  let rec pred depth =
+    let atom = map3 (fun op a b -> op a b) compare_op (expr 2) (expr 2) in
+    if depth = 0 then frequency [ (1, oneofl [ Pred.True; Pred.False ]); (4, atom) ]
+    else
+      let sub = pred (depth - 1) in
+      frequency
+        [
+          (3, atom);
+          (1, map (fun q -> Pred.Not q) sub);
+          (1, map2 (fun a b -> Pred.And (a, b)) sub sub);
+          (1, map2 (fun a b -> Pred.Or (a, b)) sub sub);
+        ]
+  in
+  let rec stmts depth = list_size (int_range 0 3) (stmt depth)
+  and stmt depth =
+    let simple =
+      oneof
+        [
+          map (fun x -> Stmt.Read x) (oneofl pool);
+          map (fun e -> Stmt.Update ("", e)) (expr 2);
+          map (fun e -> Stmt.Assign ("", e)) (expr 2);
+        ]
+    in
+    if depth = 0 then simple
+    else
+      frequency
+        [
+          (2, simple);
+          ( 1,
+            map3
+              (fun c a b -> Stmt.If (c, a, b))
+              (pred 2)
+              (stmts (depth - 1))
+              (stmts (depth - 1)) );
+        ]
+  in
+  let number body =
+    let k = ref 0 in
+    let fresh () =
+      let x = "w" ^ string_of_int !k in
+      incr k;
+      x
+    in
+    let rec go = function
+      | Stmt.Update (_, e) -> Stmt.Update (fresh (), e)
+      | Stmt.Assign (_, e) -> Stmt.Assign (fresh (), e)
+      | Stmt.If (c, ss1, ss2) ->
+        let ss1 = List.map go ss1 in
+        Stmt.If (c, ss1, List.map go ss2)
+      | Stmt.Read _ as s -> s
+    in
+    List.map go body
+  in
+  map
+    (fun body -> Program.make ~name:"N" ~params:[ ("p", 1) ] (number body))
+    (list_size (int_range 1 4) (stmt 3))
+
+(* The accumulated sets against the union-built reference: per program,
+   per statement, and added to a non-empty accumulator. *)
+let prop_accumulated_sets =
+  QCheck.Test.make ~count:1000 ~name:"Program.readset/writeset = union-built reference"
+    (QCheck.make ~print:(Format.asprintf "%a" Program.pp_full) nested_program_gen)
+    (fun p ->
+      let body = p.Program.body in
+      let acc = Item.Set.of_names [ "a"; "w1"; "z" ] in
+      Item.Set.equal (Program.readset p) (union_reads_seq body)
+      && Item.Set.equal (Program.writeset p) (union_writes_seq body)
+      && Item.Set.equal (Program.add_readset p acc) (Item.Set.union acc (union_reads_seq body))
+      && Item.Set.equal (Program.add_writeset p acc) (Item.Set.union acc (union_writes_seq body))
+      && List.for_all
+           (fun s ->
+             Item.Set.equal (Stmt.read_items s) (union_reads s)
+             && Item.Set.equal (Stmt.write_items s) (union_writes s))
+           body)
+
 (* ------------------------------------------------------------------ *)
 (* Interpreter: the paper's H1 example, fixes, dynamic sets *)
 
@@ -444,6 +610,50 @@ let prop_state_restrict =
       State.to_list (State.restrict s items)
       = List.filter (fun (x, _) -> Item.Set.mem x items) (State.to_list s))
 
+(* [State.exchange] against the two walks it replaces: it returns what
+   [get] returned and leaves the bindings [set] leaves, explicit zeros
+   included, for bound items and for "g" and "h", which no state binds. *)
+let prop_state_exchange =
+  QCheck.Test.make ~count:2000 ~name:"State.exchange = get then set"
+    (QCheck.make
+       ~print:(fun (s, (x, v)) -> Format.asprintf "%a / %s := %d" State.pp s x v)
+       QCheck.Gen.(
+         pair sparse_state_gen
+           (pair (oneofl [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ]) (int_range (-2) 2))))
+    (fun (s, (x, v)) ->
+      let before, s' = State.exchange s x v in
+      before = State.get s x && State.to_list s' = State.to_list (State.set s x v))
+
+(* [State.equal] against the filtered [Item.Map.equal] it replaced. The
+   second state mostly repeats the first one's values, writing a 0 as
+   absent or as an explicit zero at random, so equal pairs, zeros on
+   either side and single differences all occur often. *)
+let prop_state_equal =
+  let near s =
+    let open QCheck.Gen in
+    let binding x =
+      let v = State.get s x in
+      let same = if v = 0 then oneofl [ None; Some (x, 0) ] else return (Some (x, v)) in
+      frequency [ (9, same); (1, map (Option.map (fun v -> (x, v))) (opt (int_range (-2) 2))) ]
+    in
+    map
+      (fun bindings -> State.of_list (List.filter_map Fun.id bindings))
+      (flatten_l (List.map binding [ "a"; "b"; "c"; "d"; "e"; "f" ]))
+  in
+  let reference a b =
+    let nonzero s =
+      Item.Map.filter (fun _ v -> v <> 0) (Item.Map.of_seq (List.to_seq (State.to_list s)))
+    in
+    Item.Map.equal ( = ) (nonzero a) (nonzero b)
+  in
+  QCheck.Test.make ~count:2000 ~name:"State.equal = filtered Item.Map.equal"
+    (QCheck.make
+       ~print:(fun (a, b) -> Format.asprintf "%a / %a" State.pp a State.pp b)
+       QCheck.Gen.(sparse_state_gen >>= fun a -> map (fun b -> (a, b)) (near a)))
+    (fun (a, b) ->
+      let want = reference a b in
+      State.equal a b = want && State.equal b a = want && State.equal a a)
+
 let test_fix_operations () =
   let f = Fix.of_list [ ("a", 1) ] in
   checkb "mem" true (Fix.mem f "a");
@@ -517,7 +727,7 @@ let () =
             test_program_validation_rejects_unbound_param;
           Alcotest.test_case "static sets" `Quick test_program_static_sets;
         ]
-        @ qsuite [ prop_no_blind_writes ] );
+        @ qsuite [ prop_no_blind_writes; prop_accumulated_sets ] );
       ( "interp",
         [
           Alcotest.test_case "H1 augmented states" `Quick test_h1_augmented_states;
@@ -566,7 +776,8 @@ let () =
           Alcotest.test_case "rename and params" `Quick test_program_rename_and_params;
           Alcotest.test_case "read dedup" `Quick test_read_statement_recorded_once;
         ]
-        @ qsuite [ prop_state_diff; prop_state_restrict ] );
+        @ qsuite [ prop_state_diff; prop_state_restrict; prop_state_exchange; prop_state_equal ]
+      );
       ( "compensation",
         [
           Alcotest.test_case "additive compensator" `Quick test_derive_additive_compensator;

@@ -40,6 +40,68 @@ let test_rng_sample_distinct () =
   checki "four elements" 4 (List.length s);
   checki "distinct" 4 (List.length (List.sort_uniq compare s))
 
+(* The splitmix64 generator as it was with a boxed [int64] state: the
+   reference stream the unboxed [Rng] must reproduce draw for draw. *)
+module Boxed_rng = struct
+  type t = { mutable state : int64 }
+
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let next t =
+    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
+    mix t.state
+
+  let create seed = { state = mix (Int64.of_int seed) }
+  let int t bound = Int64.to_int (Int64.shift_right_logical (next t) 2) mod bound
+  let float t = Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
+  let split t = { state = mix (next t) }
+end
+
+(* Interleaved draws of every kind, splits included, over seeds that
+   cover negative, zero and large values. *)
+let test_rng_matches_boxed_reference () =
+  List.iter
+    (fun seed ->
+      let r = ref (Rng.create seed) and b = ref (Boxed_rng.create seed) in
+      for i = 1 to 5000 do
+        match i mod 5 with
+        | 0 -> checki "int" (Boxed_rng.int !b 1000) (Rng.int !r 1000)
+        | 1 -> checki "int max_int" (Boxed_rng.int !b max_int) (Rng.int !r max_int)
+        | 2 ->
+          let want = Boxed_rng.float !b and got = Rng.float !r in
+          if Int64.bits_of_float want <> Int64.bits_of_float got then
+            Alcotest.failf "seed %d draw %d: float %h, reference %h" seed i got want
+        | 3 -> checki "in_range" (-7 + Boxed_rng.int !b 15) (Rng.in_range !r (-7) 7)
+        | _ ->
+          if i mod 50 = 4 then begin
+            r := Rng.split !r;
+            b := Boxed_rng.split !b
+          end
+          else checkb "bool" (Boxed_rng.float !b < 0.3) (Rng.bool !r 0.3)
+      done)
+    [ 0; 1; 7; -1; 7919; 31337; max_int; min_int ]
+
+(* Words allocated per draw over 100k draws: the state is unboxed, so an
+   integer draw allocates nothing and a float draw only its boxed
+   result. *)
+let test_rng_draws_do_not_box_the_state () =
+  let draws = 100_000 in
+  let words_per_draw draw =
+    let r = Rng.create 42 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to draws do
+      ignore (Sys.opaque_identity (draw r))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int draws
+  in
+  let per_float = words_per_draw (fun r -> Obj.repr (Rng.float r)) in
+  let per_int = words_per_draw (fun r -> Obj.repr (Rng.int r 1000)) in
+  if per_float > 3.0 then Alcotest.failf "Rng.float allocates %.2f words per draw" per_float;
+  if per_int > 0.5 then Alcotest.failf "Rng.int allocates %.2f words per draw" per_int
+
 let test_zipf_skew_prefers_low_ranks () =
   let r = Rng.create 3 in
   let z = Zipf.make ~n:50 ~skew:1.2 in
@@ -291,6 +353,10 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "ranges" `Quick test_rng_ranges;
           Alcotest.test_case "sample distinct" `Quick test_rng_sample_distinct;
+          Alcotest.test_case "matches the boxed reference" `Quick
+            test_rng_matches_boxed_reference;
+          Alcotest.test_case "draws do not box the state" `Quick
+            test_rng_draws_do_not_box_the_state;
         ] );
       ( "zipf",
         [

@@ -9,10 +9,15 @@
 # even ones. Every run's summary and result lines are printed. Then, for each
 # end-to-end metric of CHANGE_DIR/BENCHMARK.json, it prints each side's
 # median and quartiles, the pairs the change won, and whether the medians
-# differ by more than the parent's interquartile spread. Last comes the same
-# summary of the unscaled processor-time throughput that each summary line
-# prints as "(unscaled N)", marked "not gated": a change that may move the
-# reference kernel's timing should be judged on it as well.
+# differ by more than the parent's interquartile spread. A last line per
+# metric reads "claim rule: met" or "claim rule: not met (...)": the rule
+# holds when the change won at least nine tenths of the pairs (a tie counts
+# for neither side) and its median beats the parent's, in the metric's
+# better direction, by more than the parent's interquartile spread. Last
+# comes the same summary of the unscaled processor-time throughput that
+# each summary line prints as "(unscaled N)", marked "not gated": a change
+# that may move the reference kernel's timing should be judged on it as
+# well.
 #
 # Exit status: 0 when the sides did the same work; 1 when a fingerprint line
 # differs between the sides or a run reports failed operations; 2 on a usage
@@ -131,6 +136,13 @@ for m in metrics:
         f"|gap| {abs(gap):.6g} {'>' if abs(gap) > spread else '<='} parent IQR {spread:.6g}; "
         f"{'worse than the bound' if worse > m['bound'] else 'within the bound'}"
     )
+    better_by = gap if higher else 0.0 - gap
+    misses = []
+    if won * 10 < pairs * 9:
+        misses.append(f"won {won}/{pairs} pairs, fewer than nine tenths")
+    if not better_by > spread:
+        misses.append(f"median better by {better_by:.6g}, not more than parent IQR {spread:.6g}")
+    print(f"  claim rule: {'not met (' + '; '.join(misses) + ')' if misses else 'met'}")
 
 p, c = unscaled["parent"], unscaled["change"]
 print("unscaled throughput (processor time, from the summary lines; higher is better; not gated)")
