@@ -7,8 +7,9 @@
 
    Part 2 runs Bechamel micro-benchmarks (B1-B6) for the complexity
    claims of Section 7.1: precedence-graph construction, back-out
-   computation, the O(n^2) rewriters, pruning, and the end-to-end
-   protocols, plus one serve of the merge service against padded
+   computation, the O(n^2) rewriters, pruning, the commit plan against a
+   growing window, and the end-to-end protocols, plus one serve of the
+   merge service against padded
    window origins and the simulator's trace generation. Most tests start
    each sample on a compacted heap; the trace-generation tests run warm,
    and the output names each test's mode. *)
@@ -115,6 +116,67 @@ let bench_tests () =
         Bechamel.Test.make
           ~name:(Printf.sprintf "precedence-window/n=%d" n)
           (Bechamel.Staged.stage (fun () -> ignore (Precedence.build ~tentative ~base:index))))
+      [ 64; 256; 1024 ]
+  in
+  (* The commit plan of a one-transaction session against a window index
+     of n linked base transactions: [plan_commit] alone, with the graph
+     and the rewrite made outside the timed closure. The base touches one
+     or two of 8n uniform items per transaction, so its conflicts are
+     sparse at every n; the session reads an item the middle base
+     transaction writes and writes one nothing else touches. Its tail is
+     that transaction and the few after it that it reaches, so the plan
+     stays roughly flat while the untouched rest of the window grows. *)
+  let plan_tests =
+    List.map
+      (fun n ->
+        let profile =
+          {
+            Gen_wl.default_profile with
+            Gen_wl.n_items = 8 * n;
+            writes_per_txn = (1, 1);
+            extra_reads = (0, 1);
+            zipf_skew = 0.0;
+          }
+        in
+        let pool = Gen_wl.pool profile and rng = Rng.create (800 + n) in
+        let s0 = Gen_wl.initial_state pool rng in
+        let base = Gen_wl.history pool rng ~prefix:"Tb" ~length:n in
+        let exec = History.execute s0 base in
+        let base_history =
+          Protocol.index_history
+            (List.map
+               (fun (r : Interp.record) -> { Protocol.program = r.Interp.program; record = r })
+               exec.History.records)
+        in
+        Precedence.Index.settle base_history;
+        let touched =
+          List.fold_left
+            (fun acc p -> Program.add_readset p (Program.add_writeset p acc))
+            Item.Set.empty (History.programs base)
+        in
+        let fresh = List.find (fun x -> not (Item.Set.mem x touched)) (Gen_wl.items pool) in
+        let middle = List.nth (History.programs base) (n / 2) in
+        let tentative =
+          History.of_programs
+            [
+              Gen_wl.transaction_over profile rng ~name:"Tm1" ~writes:[ fresh ]
+                ~reads:(Item.Set.elements (Program.writeset middle));
+            ]
+        in
+        let params = Cost.default_params and cost = Cost.zero () in
+        let config = Protocol.default_merge_config in
+        let graph =
+          Protocol.analyze_graph ~strategy:config.Protocol.strategy ~params ~cost ~base_history
+            ~origin:s0 ~tentative
+        in
+        let rewrite =
+          Protocol.rewrite_local ~config ~params ~cost
+            ~tentative_exec:graph.Protocol.gp_tentative_exec ~bad:graph.Protocol.gp_bad
+        in
+        Bechamel.Test.make
+          ~name:(Printf.sprintf "merge-plan/n=%d" n)
+          (Bechamel.Staged.stage (fun () ->
+               ignore (Protocol.plan_commit ~graph ~rewrite ~base_history ~tentative))))
       [ 64; 256; 1024 ]
   in
   (* One serve of a fixed 50-mobile Sim trace whose initial state also
@@ -319,7 +381,7 @@ let bench_tests () =
   in
   List.map
     (fun t -> (Stabilized, t))
-    (graph_tests @ window_tests @ service_tests @ backout_tests @ damage_backout_tests
+    (graph_tests @ window_tests @ plan_tests @ service_tests @ backout_tests @ damage_backout_tests
     @ bnb_backout_tests
     @ rewrite_tests Rewrite.Can_follow "alg1"
     @ rewrite_tests Rewrite.Can_follow_precede "alg2"

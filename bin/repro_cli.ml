@@ -112,9 +112,6 @@ let with_observability ?(trace_clock = `Wall) { metrics; trace; trace_out } f =
 let seed_arg default =
   Arg.(value & opt int default & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.")
 
-let seeds_arg default =
-  Arg.(value & opt int default & info [ "seeds" ] ~docv:"N" ~doc:"Samples per sweep point.")
-
 (* Sizes and intervals a run cannot use are usage errors. The converters
    print like Arg.int and Arg.float, so --help shows the same defaults. *)
 let int_at_least lo =
@@ -125,10 +122,40 @@ let int_at_least lo =
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
 
+(* A size: a count of things, never negative. *)
+let size = int_at_least 0
+
+let seeds_arg default =
+  Arg.(value & opt size default & info [ "seeds" ] ~docv:"N" ~doc:"Samples per sweep point.")
+
 let positive_float =
   let parse s =
     match Arg.conv_parser Arg.float s with
     | Ok x when not (x > 0.0) -> Error (`Msg (Printf.sprintf "%s is not positive" s))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+(* A simulated duration: a trace ends at its first event past it, which
+   never comes for NaN or infinity, and a non-positive one runs nothing. *)
+let duration_arg default =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when not (x > 0.0 && Float.is_finite x) ->
+      Error (`Msg (Printf.sprintf "%s is not a finite positive number" s))
+    | r -> r
+  in
+  Arg.(
+    value
+    & opt (conv (parse, conv_printer float)) default
+    & info [ "duration" ] ~docv:"T" ~doc:"Simulated time.")
+
+(* A Zipf skew: any finite number (a negative one prefers high ranks). A
+   NaN or infinite skew would pick one rank every time. *)
+let finite_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when not (Float.is_finite x) -> Error (`Msg (Printf.sprintf "%s is not finite" s))
     | r -> r
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
@@ -155,6 +182,9 @@ let tail_index =
 
 let floats_arg names default ~doc =
   Arg.(value & opt (list float) default & info names ~docv:"X,Y,..." ~doc)
+
+let skews_arg default ~doc =
+  Arg.(value & opt (list finite_float) default & info [ "skews" ] ~docv:"X,Y,..." ~doc)
 
 (* e1 *)
 let e1_cmd =
@@ -185,12 +215,10 @@ let e2_cmd =
   let fleets =
     Arg.(
       value
-      & opt (list int) [ 2; 4; 8 ]
+      & opt (list size) [ 2; 4; 8 ]
       & info [ "fleets" ] ~docv:"N,M,..." ~doc:"Mobile fleet sizes to simulate.")
   in
-  let duration =
-    Arg.(value & opt float 150.0 & info [ "duration" ] ~docv:"T" ~doc:"Simulated time.")
-  in
+  let duration = duration_arg 150.0 in
   let windows =
     Arg.(
       value
@@ -207,7 +235,7 @@ let e2_cmd =
 
 (* e3 *)
 let e3_cmd =
-  let skews = floats_arg [ "skews" ] [ 0.0; 0.5; 0.9; 1.3 ] ~doc:"Zipf skews to sweep." in
+  let skews = skews_arg [ 0.0; 0.5; 0.9; 1.3 ] ~doc:"Zipf skews to sweep." in
   let commuting =
     Arg.(
       value & opt unit_interval 0.5
@@ -248,7 +276,7 @@ let e5_cmd =
 
 (* e6 *)
 let e6_cmd =
-  let skews = floats_arg [ "skews" ] [ 0.3; 0.9 ] ~doc:"Zipf skews to sweep." in
+  let skews = skews_arg [ 0.3; 0.9 ] ~doc:"Zipf skews to sweep." in
   let blind =
     Arg.(
       value & opt unit_interval 0.3
@@ -278,7 +306,7 @@ let e8_cmd =
   let fleets =
     Arg.(
       value
-      & opt (list int) [ 1; 2; 4; 8; 16 ]
+      & opt (list size) [ 1; 2; 4; 8; 16 ]
       & info [ "fleets" ] ~docv:"N,M,..." ~doc:"Mobile fleet sizes to simulate.")
   in
   let run csv fleets = print_tables ~csv [ E8_scaling.table (E8_scaling.run ~fleets ()) ] in
@@ -292,9 +320,7 @@ let e9_cmd =
   let drops =
     floats_arg [ "drops" ] [ 0.0; 0.2; 0.5 ] ~doc:"Message drop rates to sweep."
   in
-  let duration =
-    Arg.(value & opt float 150.0 & info [ "duration" ] ~docv:"T" ~doc:"Simulated time.")
-  in
+  let duration = duration_arg 150.0 in
   let run csv seed duration drops =
     print_tables ~csv [ E9_faults.table (E9_faults.run ~seed ~duration ~drops ()) ]
   in
@@ -306,7 +332,7 @@ let e9_cmd =
 (* nemesis: fault-schedule sweep asserting the exactly-once contract *)
 let nemesis_cmd =
   let count =
-    Arg.(value & opt int 100 & info [ "count" ] ~docv:"N" ~doc:"Number of fault cases to check.")
+    Arg.(value & opt size 100 & info [ "count" ] ~docv:"N" ~doc:"Number of fault cases to check.")
   in
   let disk =
     Arg.(
@@ -334,7 +360,7 @@ let nemesis_cmd =
 
 (* ablations *)
 let a1_cmd =
-  let skews = floats_arg [ "skews" ] [ 0.5; 1.0 ] ~doc:"Zipf skews to sweep." in
+  let skews = skews_arg [ 0.5; 1.0 ] ~doc:"Zipf skews to sweep." in
   let run csv seeds skews =
     print_tables ~csv [ A1_fixmode.table (A1_fixmode.run ~seeds ~skews ()) ]
   in
@@ -343,7 +369,7 @@ let a1_cmd =
     Term.(const run $ csv_flag $ seeds_arg 30 $ skews)
 
 let a2_cmd =
-  let skews = floats_arg [ "skews" ] [ 0.5; 1.0 ] ~doc:"Zipf skews to sweep." in
+  let skews = skews_arg [ 0.5; 1.0 ] ~doc:"Zipf skews to sweep." in
   let run csv seeds skews =
     print_tables ~csv [ A2_setmode.table (A2_setmode.run ~seeds ~skews ()) ]
   in
@@ -352,7 +378,7 @@ let a2_cmd =
     Term.(const run $ csv_flag $ seeds_arg 30 $ skews)
 
 let a3_cmd =
-  let skews = floats_arg [ "skews" ] [ 0.9 ] ~doc:"Zipf skews to sweep." in
+  let skews = skews_arg [ 0.9 ] ~doc:"Zipf skews to sweep." in
   let run csv seeds skews =
     print_tables ~csv [ A3_strategy.table (A3_strategy.run ~seeds ~skews ()) ]
   in
@@ -366,14 +392,15 @@ let case_term =
   let open Repro_replication in
   let tentative_len =
     Arg.(
-      value & opt int 8
+      value & opt size 8
       & info [ "tentative-len" ] ~docv:"N" ~doc:"Tentative (mobile) history length.")
   in
   let base_len =
-    Arg.(value & opt int 8 & info [ "base-len" ] ~docv:"N" ~doc:"Base history length.")
+    Arg.(value & opt size 8 & info [ "base-len" ] ~docv:"N" ~doc:"Base history length.")
   in
   let skew =
-    Arg.(value & opt float 0.9 & info [ "skew" ] ~docv:"Z" ~doc:"Zipf skew of item selection.")
+    Arg.(
+      value & opt finite_float 0.9 & info [ "skew" ] ~docv:"Z" ~doc:"Zipf skew of item selection.")
   in
   let commuting =
     Arg.(
@@ -772,11 +799,9 @@ let all_cmd =
 let sim_cmd =
   let open Repro_replication in
   let mobiles =
-    Arg.(value & opt int 4 & info [ "mobiles" ] ~docv:"N" ~doc:"Number of mobile nodes.")
+    Arg.(value & opt size 4 & info [ "mobiles" ] ~docv:"N" ~doc:"Number of mobile nodes.")
   in
-  let duration =
-    Arg.(value & opt float 150.0 & info [ "duration" ] ~docv:"T" ~doc:"Simulated time.")
-  in
+  let duration = duration_arg 150.0 in
   let window =
     Arg.(
       value & opt positive_float 30.0 & info [ "window" ] ~docv:"W" ~doc:"Resync window length.")
@@ -931,11 +956,9 @@ let sim_cmd =
 let service_sim_cmd =
   let open Repro_service in
   let mobiles =
-    Arg.(value & opt int 10_000 & info [ "mobiles" ] ~docv:"N" ~doc:"Number of mobile nodes.")
+    Arg.(value & opt size 10_000 & info [ "mobiles" ] ~docv:"N" ~doc:"Number of mobile nodes.")
   in
-  let duration =
-    Arg.(value & opt float 15.0 & info [ "duration" ] ~docv:"T" ~doc:"Simulated time.")
-  in
+  let duration = duration_arg 15.0 in
   let window =
     Arg.(
       value & opt positive_float 5.0 & info [ "window" ] ~docv:"W" ~doc:"Resync window length.")
@@ -991,7 +1014,8 @@ let service_sim_cmd =
       & info [ "shared-items" ] ~docv:"N" ~doc:"Global hot-pool size.")
   in
   let zipf_skew =
-    Arg.(value & opt float 0.9 & info [ "zipf-skew" ] ~docv:"Z" ~doc:"Shared-pool Zipf skew.")
+    Arg.(
+      value & opt finite_float 0.9 & info [ "zipf-skew" ] ~docv:"Z" ~doc:"Shared-pool Zipf skew.")
   in
   let no_baseline =
     Arg.(
@@ -1246,7 +1270,7 @@ let nemesis_bases_cmd =
   let module MN = Repro_multibase.Mb_nemesis in
   let count =
     Arg.(
-      value & opt int 200
+      value & opt size 200
       & info [ "count" ] ~docv:"N" ~doc:"Number of random cluster cases to check.")
   in
   let partition_rate =

@@ -92,7 +92,11 @@ let audit_consistency () =
   in
   let s0 = Banking.initial_state bank in
   let result = Session.merge_once ~s0 ~tentative ~base () in
-  let replayed = Protocol.replay s0 result.Session.report.Protocol.new_history in
+  let replayed =
+    Protocol.replay s0
+      (Protocol.merged_history result.Session.base_history
+         result.Session.report.Protocol.splice)
+  in
   Format.printf "consistent: %b@." (State.equal replayed result.Session.merged_state)
 
 let () =

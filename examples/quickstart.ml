@@ -19,10 +19,8 @@ let section title = Format.printf "@.== %s ==@.@." title
 
 let example1 () =
   section "Example 1: precedence graph, cycle, back-out";
-  let pg =
-    Precedence.build ~tentative:Paper.example1_tentative
-      ~base:(Precedence.Index.of_summaries Paper.example1_base)
-  in
+  let base = Precedence.Index.of_summaries Paper.example1_base in
+  let pg = Precedence.build ~tentative:Paper.example1_tentative ~base in
   Format.printf "%a@.@." Precedence.pp pg;
   Format.printf "acyclic? %b (the paper's cycle: Tm1 -> Tm2 -> Tm3 -> Tb1 -> Tb2 -> Tm1)@."
     (Precedence.is_acyclic pg);
@@ -32,10 +30,17 @@ let example1 () =
   let affected = Affected.affected Paper.example1_tentative ~bad:b in
   Format.printf "affected by Tm3 (reads-from closure): %a@." Names.Set.pp affected;
   match Precedence.merge_order pg ~removed:(Names.Set.add "Tm4" b) with
-  | Some (front, tail) ->
-    let name i = (Precedence.summary_of_node pg i).Summary.name in
+  | Some (first, tail) ->
+    (* The order is a splice of the base history: tail node [v] is base
+       position [v - m], or a tentative summary. *)
+    let m = Precedence.tentative_count pg in
+    let placed v =
+      if v >= m then Precedence.Index.Moved (v - m)
+      else Precedence.Index.Added (Precedence.summary_of_node pg v)
+    in
+    let merged = Precedence.Index.spliced base ~first (List.map placed tail) in
     Format.printf "equivalent merged history: %s   (paper: Tb1 Tb2 Tm1 Tm2)@."
-      (String.concat " " (List.map name (front @ tail)))
+      (String.concat " " (List.map (fun (s : Summary.t) -> s.Summary.name) merged))
   | None -> Format.printf "unexpected: reduced graph still cyclic@."
 
 (* ------------------------------------------------------------------ *)
@@ -56,7 +61,7 @@ let example1_programs () =
     (String.concat " "
        (List.map
           (fun (bt : Protocol.base_txn) -> bt.Protocol.program.Program.name)
-          report.Protocol.new_history));
+          (Protocol.merged_history result.Session.base_history report.Protocol.splice)));
   Format.printf "merged state: %a@." State.pp result.Session.merged_state
 
 (* ------------------------------------------------------------------ *)

@@ -10,6 +10,7 @@ let obs_comparisons = Obs.Counter.make "session.comparisons"
 type result = {
   precedence : Repro_precedence.Precedence.t;
   report : Protocol.merge_report;
+  base_history : Protocol.history;
   merged_state : State.t;
 }
 
@@ -43,7 +44,7 @@ let merge_once ?(config = Protocol.default_merge_config) ?(params = Cost.default
     Protocol.merge ~config ~params ~base:engine ~base_history ~origin:s0
       ~tentative:tentative_history
   in
-  { precedence; report; merged_state = Engine.state engine }
+  { precedence; report; base_history; merged_state = Engine.state engine }
 
 type comparison = {
   merge_result : result;

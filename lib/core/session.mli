@@ -18,6 +18,10 @@ type result = {
   precedence : Repro_precedence.Precedence.t;
       (** the graph [G(Hm, Hb)] of the two executions *)
   report : Protocol.merge_report;  (** everything the protocol decided *)
+  base_history : Protocol.history;
+      (** the base history the merge ran against, unchanged: with the
+          report's splice, {!Protocol.merged_history} lists the merged
+          history *)
   merged_state : State.t;  (** base state after the session *)
 }
 

@@ -13,10 +13,8 @@ type result = {
 }
 
 let run () =
-  let pg =
-    Precedence.build ~tentative:Paper.example1_tentative
-      ~base:(Precedence.Index.of_summaries Paper.example1_base)
-  in
+  let base = Precedence.Index.of_summaries Paper.example1_base in
+  let pg = Precedence.build ~tentative:Paper.example1_tentative ~base in
   let name i = (Precedence.summary_of_node pg i).Summary.name in
   let edges = List.map (fun (u, v) -> (name u, name v)) (Precedence.edges pg) in
   let strategies =
@@ -35,7 +33,15 @@ let run () =
     affected_of_tm3 = Names.Set.elements (Affected.affected Paper.example1_tentative ~bad);
     merged_history =
       (match Precedence.merge_order pg ~removed:(Names.Set.of_names [ "Tm3"; "Tm4" ]) with
-      | Some (front, tail) -> List.map name (front @ tail)
+      | Some (first, tail) ->
+        let m = Precedence.tentative_count pg in
+        let placed v =
+          if v >= m then Precedence.Index.Moved (v - m)
+          else Precedence.Index.Added (Precedence.summary_of_node pg v)
+        in
+        List.map
+          (fun (s : Summary.t) -> s.Summary.name)
+          (Precedence.Index.spliced base ~first (List.map placed tail))
       | None -> []);
   }
 

@@ -13,7 +13,8 @@ type result = {
   paper_b_feasible : bool;  (** backing out {Tm3} breaks all cycles *)
   affected_of_tm3 : string list;
   merged_history : string list;
-      (** after removing Tm3 and Tm4: {!Repro_precedence.Precedence.merge_order},
+      (** after removing Tm3 and Tm4: {!Repro_precedence.Precedence.merge_order}'s
+          splice, expanded by {!Repro_precedence.Precedence.Index.spliced}:
           the order the protocol commits *)
 }
 

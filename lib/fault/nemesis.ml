@@ -114,13 +114,13 @@ let check_case ?disk ~seed ~schedule () =
   let ref_state = Engine.state ref_engine in
   let device = Option.map (fun sched -> Block.create ~seed:(seed + 2) sched) disk in
   let engine, base_history = mk_engine ?device () in
+  let indexed = P.index_history base_history in
   let pre_state = Engine.state engine in
   let pre_durable = Wal.durable_entries (Engine.log engine) in
   let net = Net.create ~seed:(seed + 1) schedule in
   match
     Session.run_merge ~sid:1 ~net ~session:Session.default_config ~config:P.default_merge_config
-      ~params:Cost.default_params ~base:engine ~base_history:(P.index_history base_history)
-      ~origin:s0 ~tentative ()
+      ~params:Cost.default_params ~base:engine ~base_history:indexed ~origin:s0 ~tentative ()
   with
   | exception e -> Error (Printf.sprintf "exception: %s" (Printexc.to_string e))
   | res -> (
@@ -196,7 +196,9 @@ let check_case ?disk ~seed ~schedule () =
         (Printf.sprintf "completed session: %d applied markers (want exactly 1)" markers)
       @@ fun () ->
       check
-        (State.equal (P.replay s0 report.P.new_history) (Engine.state engine))
+        (State.equal
+           (P.replay s0 (P.merged_history indexed report.P.splice))
+           (Engine.state engine))
         "completed session: logical history does not replay to the base state"
       @@ fun () ->
       check

@@ -5,14 +5,16 @@ type t = { items : entry list }
 
 exception Duplicate_name of string
 
+(* The names seen so far, accumulated in list order: the first entry
+   whose name an earlier one holds is the one reported. *)
 let of_entries entries =
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let name = e.program.Program.name in
-      if Hashtbl.mem seen name then raise (Duplicate_name name);
-      Hashtbl.replace seen name ())
-    entries;
+  ignore
+    (List.fold_left
+       (fun seen e ->
+         let name = e.program.Program.name in
+         if Names.Set.mem name seen then raise (Duplicate_name name);
+         Names.Set.add name seen)
+       Names.Set.empty entries);
   { items = entries }
 
 let of_programs ps = of_entries (List.map (fun p -> { program = p; fix = Fix.empty }) ps)

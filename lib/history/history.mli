@@ -14,8 +14,11 @@ type t
 
 exception Duplicate_name of string
 
-(** [of_entries entries] builds a history.
-    @raise Duplicate_name if two entries share a program name. *)
+(** [of_entries entries] builds a history. The names are checked in
+    list order against a {!Names.Set} of the earlier ones: O(n log n),
+    with no table to allocate, so a short history costs a few set nodes.
+    @raise Duplicate_name if two entries share a program name, carrying
+    the name of the first entry an earlier one shares its name with. *)
 val of_entries : entry list -> t
 
 (** [of_programs ps] builds a history of unfixed transactions. *)

@@ -185,14 +185,14 @@ let mobile_session t ~mobile ~base ~length ~schedule ~seed =
     let sid = next_sid t in
     let net = Net.create ~describe:Session.wire_label ~seed:(seed + 1) schedule in
     let tentative = History.of_entries m.entries in
+    let base_history = P.index_history (Mbase.tentative_view b) in
     match
       Session.run_merge ~sid ~retry_seed:(seed lxor 0x5eed) ~net ~session:t.session
         ~config:t.config.Mbase.merge ~params:t.config.Mbase.params ~base:(Mbase.engine b)
-        ~base_history:(P.index_history (Mbase.tentative_view b))
-        ~origin:(Mbase.stable_state b) ~tentative ()
+        ~base_history ~origin:(Mbase.stable_state b) ~tentative ()
     with
     | { Session.outcome = Session.Completed report; storage_failure; _ } ->
-      ignore (Mbase.integrate_history b report.P.new_history);
+      ignore (Mbase.integrate_history b (P.merged_history base_history report.P.splice));
       if storage_failure then t.stats.storage_failures <- t.stats.storage_failures + 1;
       if m.last_base >= 0 && m.last_base <> base then begin
         t.stats.reanchored <- t.stats.reanchored + 1;

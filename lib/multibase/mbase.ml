@@ -209,8 +209,8 @@ let rebind_tentative (t : t) (nh : P.base_txn list) =
       nh;
   List.rev !minted
 
-(* Adopt a merge session's outcome: [nh] is the report's [new_history] —
-   the merged tentative layer (this base's tentative transactions plus
+(* Adopt a merge session's outcome: [nh] is the report's merged history
+   ([P.merged_history]) — the merged tentative layer (this base's tentative transactions plus
    the mobile's accepted ones). The engine was already updated by the
    merge itself; here the new transactions are wrapped, journaled and
    forced. *)
@@ -319,7 +319,7 @@ let integrate (t : t) (txns : Gtxn.t list) =
             match Hashtbl.find_opt by_name name with
             | Some g -> Some (g, bt.P.record)
             | None -> None))
-        report.P.new_history;
+        (P.merged_history base_history report.P.splice);
     Engine.force t.engine);
     let max_ts = List.fold_left (fun acc (g : Gtxn.t) -> max acc g.Gtxn.ts) 0 fresh in
     List.iter

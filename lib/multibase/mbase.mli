@@ -94,8 +94,9 @@ val submit : t -> Program.t -> Gtxn.t
     of fresh transactions integrated. Idempotent. *)
 val integrate : t -> Gtxn.t list -> int
 
-(** [integrate_history t new_history] — adopt a completed mobile merge
-    session's [new_history] (the merged tentative layer). Entries with
+(** [integrate_history t merged] — adopt a completed mobile merge
+    session's merged history ({!Repro_replication.Protocol.merged_history}
+    of its report's splice: the merged tentative layer). Entries with
     unknown names are minted as fresh local gtxns (journaled); the rest
     rebind to the new order. Returns the minted gtxns, for shipping. *)
 val integrate_history : t -> P.base_txn list -> Gtxn.t list

@@ -128,14 +128,13 @@ let suffix_pairs c ~from =
 module Index = struct
   type 'a store = {
     core : core;
-    name : 'a -> Names.t;
     summary : 'a -> Summary.t;
     mutable payloads : 'a array;  (* by slot *)
   }
 
   type 'a t = { store : 'a store; from : int }
 
-  let create ~name ~summary =
+  let create ~summary =
     {
       store =
         {
@@ -150,7 +149,6 @@ module Index = struct
               pending = [];
               version = 0;
             };
-          name;
           summary;
           payloads = [||];
         };
@@ -176,7 +174,7 @@ module Index = struct
     { t with from = t.from + from }
 
   (* Room for [len] nodes and payloads; [nd] and [x] fill the new cells.
-     A replace fills slots past [c.len] before it lays the nodes out, so
+     A splice fills slots past [c.len] before it lays the nodes out, so
      the whole arrays are kept. *)
   let reserve st len nd x =
     let c = st.core in
@@ -209,51 +207,85 @@ module Index = struct
     c.len <- c.len + 1;
     c.version <- c.version + 1
 
-  let replace t xs =
+  type 'a placed = Moved of int | Added of 'a
+
+  let splice_error () =
+    invalid_arg "Precedence.Index.splice: the tail moves a position before the splice, past the view or twice"
+
+  (* The view from [first] on becomes the transactions there that the tail
+     does not move, in order, then the tail. The moved nodes are marked by
+     position and the others keep their nodes, shifted down in place:
+     nothing before [first] is read and no name is hashed. *)
+  let splice t ~first tail =
     let st = t.store in
     let c = st.core in
-    settle t;
-    let held nd = st.payloads.(nd.slot) in
-    (* Leading transactions still in place keep their nodes untouched. *)
-    let rec skip p = function
-      | x :: rest when p < c.len && held c.nodes.(p) == x -> skip (p + 1) rest
-      | rest -> (p, rest)
-    in
-    let d, rest = skip t.from xs in
-    if d < c.len || rest <> [] then begin
-      (* Re-position the moved nodes; a payload no node holds is new. *)
+    if first < 0 || first > length t then invalid_arg "Precedence.Index.splice: first out of range";
+    if tail <> [] then begin
+      settle t;
       c.items.stamp <- c.items.stamp + 1;
       let stamp = c.items.stamp in
-      let moved nd = nd.seen <> stamp && nd.pos >= d in
-      let old_len = c.len and slot = ref c.len and placed = ref 0 in
-      let layout =
-        List.mapi
-          (fun k x ->
-            let pos = d + k in
-            let same =
-              match Hashtbl.find_opt c.names (st.name x) with
-              | Some l -> List.find_opt (fun nd -> held nd == x && moved nd) !l
-              | None -> None
-            in
-            match same with
-            | Some nd ->
-              nd.seen <- stamp;
-              nd.pos <- pos;
-              incr placed;
-              nd
-            | None ->
-              let nd = fresh st ~slot:!slot ~pos x in
+      List.iter
+        (function
+          | Moved p ->
+            if p < first || p >= length t then splice_error ();
+            let nd = c.nodes.(t.from + p) in
+            if nd.seen = stamp then splice_error ();
+            nd.seen <- stamp
+          | Added _ -> ())
+        tail;
+      (* Resolve the tail before the shift overwrites the moved cells; a new
+         transaction takes the next free slot and waits to be linked. *)
+      let old_len = c.len in
+      let slot = ref old_len in
+      let placed =
+        List.map
+          (function
+            | Moved p -> c.nodes.(t.from + p)
+            | Added x ->
+              let nd = fresh st ~slot:!slot ~pos:!slot x in
               incr slot;
               nd)
-          rest
+          tail
       in
-      if !placed <> old_len - d then
-        invalid_arg "Precedence.Index.replace: the new history drops a transaction";
       (* [fresh] made room for every slot, hence for every position. *)
-      List.iteri (fun k nd -> c.nodes.(d + k) <- nd) layout;
-      c.len <- d + List.length layout;
+      let at = ref (t.from + first) in
+      let lay nd =
+        nd.pos <- !at;
+        c.nodes.(!at) <- nd;
+        incr at
+      in
+      for p = t.from + first to old_len - 1 do
+        let nd = c.nodes.(p) in
+        if nd.seen <> stamp then lay nd
+      done;
+      List.iter lay placed;
+      c.len <- !at;
       c.version <- c.version + 1
     end
+
+  let spliced t ~first tail =
+    if first < 0 || first > length t then invalid_arg "Precedence.Index.spliced: first out of range";
+    let moved =
+      List.sort (fun a b -> Int.compare b a)
+        (List.filter_map (function Moved p -> Some p | Added _ -> None) tail)
+    in
+    (* [moved] descending: each position in [first, length t) once. *)
+    ignore
+      (List.fold_left
+         (fun next p ->
+           if p >= next || p < first then splice_error ();
+           p)
+         (length t) moved);
+    let rec stay p moved acc =
+      if p < first then acc
+      else
+        match moved with
+        | q :: rest when q = p -> stay (p - 1) rest acc
+        | _ -> stay (p - 1) moved (get t p :: acc)
+    in
+    to_list ~upto:first t
+    @ stay (length t - 1) moved []
+    @ List.map (function Moved p -> get t p | Added x -> x) tail
 
   let clear t =
     let c = t.store.core in
@@ -268,12 +300,12 @@ module Index = struct
     c.pending <- [];
     c.version <- c.version + 1
 
-  let of_list ~name ~summary xs =
-    let t = create ~name ~summary in
+  let of_list ~summary xs =
+    let t = create ~summary in
     List.iter (push t) xs;
     t
 
-  let of_summaries l = of_list ~name:(fun (s : Summary.t) -> s.Summary.name) ~summary:Fun.id l
+  let of_summaries l = of_list ~summary:Fun.id l
 end
 
 (* ------------------------------------------------------------------ *)
@@ -650,28 +682,61 @@ module Int_set = Set.Make (Int)
 (* Kahn's algorithm on the reduced graph under the priority "base before
    tentative, then lower node id". A base node no kept tentative reaches
    is never blocked, and no tentative goes before it, so all such nodes
-   come first, in base order; only the tail needs ordering. Every cycle
-   of the reduced graph passes through a kept tentative, hence lies in
-   the tail. *)
+   keep their base order in front of the tail; only the tail needs
+   ordering. Every cycle of the reduced graph passes through a kept
+   tentative, hence lies in the tail.
+
+   Nothing is the window's size. The tail's nodes take the stamps
+   [base, base + size) in the order the walk reaches them, so a base node's
+   stamp, less [base], is the slot of its in-degree counter, and a stamp
+   below [base] means "outside the tail"; a kept tentative's slot is in
+   [slot]. The index's next stamp is past them all. *)
 let merge_order t ~removed =
-  let n = t.n and m = t.tentative_count in
-  let in_tail = Array.make n false and tail = ref [] in
+  let s =
+    match t.shape with
+    | Session s -> s
+    | Dense _ -> invalid_arg "Precedence.merge_order: a cone has no base positions"
+  in
+  check_current s;
+  let m = t.tentative_count and items = s.core.items in
+  let base = items.stamp + 1 in
+  let slot = Array.make m (-1) and tail = ref [] and size = ref 0 and first = ref (t.n - m) in
   (* Every kept tentative is a root, so following base successors only
      reaches through kept tentatives and never through removed ones. *)
-  let rec visit v =
-    if not in_tail.(v) then begin
-      in_tail.(v) <- true;
+  let rec visit nd =
+    if nd.seen < base then begin
+      nd.seen <- base + !size;
+      incr size;
+      let v = id_of s nd in
+      first := Int.min !first (v - m);
       tail := v :: !tail;
-      iter_successors t v (fun w -> if w >= m then visit w)
+      List.iter visit nd.after
     end
   in
   for i = 0 to m - 1 do
-    if not (Names.Set.mem (summary_of_node t i).Summary.name removed) then visit i
+    if not (Names.Set.mem s.tentative.(i).Summary.name removed) then begin
+      slot.(i) <- !size;
+      incr size;
+      tail := i :: !tail;
+      List.iter (fun w -> if w >= m then visit (base_node s w)) s.t_succ.(i)
+    end
   done;
-  let indegree = Array.make n 0 in
-  let iter_tail v f = iter_successors t v (fun w -> if in_tail.(w) then f w) in
-  List.iter (fun v -> iter_tail v (fun w -> indegree.(w) <- indegree.(w) + 1)) !tail;
+  items.stamp <- base + !size;
+  let slot_of v = if v < m then slot.(v) else (base_node s v).seen - base in
+  (* [f w j] on each successor [w] of tail node [v] in the tail, [j] its slot. *)
+  let iter_tail v f =
+    if v < m then List.iter (fun w -> if w >= m || slot.(w) >= 0 then f w (slot_of w)) s.t_succ.(v)
+    else begin
+      List.iter
+        (fun nd -> if nd.seen >= base then f (id_of s nd) (nd.seen - base))
+        (base_node s v).after;
+      List.iter (fun w -> if slot.(w) >= 0 then f w slot.(w)) (crossing s.cross_out v)
+    end
+  in
+  let indegree = Array.make !size 0 in
+  List.iter (fun v -> iter_tail v (fun _ j -> indegree.(j) <- indegree.(j) + 1)) !tail;
   (* Base keys [m, n) sort before tentative keys [n, n + m). *)
+  let n = t.n in
   let key v = if v < m then n + v else v and node k = if k >= n then k - n else k in
   let rec drain ready acc =
     match Int_set.min_elt_opt ready with
@@ -679,25 +744,18 @@ let merge_order t ~removed =
     | Some k ->
       let v = node k in
       let ready = ref (Int_set.remove k ready) in
-      iter_tail v (fun w ->
-          indegree.(w) <- indegree.(w) - 1;
-          if indegree.(w) = 0 then ready := Int_set.add (key w) !ready);
+      iter_tail v (fun w j ->
+          indegree.(j) <- indegree.(j) - 1;
+          if indegree.(j) = 0 then ready := Int_set.add (key w) !ready);
       drain !ready (v :: acc)
   in
   let ready =
     List.fold_left
-      (fun ready v -> if indegree.(v) = 0 then Int_set.add (key v) ready else ready)
+      (fun ready v -> if indegree.(slot_of v) = 0 then Int_set.add (key v) ready else ready)
       Int_set.empty !tail
   in
   let order = drain ready [] in
-  if List.compare_lengths order !tail <> 0 then None
-  else begin
-    let front = ref [] in
-    for v = n - 1 downto m do
-      if not in_tail.(v) then front := v :: !front
-    done;
-    Some (!front, order)
-  end
+  if List.compare_length_with order !size <> 0 then None else Some (!first, order)
 
 let pp ppf t =
   let name i = (summary_of_node t i).Summary.name in

@@ -42,14 +42,13 @@
 module Index : sig
   type 'a t
 
-  (** [create ~name ~summary] — an empty history of ['a]s. [summary x]
+  (** [create ~summary] — an empty history of ['a]s. [summary x]
       (computed once per linked transaction) must be a {!Summary.Base}
-      summary named [name x]; [name] must be cheap. *)
-  val create : name:('a -> Repro_history.Names.t) -> summary:('a -> Summary.t) -> 'a t
+      summary. *)
+  val create : summary:('a -> Summary.t) -> 'a t
 
-  (** [of_list ~name ~summary xs] — [xs] pushed in order. *)
-  val of_list :
-    name:('a -> Repro_history.Names.t) -> summary:('a -> Summary.t) -> 'a list -> 'a t
+  (** [of_list ~summary xs] — [xs] pushed in order. *)
+  val of_list : summary:('a -> Summary.t) -> 'a list -> 'a t
 
   (** A history of summaries (their own names). *)
   val of_summaries : Summary.t list -> Summary.t t
@@ -76,14 +75,29 @@ module Index : sig
       the [precedence.build] span. *)
   val settle : 'a t -> unit
 
-  (** [replace t xs] — replace the view's transactions by [xs], the
-      merged order of a merge against [t]: every transaction of [t]
-      (physically the same values) plus new ones, with each conflicting
-      pair of old transactions in its old relative order. Transactions
-      before the first that moved keep their nodes untouched; the new
-      ones wait to be linked.
-      @raise Invalid_argument if [xs] leaves out a transaction of [t]. *)
-  val replace : 'a t -> 'a list -> unit
+  (** One transaction of a splice's tail: the view's transaction at a
+      position, which moves to the tail, or a new one. *)
+  type 'a placed = Moved of int | Added of 'a
+
+  (** [splice t ~first tail] — commit a merge's order into the view:
+      positions before [first] keep their transactions, and the view from
+      [first] on becomes the transactions there that [tail] does not
+      move, in their order, then [tail]. This is the order
+      {!merge_order} returns as [(first, tail)], with each conflicting
+      pair of old transactions kept in its relative order. Only positions
+      from [first] on are re-laid: the moved nodes are found by position,
+      so no name is hashed and the prefix is not walked. The new
+      transactions wait to be linked. Every transaction of the view is
+      kept exactly once.
+      @raise Invalid_argument if [first] is out of range, or [tail] moves a
+      position before [first], past the view or twice. *)
+  val splice : 'a t -> first:int -> 'a placed list -> unit
+
+  (** [spliced t ~first tail] — the view's transactions as
+      [splice t ~first tail] would leave them, oldest first; [t] is not
+      changed. O(length t).
+      @raise Invalid_argument as {!splice}. *)
+  val spliced : 'a t -> first:int -> 'a placed list -> 'a list
 
   (** Empty the whole history. *)
   val clear : 'a t -> unit
@@ -195,16 +209,26 @@ val outside_degree : t -> int -> int
 val tentative_on_cycles : t -> Repro_history.Names.Set.t
 
 (** [merge_order t ~removed] — the serial order the merge commits, with
-    the tentative transactions named in [removed] backed out: Kahn's
-    algorithm on the reduced graph under the priority "base before
-    tentative, then lower node id", which disturbs the base history as
-    little as possible. [Some (front, tail)]: [front] is the base nodes
-    no kept tentative reaches, in base order — under that priority
-    nothing goes before them — and [tail] the kept tentatives and the
-    base nodes they reach, in Kahn order. The order is [front @ tail].
-    [None] while the reduced graph is still cyclic. Only the tail is
-    ordered: O(tail log tail) plus O(n) for the front. *)
-val merge_order : t -> removed:Repro_history.Names.Set.t -> (int list * int list) option
+    the tentative transactions named in [removed] backed out, as a
+    splice of the base history: Kahn's algorithm on the reduced graph
+    under the priority "base before tentative, then lower node id",
+    which disturbs the base history as little as possible.
+
+    [Some (first, tail)]: [tail] is the kept tentatives and the base
+    nodes they reach, in Kahn order; [first] is the first base position
+    the merge moves, the smallest position ([v - tentative_count t]) of a
+    base node in [tail], or the base length when [tail] holds none. The
+    base nodes outside [tail] keep their base order in front of it —
+    under that priority nothing goes before them — so the order is
+    positions [0, first), then the positions from [first] on that [tail]
+    does not hold, then [tail]: what {!Index.splice} commits and
+    {!Index.spliced} lists. [None] while the reduced graph is still
+    cyclic.
+
+    Only what the tail walk reaches is marked or ordered: O(tail log
+    tail) plus the tail's edges, with nothing the window's size.
+    @raise Invalid_argument on a {!cone}, which has no base positions. *)
+val merge_order : t -> removed:Repro_history.Names.Set.t -> (int * int list) option
 
 (** Debug printer: nodes with their kinds, then edges by name. *)
 val pp : Format.formatter -> t -> unit

@@ -40,9 +40,11 @@ let replay s0 history = List.fold_left (fun s bt -> Interp.apply s bt.program) s
 type history = base_txn Precedence.Index.t
 
 let index_history =
-  Precedence.Index.of_list
-    ~name:(fun bt -> bt.record.Interp.program.Program.name)
-    ~summary:(fun bt -> Summary.of_record ~kind:Summary.Base bt.record)
+  Precedence.Index.of_list ~summary:(fun bt -> Summary.of_record ~kind:Summary.Base bt.record)
+
+type splice = { first : int; tail : base_txn Precedence.Index.placed list }
+
+let merged_history h sp = Precedence.Index.spliced h ~first:sp.first sp.tail
 
 type merge_config = {
   theory : Semantics.theory;
@@ -71,7 +73,7 @@ type merge_report = {
   saved : Names.Set.t;
   backed_out : Names.Set.t;
   txns : txn_report list;
-  new_history : base_txn list;
+  splice : splice;
   rewrite : Rewrite.result;
   pruned_by_compensation : bool;
   cost : Cost.tally;
@@ -236,73 +238,80 @@ let rewrite_local ~config ~params ~cost ~tentative_exec ~bad =
   }
 
 type plan = {
-  pl_merged_core : base_txn list;
+  pl_splice : splice;
   pl_forwarded_items : Item.Set.t;
   pl_backed_out_programs : Program.t list;
 }
 
 let plan_commit ~graph:g ~rewrite:r ~base_history ~tentative =
-  let rw = r.rp_rewrite in
-  (* New logical history: merged serial order over base ∪ repaired. *)
+  (* The merged serial order over base ∪ repaired, as a splice. *)
   let pg = g.gp_pg in
   let m = Precedence.tentative_count pg in
-  let front, order =
+  let first, order =
     match Precedence.merge_order pg ~removed:r.rp_backed_out with
-    | Some orders -> orders
+    | Some splice -> splice
     | None -> invalid_arg "merge order: graph is cyclic"
   in
-  let base_txn v = Precedence.Index.get base_history (v - m) in
-  let tail =
-    List.map
+  (* Payloads for the tail alone, newest first: a base node is the
+     history's transaction at its position, a saved tentative its
+     program and the record of the execution the graph was built from
+     (tentative node [i] is its [i]th record). *)
+  let records = Array.of_list g.gp_tentative_exec.History.records in
+  let rev_tail =
+    List.rev_map
       (fun v ->
-        if v >= m then base_txn v
+        if v >= m then
+          let p = v - m in
+          (Precedence.Index.Moved p, (Precedence.Index.get base_history p).record)
         else
-          let name = (Precedence.summary_of_node pg v).Summary.name in
-          {
-            program = (History.find tentative name).History.program;
-            record = History.record_of g.gp_tentative_exec name;
-          })
+          let record = records.(v) in
+          (Precedence.Index.Added { program = record.Interp.program; record }, record))
       order
   in
-  let merged_core = List.map base_txn front @ tail in
   (* Step 5: forward final values of the repaired history's writes — but
      only for items whose last writer in the merged serial order is
      tentative. A base transaction's blind write may legitimately follow a
      repaired tentative write (edge Tm -> Tb only); overwriting it would
      lose a committed base update. With no blind writes the restriction is
      vacuous: any write-write overlap forms a two-cycle and is backed
-     out. Every forwarded item has a saved writer in the tail, so its last
-     writer is in the tail too. *)
-  let last_writer =
+     out. The saved tentatives are the tail's, so every forwarded item's
+     last writer is in the tail too: the scan below meets it walking the
+     tail's write lists from the end. *)
+  let add_writes acc (record : Interp.record) =
+    List.fold_left (fun acc (x, _, _) -> Item.Set.add x acc) acc record.Interp.writes
+  in
+  let forwarded =
     List.fold_left
-      (fun acc bt ->
-        Item.Set.fold
-          (fun x acc -> Item.Map.add x bt.program.Program.name acc)
-          (Interp.dynamic_writeset bt.record) acc)
-      Item.Map.empty tail
+      (fun acc (placed, record) ->
+        match placed with Precedence.Index.Added _ -> add_writes acc record | Moved _ -> acc)
+      Item.Set.empty rev_tail
   in
-  let forwarded_items =
-    Names.Set.fold
-      (fun name acc ->
-        Item.Set.union acc (Interp.dynamic_writeset (History.record_of g.gp_tentative_exec name)))
-      rw.Rewrite.saved Item.Set.empty
-  in
-  let forwarded_items =
-    Item.Set.filter
-      (fun x ->
-        match Item.Map.find_opt x last_writer with
-        | Some w -> Names.Set.mem w rw.Rewrite.saved
-        | None -> true)
-      forwarded_items
+  let rec last_writers forwarded pending = function
+    | (placed, (record : Interp.record)) :: earlier when not (Item.Set.is_empty pending) ->
+      let forwarded, pending =
+        List.fold_left
+          (fun ((forwarded, pending) as acc) (x, _, _) ->
+            if not (Item.Set.mem x pending) then acc
+            else
+              ( (match placed with
+                | Precedence.Index.Added _ -> forwarded
+                | Moved _ -> Item.Set.remove x forwarded),
+                Item.Set.remove x pending ))
+          (forwarded, pending) record.Interp.writes
+      in
+      last_writers forwarded pending earlier
+    | _ -> forwarded
   in
   let backed_out_programs =
-    List.filter
-      (fun (p : Program.t) -> Names.Set.mem p.Program.name r.rp_backed_out)
-      (History.programs tentative)
+    if Names.Set.is_empty r.rp_backed_out then []
+    else
+      List.filter
+        (fun (p : Program.t) -> Names.Set.mem p.Program.name r.rp_backed_out)
+        (History.programs tentative)
   in
   {
-    pl_merged_core = merged_core;
-    pl_forwarded_items = forwarded_items;
+    pl_splice = { first; tail = List.rev_map fst rev_tail };
+    pl_forwarded_items = last_writers forwarded forwarded rev_tail;
     pl_backed_out_programs = backed_out_programs;
   }
 
@@ -339,7 +348,15 @@ let commit ?(durably = true) ~config ~params ~cost ~base ~base_history ~tentativ
     txns =
       List.map (fun name -> { name; outcome = Merged }) (Names.Set.elements rw.Rewrite.saved)
       @ List.map fst reexec_results;
-    new_history = plan.pl_merged_core @ List.filter_map snd reexec_results;
+    splice =
+      (match List.filter_map snd reexec_results with
+      | [] -> plan.pl_splice
+      | accepted ->
+        {
+          plan.pl_splice with
+          tail =
+            plan.pl_splice.tail @ List.map (fun bt -> Precedence.Index.Added bt) accepted;
+        });
     rewrite = rw;
     pruned_by_compensation = r.rp_pruned_by_compensation;
     cost;

@@ -13,11 +13,14 @@
     transactions. Those last two steps are {!commit}, shared by the
     atomic merge and the crash-safe session protocol.
 
-    Both return the new {e logical} base history — the serial order the
-    merged transactions are equivalent to — which a {!Window} maintains
-    across successive mergers (Section 2.2, Strategy 2). A merge reads
-    that history as a {!history}: indexed for conflict queries, so it
-    builds only its session's part of [G(H_m, H_b)]. *)
+    Both return what they add to the {e logical} base history — the
+    serial order the merged transactions are equivalent to — which a
+    {!Window} maintains across successive mergers (Section 2.2, Strategy
+    2): reprocessing the transactions it appended, a merge a {!splice}
+    of the history it ran against. A merge reads that history as a
+    {!history}: indexed for conflict queries, so it builds only its
+    session's part of [G(H_m, H_b)], and commits the splice in
+    O(tail + positions re-laid). *)
 
 open Repro_txn
 open Repro_history
@@ -57,6 +60,21 @@ type history = base_txn Precedence.Index.t
     transaction's summary is computed once, here. *)
 val index_history : base_txn list -> history
 
+(** What a merge commits, as a splice of the history it ran against:
+    positions before [first] keep their transactions, and the history
+    from [first] on becomes the transactions there that [tail] does not
+    move, in order, then [tail]. [tail] holds the saved tentatives, the
+    base transactions they reach ([Moved] by position) and, last, the
+    accepted re-executions. {!Precedence.Index.splice} commits it in
+    O(tail + positions from [first] on). *)
+type splice = { first : int; tail : base_txn Precedence.Index.placed list }
+
+(** [merged_history h splice] — the whole merged history, [front @ tail]:
+    [splice] expanded against [h], the history it was computed on, before
+    anything changes [h]. The one function that builds the list; O(length
+    h). *)
+val merged_history : history -> splice -> base_txn list
+
 type outcome =
   | Merged  (** saved by the rewrite; updates forwarded *)
   | Reexecuted  (** backed out, then re-executed successfully at the base *)
@@ -91,7 +109,7 @@ type merge_report = {
   saved : Names.Set.t;
   backed_out : Names.Set.t;
   txns : txn_report list;
-  new_history : base_txn list;  (** updated logical base history *)
+  splice : splice;  (** the updated logical base history, as a splice of [base_history] *)
   rewrite : Rewrite.result;
   pruned_by_compensation : bool;
   cost : Cost.tally;
@@ -101,8 +119,9 @@ type merge_report = {
     [tentative] (executed from [origin] on the mobile) into the base,
     whose logical history since the common [origin] is [base_history].
     The base engine's state is updated (forwarded updates plus
-    re-executions); [base_history] is not (a {!Window} replaces it by the
-    report's [new_history]). The tentative history is executed once:
+    re-executions); [base_history] is not (a {!Window} splices the
+    report's [splice] into it; {!merged_history} lists the result). The
+    tentative history is executed once:
     the rewrite starts from the execution {!analyze_graph} made. *)
 val merge :
   config:merge_config ->
@@ -174,11 +193,13 @@ val rewrite_local :
 (** Base side, step 5 planning (pure): merged serial order, the
     last-writer-filtered forwarded item set, and the backed-out programs
     to re-execute. [base_history] is the one [graph] was analysed
-    against. The order is {!Repro_precedence.Precedence.merge_order}'s:
-    the base transactions no saved tentative reaches keep their order at
-    the front; only the rest is ordered through the graph. *)
+    against. The order is {!Repro_precedence.Precedence.merge_order}'s,
+    as a splice: the base transactions no saved tentative reaches keep
+    their order in front, and payloads are built for the tail alone.
+    Each forwarded item's last writer is found by scanning the tail's
+    write lists from the end. O(tail) beyond the merge order. *)
 type plan = {
-  pl_merged_core : base_txn list;
+  pl_splice : splice;  (** without re-executions, which {!commit} appends *)
   pl_forwarded_items : Repro_txn.Item.Set.t;
   pl_backed_out_programs : Program.t list;
 }

@@ -47,6 +47,10 @@ let generate params workload =
   let positive what x =
     if not (x > 0.0) then invalid_arg ("Trace.generate: " ^ what ^ " must be > 0")
   in
+  (* The loop ends at the first event past the duration, which never
+     comes for NaN or infinity. *)
+  if not (Float.is_finite params.duration) then
+    invalid_arg "Trace.generate: duration must be finite";
   positive "window" params.window;
   positive "mean_mobile_txn_gap" params.mean_mobile_txn_gap;
   positive "mean_base_txn_gap" params.mean_base_txn_gap;

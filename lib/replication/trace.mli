@@ -67,9 +67,11 @@ type t
 
 (** [generate params workload] draws the full event sequence for one
     simulation run: events in nondecreasing time order, cut at the first
-    event past [params.duration]. Deterministic in [params.seed].
-    @raise Invalid_argument when the window or a mean gap is not
-    positive. *)
+    event past [params.duration] (none when the duration is not
+    positive). Deterministic in [params.seed].
+    @raise Invalid_argument when the duration is not finite (NaN or
+    infinite: no event would pass it), or the window or a mean gap is
+    not positive. *)
 val generate : params -> workload -> t
 
 (** [iter f t] calls [f time event] on every event in processing order

@@ -108,7 +108,8 @@ let merge ?(from = 0) w ~origin tentative =
     w.counts <- { w.counts with aborted_merges = w.counts.aborted_merges + 1 };
     None
   | Merge_completed report ->
-    Index.replace base_history report.Protocol.new_history;
+    let splice = report.Protocol.splice in
+    Index.splice base_history ~first:splice.Protocol.first splice.Protocol.tail;
     w.counts <- { w.counts with merges = w.counts.merges + 1 };
     count_txns w report.Protocol.txns;
     Cost.add w.cost report.Protocol.cost;

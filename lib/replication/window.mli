@@ -25,8 +25,8 @@ type merge_attempt =
     {!Protocol.merge} (a perfect atomic exchange); {!Repro_fault.Session.sync_runner}
     runs a resumable session over an unreliable transport. [base_history]
     is the window's indexed history from the merge's [from] on; it must
-    not change during the call, and the window replaces it by the
-    report's [new_history] afterwards. *)
+    not change during the call, and the window commits the report's
+    [splice] into it afterwards. *)
 type merge_runner =
   config:Protocol.merge_config ->
   params:Cost.params ->
@@ -76,9 +76,11 @@ val reprocess : t -> origin:State.t -> History.t -> Protocol.reprocess_report
 
 (** Merge a tentative history begun at [origin] against the history from
     position [from] on (default [0]; a Strategy-1 snapshot starts later),
-    replacing that suffix by the merged order: the index re-positions
-    only the transactions the merged order moved and adds the saved and
-    re-executed ones. [None]: the runner aborted.
+    and commit the merged order into that suffix as a splice
+    ({!Repro_precedence.Precedence.Index.splice}): the index re-lays only
+    the positions from the first the merge moved, and adds the saved and
+    re-executed transactions. The commit costs O(tail + positions
+    re-laid), whatever the window's length. [None]: the runner aborted.
     @raise Invalid_argument on a [Reprocessing] window. *)
 val merge : ?from:int -> t -> origin:State.t -> History.t -> Protocol.merge_report option
 

@@ -2,6 +2,9 @@ type t = { n : int; cdf : float array }
 
 let make ~n ~skew =
   if n <= 0 then invalid_arg "Zipf.make: n must be positive";
+  (* A NaN or infinite skew leaves every cdf entry but the last NaN (or
+     the weights 0 or infinite), so [sample] would always pick one rank. *)
+  if not (Float.is_finite skew) then invalid_arg "Zipf.make: skew must be finite";
   let weights = Array.init n (fun k -> 1.0 /. (float_of_int (k + 1) ** skew)) in
   let total = Array.fold_left ( +. ) 0.0 weights in
   let cdf = Array.make n 0.0 in

@@ -9,7 +9,10 @@
 type t
 
 (** [make ~n ~skew] — a sampler over ranks [0 .. n-1] with
-    P(rank k) ∝ 1/(k+1)^skew. *)
+    P(rank k) ∝ 1/(k+1)^skew. A negative skew is well defined: it
+    prefers high ranks.
+    @raise Invalid_argument if [n] is not positive or [skew] is not
+    finite (NaN or infinite). *)
 val make : n:int -> skew:float -> t
 
 val sample : t -> Rng.t -> int

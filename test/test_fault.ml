@@ -156,8 +156,11 @@ let ideal_wire_disagreement seed =
   match res.Session.outcome with
   | Session.Aborted reason -> Some ("session aborted: " ^ reason)
   | Session.Completed got ->
+    (* Both merges ran against equal histories, so either expands both. *)
     let names (r : P.merge_report) =
-      List.map (fun (bt : P.base_txn) -> bt.P.program.Program.name) r.P.new_history
+      List.map
+        (fun (bt : P.base_txn) -> bt.P.program.Program.name)
+        (P.merged_history base_history r.P.splice)
     in
     let io = Cost.default_params.Cost.io_per_force in
     let cost f = f got.P.cost = f want.P.cost in
@@ -169,7 +172,8 @@ let ideal_wire_disagreement seed =
         ("saved", Names.Set.equal got.P.saved want.P.saved);
         ("backed_out", Names.Set.equal got.P.backed_out want.P.backed_out);
         ("txns (order and outcome)", got.P.txns = want.P.txns);
-        ("new_history names", names got = names want);
+        ("splice", got.P.splice.P.first = want.P.splice.P.first);
+        ("merged history names", names got = names want);
         ("pruned_by_compensation", got.P.pruned_by_compensation = want.P.pruned_by_compensation);
         ("communication", cost (fun c -> c.Cost.communication));
         ("base_cpu", cost (fun c -> c.Cost.base_cpu));
@@ -548,26 +552,23 @@ let prop_two_sessions_exactly_once =
       let history0 =
         List.map2 (fun p record -> { P.program = p; record }) (History.programs base_h) records
       in
+      (* A session and the logical history it leaves behind. *)
       let run ~sid ~schedule ~tentative ~base_history =
         let net = Net.create ~seed:(seed + (7919 * sid)) schedule in
-        Session.run_merge ~sid ~retry_seed:(seed + (31 * sid)) ~net
-          ~session:Session.default_config ~config:P.default_merge_config
-          ~params:Cost.default_params ~base:engine ~base_history:(P.index_history base_history)
-          ~origin:s0 ~tentative ()
+        let indexed = P.index_history base_history in
+        let res =
+          Session.run_merge ~sid ~retry_seed:(seed + (31 * sid)) ~net
+            ~session:Session.default_config ~config:P.default_merge_config
+            ~params:Cost.default_params ~base:engine ~base_history:indexed ~origin:s0 ~tentative
+            ()
+        in
+        match res.Session.outcome with
+        | Session.Completed rep -> (res, P.merged_history indexed rep.P.splice)
+        | Session.Aborted _ -> (res, base_history)
       in
       let check cond msg = if cond then true else QCheck.Test.fail_report msg in
-      let r1 = run ~sid:1 ~schedule:sched1 ~tentative:t1 ~base_history:history0 in
-      let h1 =
-        match r1.Session.outcome with
-        | Session.Completed rep -> rep.P.new_history
-        | Session.Aborted _ -> history0
-      in
-      let r2 = run ~sid:2 ~schedule:sched2 ~tentative:t2 ~base_history:h1 in
-      let h2 =
-        match r2.Session.outcome with
-        | Session.Completed rep -> rep.P.new_history
-        | Session.Aborted _ -> h1
-      in
+      let r1, h1 = run ~sid:1 ~schedule:sched1 ~tentative:t1 ~base_history:history0 in
+      let r2, h2 = run ~sid:2 ~schedule:sched2 ~tentative:t2 ~base_history:h1 in
       let want r =
         match r.Session.outcome with Session.Completed _ -> 1 | Session.Aborted _ -> 0
       in

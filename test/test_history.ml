@@ -3,6 +3,7 @@
 
 open Repro_txn
 open Repro_history
+module Equivalence = Test_support.Equivalence
 module Ex = Test_support.Paper_examples
 module G = Test_support.Generators
 
@@ -20,6 +21,29 @@ let s0 = State.of_list [ ("a", 1); ("b", 10); ("c", 100); ("d", 1000) ]
 let test_duplicate_names_rejected () =
   Alcotest.check_raises "duplicate" (History.Duplicate_name "T") (fun () ->
       ignore (History.of_programs [ inc "T" "a" 1; inc "T" "b" 1 ]))
+
+(* [of_entries] against the table it replaced: a [Hashtbl] of the names
+   seen so far, in list order. The first entry an earlier one shares its
+   name with is the one reported. *)
+let hashtbl_first_duplicate names =
+  let seen = Hashtbl.create 16 in
+  List.find_opt
+    (fun name ->
+      Hashtbl.mem seen name
+      ||
+      (Hashtbl.replace seen name ();
+       false))
+    names
+
+let prop_of_entries_matches_hashtbl =
+  QCheck.Test.make ~count:500 ~name:"of_entries duplicate check = Hashtbl reference"
+    QCheck.(list_of_size Gen.(int_bound 12) (oneofl [ "T1"; "T2"; "T3"; "T4"; "T5"; "T6" ]))
+    (fun names ->
+      let programs = List.mapi (fun i name -> inc name (if i mod 2 = 0 then "a" else "b") 1) names in
+      match (hashtbl_first_duplicate names, History.of_programs programs) with
+      | Some want, _ -> QCheck.Test.fail_reportf "no Duplicate_name %s raised" want
+      | None, h -> History.names h = names
+      | exception History.Duplicate_name got -> hashtbl_first_duplicate names = Some got)
 
 let test_execute_threads_states () =
   let h = History.of_programs [ inc "T1" "a" 5; copy "T2" ~from_:"a" ~to_:"b"; inc "T3" "b" 1 ] in
@@ -162,7 +186,7 @@ let () =
           Alcotest.test_case "fixed-history execution (H1/H3)" `Quick
             test_fixed_history_execution;
         ]
-        @ qsuite [ prop_execution_composes ] );
+        @ qsuite [ prop_execution_composes; prop_of_entries_matches_hashtbl ] );
       ( "reads-from",
         [
           Alcotest.test_case "edges" `Quick test_readsfrom_edges;

@@ -21,6 +21,18 @@ let build ~tentative ~base = Precedence.build ~tentative ~base:(Precedence.Index
 
 let example1 () = build ~tentative:Ex.example1_tentative ~base:Ex.example1_base
 
+(* The names [merge_order]'s splice commits, expanded over [base], the
+   index the graph was built on. *)
+let merged_names pg base (first, tail) =
+  let m = Precedence.tentative_count pg in
+  let placed v =
+    if v >= m then Precedence.Index.Moved (v - m)
+    else Precedence.Index.Added (Precedence.summary_of_node pg v)
+  in
+  List.map
+    (fun (s : Summary.t) -> s.Summary.name)
+    (Precedence.Index.spliced base ~first (List.map placed tail))
+
 (* ------------------------------------------------------------------ *)
 (* Example 1 / Figure 1 *)
 
@@ -85,15 +97,60 @@ let test_example1_affected () =
     (Affected.closure Ex.example1_tentative ~bad:(names_of [ "Tm3" ]))
 
 let test_example1_merge_order () =
-  let pg = example1 () in
+  let base = Precedence.Index.of_summaries Ex.example1_base in
+  let pg = Precedence.build ~tentative:Ex.example1_tentative ~base in
   (* After backing out Tm3 and Tm4, the paper's equivalent merged history
      is H = Tb1 Tb2 Tm1 Tm2. *)
   match Precedence.merge_order pg ~removed:(names_of [ "Tm3"; "Tm4" ]) with
   | None -> Alcotest.fail "expected an acyclic reduced graph"
-  | Some (front, tail) ->
-    let name v = (Precedence.summary_of_node pg v).Summary.name in
+  | Some splice ->
     Alcotest.check (Alcotest.list Alcotest.string) "paper's merged history"
-      [ "Tb1"; "Tb2"; "Tm1"; "Tm2" ] (List.map name (front @ tail))
+      [ "Tb1"; "Tb2"; "Tm1"; "Tm2" ] (merged_names pg base splice)
+
+(* [Index.splice] on a view: the positions the tail moves leave their
+   places, the others from [first] on close up in order, and the tail
+   follows; [Index.spliced] lists the same beforehand. The spliced index
+   gives the graph a fresh index of its list gives. *)
+let test_index_splice () =
+  let base name item = Summary.make ~name ~kind:Summary.Base ~reads:[ item ] ~writes:[ item ] in
+  let index =
+    Precedence.Index.of_summaries
+      [ base "B0" "a"; base "B1" "x"; base "B2" "y"; base "B3" "x"; base "B4" "z" ]
+  in
+  let view = Precedence.Index.suffix index ~from:1 in
+  let names l = List.map (fun (s : Summary.t) -> s.Summary.name) l in
+  let listed () = names (Precedence.Index.to_list index) in
+  let tail = Precedence.Index.[ Moved 0; Added (base "N" "x"); Moved 2 ] in
+  let want = [ "B0"; "B2"; "B4"; "B1"; "N"; "B3" ] in
+  Alcotest.(check (list string))
+    "spliced" (List.tl want)
+    (names (Precedence.Index.spliced view ~first:0 tail));
+  let rejects what ~first tail =
+    Alcotest.(check bool)
+      what true
+      (match Precedence.Index.splice view ~first tail with
+      | () -> false
+      | exception Invalid_argument _ -> true);
+    Alcotest.(check (list string)) (what ^ ": index unchanged") [ "B0"; "B1"; "B2"; "B3"; "B4" ]
+      (listed ())
+  in
+  rejects "moves a position before first" ~first:1 [ Precedence.Index.Moved 0 ];
+  rejects "moves a position twice" ~first:0 Precedence.Index.[ Moved 1; Moved 1 ];
+  rejects "moves a position past the view" ~first:0 [ Precedence.Index.Moved 4 ];
+  rejects "first past the view" ~first:5 [];
+  Precedence.Index.splice view ~first:0 tail;
+  Alcotest.(check (list string)) "spliced index" want (listed ());
+  let tentative = [ Summary.make ~name:"T" ~kind:Summary.Tentative ~reads:[ "x"; "z" ] ~writes:[ "x" ] ] in
+  let edges pg =
+    List.map
+      (fun (u, v) ->
+        ((Precedence.summary_of_node pg u).Summary.name, (Precedence.summary_of_node pg v).Summary.name))
+      (Precedence.edges pg)
+  in
+  Alcotest.(check (list (pair string string)))
+    "graph = fresh index's"
+    (edges (Precedence.build ~tentative ~base:(Precedence.Index.of_summaries (Precedence.Index.to_list index))))
+    (edges (Precedence.build ~tentative ~base:index))
 
 let test_dot_export () =
   let pg = example1 () in
@@ -262,17 +319,21 @@ let prop_merge_order_execution_matches_forwarding =
     arbitrary_split_pair
     (fun (s0, hm, hb) ->
       let em = History.execute s0 hm and eb = History.execute s0 hb in
-      let pg = Precedence.of_executions ~tentative:em ~base:eb in
+      let base = Precedence.Index.of_summaries (Summary.of_execution ~kind:Summary.Base eb) in
+      let pg =
+        Precedence.build ~tentative:(Summary.of_execution ~kind:Summary.Tentative em) ~base
+      in
       QCheck.assume (Precedence.is_acyclic pg);
       match Precedence.merge_order pg ~removed:Names.Set.empty with
       | None -> false
-      | Some (front, tail) ->
-        let program_of v =
-          let name = (Precedence.summary_of_node pg v).Summary.name in
+      | Some splice ->
+        let program_of name =
           (History.find (if History.mem hm name then hm else hb) name).History.program
         in
         let merged_final =
-          List.fold_left (fun s v -> Interp.apply s (program_of v)) s0 (front @ tail)
+          List.fold_left
+            (fun s name -> Interp.apply s (program_of name))
+            s0 (merged_names pg base splice)
         in
         let dyn_writes exec =
           List.fold_left
@@ -564,6 +625,7 @@ let () =
           Alcotest.test_case "exhaustive is minimal" `Quick test_example1_exhaustive_minimal;
           Alcotest.test_case "Tm4 affected" `Quick test_example1_affected;
           Alcotest.test_case "merged history Tb1 Tb2 Tm1 Tm2" `Quick test_example1_merge_order;
+          Alcotest.test_case "index splice" `Quick test_index_splice;
           Alcotest.test_case "duplicate names rejected" `Quick test_duplicate_names_rejected;
           Alcotest.test_case "dot export" `Quick test_dot_export;
           Alcotest.test_case "branch-and-bound is minimal" `Quick test_example1_bnb_minimal;

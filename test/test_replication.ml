@@ -153,6 +153,8 @@ let dbl name item =
 
 let s0 = State.of_list [ ("x", 10); ("y", 20); ("z", 30) ]
 
+(* A merge against a fresh base: the engine, the report, and the merged
+   history its splice expands to. *)
 let run_merge ?(config = Protocol.default_merge_config) ~tentative ~base () =
   let engine = Engine.create s0 in
   let base_history =
@@ -163,22 +165,21 @@ let run_merge ?(config = Protocol.default_merge_config) ~tentative ~base () =
     Protocol.merge ~config ~params:Cost.default_params ~base:engine ~base_history ~origin:s0
       ~tentative:(History.of_programs tentative)
   in
-  (engine, report)
+  (engine, report, Protocol.merged_history base_history report.Protocol.splice)
 
 let test_merge_conflict_free () =
-  let engine, report = run_merge ~tentative:[ inc "Tm1" "x" 5 ] ~base:[ inc "Tb1" "y" 7 ] () in
+  let engine, report, merged = run_merge ~tentative:[ inc "Tm1" "x" 5 ] ~base:[ inc "Tb1" "y" 7 ] () in
   checkb "nothing backed out" true (Names.Set.is_empty report.Protocol.backed_out);
   check_state "both effects present"
     (State.of_list [ ("x", 15); ("y", 27); ("z", 30) ])
     (Engine.state engine);
   Alcotest.check (Alcotest.list Alcotest.string) "merged logical order" [ "Tb1"; "Tm1" ]
-    (List.map (fun (bt : Protocol.base_txn) -> bt.Protocol.program.Program.name)
-       report.Protocol.new_history)
+    (List.map (fun (bt : Protocol.base_txn) -> bt.Protocol.program.Program.name) merged)
 
 let test_merge_write_write_conflict_backs_out () =
   (* Both histories write x non-commutatively: a two-cycle; the tentative
      side is backed out and re-executed on the merged state. *)
-  let engine, report = run_merge ~tentative:[ dbl "Tm1" "x" ] ~base:[ dbl "Tb1" "x" ] () in
+  let engine, report, _ = run_merge ~tentative:[ dbl "Tm1" "x" ] ~base:[ dbl "Tb1" "x" ] () in
   checkb "Tm1 backed out" true (Names.Set.mem "Tm1" report.Protocol.backed_out);
   (* Tb1: x = 20; re-executed Tm1: x = 40. *)
   checki "re-executed on top" 40 (State.get (Engine.state engine) "x");
@@ -192,7 +193,7 @@ let test_merge_additive_conflict_saved_by_algorithm2 () =
   (* Additive write-write "conflicts" still form a two-cycle in the graph
      (the paper's graph is syntactic), so the tentative increment is
      backed out and re-executed — and the re-execution composes. *)
-  let engine, report = run_merge ~tentative:[ inc "Tm1" "x" 5 ] ~base:[ inc "Tb1" "x" 7 ] () in
+  let engine, report, _ = run_merge ~tentative:[ inc "Tm1" "x" 5 ] ~base:[ inc "Tb1" "x" 7 ] () in
   checkb "backed out (syntactic conflict)" true (Names.Set.mem "Tm1" report.Protocol.backed_out);
   checki "increments compose" 22 (State.get (Engine.state engine) "x")
 
@@ -200,7 +201,7 @@ let test_merge_rejection () =
   let config =
     { Protocol.default_merge_config with Protocol.acceptance = Protocol.accept_within ~tolerance:0 }
   in
-  let engine, report = run_merge ~config ~tentative:[ dbl "Tm1" "x" ] ~base:[ dbl "Tb1" "x" ] () in
+  let engine, report, _ = run_merge ~config ~tentative:[ dbl "Tm1" "x" ] ~base:[ dbl "Tb1" "x" ] () in
   checkb "rejected" true
     (List.exists
        (fun (r : Protocol.txn_report) ->
@@ -229,20 +230,74 @@ let test_merge_saves_affected_via_can_precede () =
     Program.make ~name:"Tb1" ~ttype:"mix"
       [ Stmt.Read "x"; Stmt.Update ("y", Expr.Add (Expr.Item "y", Expr.Const 5)) ]
   in
-  let engine, report = run_merge ~tentative:[ tm1; tm2 ] ~base:[ tb ] () in
+  let engine, report, _ = run_merge ~tentative:[ tm1; tm2 ] ~base:[ tb ] () in
   checkb "Tm1 backed out" true (Names.Set.mem "Tm1" report.Protocol.backed_out);
   checkb "Tm2 saved (can-precede past fixed Tm1)" true (Names.Set.mem "Tm2" report.Protocol.saved);
   (* Base: y=25; merged Tm2: x=20; re-executed Tm1: y>0 so x+=100. *)
   check_state "final" (State.of_list [ ("x", 120); ("y", 25); ("z", 30) ]) (Engine.state engine)
 
-let test_merge_state_equals_replay_of_new_history () =
+let test_merge_state_equals_replay_of_merged_history () =
   let tentative =
     [ inc "Tm1" "x" 5; dbl "Tm2" "y"; inc "Tm3" "z" (-2) ]
   in
   let base = [ inc "Tb1" "y" 3; dbl "Tb2" "x" ] in
-  let engine, report = run_merge ~tentative ~base () in
-  let replayed = Protocol.replay s0 report.Protocol.new_history in
+  let engine, _, merged = run_merge ~tentative ~base () in
+  let replayed = Protocol.replay s0 merged in
   check_state "logical history replays to engine state" (Engine.state engine) replayed
+
+(* A window's history, by name. *)
+let window_names w = List.map (fun bt -> bt.Protocol.program.Program.name) (Window.history w)
+
+let merging_window engine =
+  Window.create ~protocol:(Window.Merging Protocol.default_merge_config)
+    ~params:Cost.default_params engine
+
+(* The report's tail, with a moved base transaction shown by position. *)
+let tail_names (report : Protocol.merge_report) =
+  List.map
+    (function
+      | Precedence.Index.Moved p -> Printf.sprintf "@%d" p
+      | Precedence.Index.Added bt -> bt.Protocol.program.Program.name)
+    report.Protocol.splice.Protocol.tail
+
+(* A session that conflicts with no base transaction moves none: the
+   splice starts at the base length and appends. *)
+let test_splice_pure_append () =
+  let engine = Engine.create s0 in
+  let w = merging_window engine in
+  ignore (Window.base_txn w (inc "Tb1" "x" 1));
+  ignore (Window.base_txn w (dbl "Tb2" "x"));
+  match Window.merge w ~origin:s0 (History.of_programs [ inc "Tm1" "y" 5 ]) with
+  | None -> Alcotest.fail "merge aborted"
+  | Some report ->
+    checki "first = base length" 2 report.Protocol.splice.Protocol.first;
+    Alcotest.(check (list string)) "tail" [ "Tm1" ] (tail_names report);
+    Alcotest.(check (list string)) "history" [ "Tb1"; "Tb2"; "Tm1" ] (window_names w);
+    check_state "replay" (Protocol.replay s0 (Window.history w)) (Engine.state engine)
+
+(* Tm1 read x before Tb1 updated it, so it goes before Tb1, and Tb3
+   follows Tb1 on x: the tail is Tm1 Tb1 Tb3, and the splice starts at
+   the view's position 0. Under Strategy 1 the view starts after Tb0
+   ([from] 1), which keeps its place. *)
+let test_splice_from_view_start () =
+  let engine = Engine.create s0 in
+  let w = merging_window engine in
+  List.iter
+    (fun p -> ignore (Window.base_txn w p))
+    [ inc "Tb0" "z" 1; inc "Tb1" "x" 1; inc "Tb2" "y" 1; dbl "Tb3" "x" ];
+  let tm1 =
+    Program.make ~name:"Tm1" ~ttype:"copy"
+      [ Stmt.Update ("z", Expr.Add (Expr.Item "x", Expr.Item "z")) ]
+  in
+  let origin = Protocol.replay s0 (Window.history ~upto:1 w) in
+  match Window.merge ~from:1 w ~origin (History.of_programs [ tm1 ]) with
+  | None -> Alcotest.fail "merge aborted"
+  | Some report ->
+    checki "first = the view's position 0" 0 report.Protocol.splice.Protocol.first;
+    Alcotest.(check (list string)) "tail" [ "Tm1"; "@0"; "@2" ] (tail_names report);
+    Alcotest.(check (list string))
+      "history" [ "Tb0"; "Tb2"; "Tm1"; "Tb1"; "Tb3" ] (window_names w);
+    check_state "replay" (Protocol.replay s0 (Window.history w)) (Engine.state engine)
 
 (* The protocol invariant, over random canned workloads: after a merge,
    the base engine's state equals the serial replay of the merged logical
@@ -272,7 +327,9 @@ let prop_merge_state_replay =
             Protocol.merge ~config ~params:Cost.default_params ~base:engine ~base_history
               ~origin ~tentative
           in
-          let replayed = Protocol.replay origin report.Protocol.new_history in
+          let replayed =
+            Protocol.replay origin (Protocol.merged_history base_history report.Protocol.splice)
+          in
           State.equal replayed (Engine.state engine))
         [
           (Repro_rewrite.Rewrite.Can_follow_precede, Repro_precedence.Backout.Two_cycle_then_greedy);
@@ -391,7 +448,10 @@ let plan_matches_oracle ~origin ~tentative ~base_programs (algorithm, strategy) 
   let saved = r.Protocol.rp_rewrite.Repro_rewrite.Rewrite.saved in
   let names = stable_merge_order g.Protocol.gp_pg ~removed:r.Protocol.rp_backed_out in
   Names.Set.equal g.Protocol.gp_bad (Backout.compute ~strategy g.Protocol.gp_pg)
-  && List.map (fun bt -> bt.Protocol.program.Program.name) plan.Protocol.pl_merged_core = names
+  && List.map
+       (fun bt -> bt.Protocol.program.Program.name)
+       (Protocol.merged_history base_history plan.Protocol.pl_splice)
+     = names
   && Item.Set.equal plan.Protocol.pl_forwarded_items
        (whole_history_forwarded g ~saved ~base_history:base_list ~tentative names)
 
@@ -559,7 +619,8 @@ let cone_matches_full pg =
 (* A window driven through base transactions, reprocessing, merges (from
    a snapshot position under Strategy 1) and resets. A model list kept the
    way the history was kept before the index — suffix replaced by each
-   report's [new_history] — is the from-scratch side. Before each merge
+   report's splice, expanded over a fresh index of the model — is the
+   from-scratch side. Before each merge
    the graph over the window's index must equal the graph of a fresh
    index of the model's suffix; its full graph must equal the pairwise
    scan, and what it reads from the index on demand (successors, the
@@ -600,7 +661,9 @@ let prop_window_index_matches_scratch =
             && cone_matches_full windowed)
         then raise Exit;
         let report = Protocol.merge ~config ~params ~base ~base_history ~origin ~tentative in
-        model := List.filteri (fun k _ -> k < !from) !model @ report.Protocol.new_history;
+        model :=
+          List.filteri (fun k _ -> k < !from) !model
+          @ Protocol.merged_history (Protocol.index_history suffix) report.Protocol.splice;
         Window.Merge_completed report
       in
       let w =
@@ -648,7 +711,9 @@ let test_merge_example1_programs () =
   checkb "Tm1 always survives (it conflicts with no base read... via d1 it does not cycle)"
     true
     (Names.Set.mem "Tm1" report.Protocol.saved || Names.Set.mem "Tm1" report.Protocol.backed_out);
-  let replayed = Protocol.replay Paper.example1_s0 report.Protocol.new_history in
+  let replayed =
+    Protocol.replay Paper.example1_s0 (Protocol.merged_history base_history report.Protocol.splice)
+  in
   check_state "merged state = serial replay" (Engine.state engine) replayed
 
 (* Blind-write histories through the full protocol: the adapted
@@ -670,7 +735,9 @@ let prop_merge_replay_with_blind_writes =
           ~base:engine ~base_history ~origin:s0
           ~tentative:(History.of_programs tentative_programs)
       in
-      let replayed = Protocol.replay s0 report.Protocol.new_history in
+      let replayed =
+        Protocol.replay s0 (Protocol.merged_history base_history report.Protocol.splice)
+      in
       State.equal replayed (Engine.state engine))
 
 let test_accept_same_shape () =
@@ -710,7 +777,7 @@ let test_merge_cheaper_when_everything_saved () =
   (* Hmm: these all write x — they conflict with each other but not with
      the base; intra-tentative conflicts are fine. *)
   let base = [ inc "Tb1" "y" 3 ] in
-  let _, merge_report = run_merge ~tentative ~base () in
+  let _, merge_report, _ = run_merge ~tentative ~base () in
   let engine = Engine.create s0 in
   ignore (Engine.execute engine (inc "Tb1" "y" 3));
   let rep =
@@ -878,6 +945,32 @@ let test_trace_rejects_non_positive_intervals () =
       ("connect gap mean", { params with Trace.connect_gap = Trace.Exponential 0.0 });
     ]
 
+let test_trace_rejects_non_finite_duration () =
+  (* No event time passes a NaN or infinite duration. The workload fails
+     after 10,000 programs, so a missing guard fails the test instead of
+     generating forever. *)
+  let made = ref 0 in
+  let counted make rng ~name =
+    incr made;
+    if !made > 10_000 then failwith "Trace.generate ran on past a non-finite duration";
+    make rng ~name
+  in
+  let workload =
+    {
+      order_entry_workload with
+      Trace.make_mobile_txn = counted order_entry_workload.Trace.make_mobile_txn;
+      make_base_txn = counted order_entry_workload.Trace.make_base_txn;
+    }
+  in
+  let params = Sync.trace_params Sync.default_config in
+  List.iter
+    (fun duration ->
+      made := 0;
+      Alcotest.check_raises (Printf.sprintf "duration %h" duration)
+        (Invalid_argument "Trace.generate: duration must be finite")
+        (fun () -> ignore (Trace.generate { params with Trace.duration } workload)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 (* Trace pins: a digest of everything [Trace.generate] produces — each
    event's time in hex (exact to the bit), the event, the full program
    it carries, and the workload's initial state. A change to the rng
@@ -1006,12 +1099,15 @@ let () =
           Alcotest.test_case "H4-style save in a merge" `Quick
             test_merge_saves_affected_via_can_precede;
           Alcotest.test_case "state = replay of logical history" `Quick
-            test_merge_state_equals_replay_of_new_history;
+            test_merge_state_equals_replay_of_merged_history;
           Alcotest.test_case "acceptance by shape" `Quick test_accept_same_shape;
           Alcotest.test_case "Example 1 programs end to end" `Quick test_merge_example1_programs;
           Alcotest.test_case "reprocess baseline" `Quick test_reprocess_all_reexecuted;
           Alcotest.test_case "merge cheaper when all saved" `Quick
             test_merge_cheaper_when_everything_saved;
+          Alcotest.test_case "splice: pure append" `Quick test_splice_pure_append;
+          Alcotest.test_case "splice from the view's position 0" `Quick
+            test_splice_from_view_start;
         ]
         @ qsuite
             [
@@ -1033,6 +1129,8 @@ let () =
             test_sync_merging_cheaper_on_commuting_workload;
           Alcotest.test_case "non-positive window or gap rejected" `Quick
             test_trace_rejects_non_positive_intervals;
+          Alcotest.test_case "non-finite duration rejected" `Quick
+            test_trace_rejects_non_finite_duration;
         ] );
       ( "traces",
         [

@@ -6,6 +6,7 @@
 open Repro_txn
 open Repro_history
 open Repro_rewrite
+module Equivalence = Test_support.Equivalence
 module Ex = Test_support.Paper_examples
 module G = Test_support.Generators
 module Gen_wl = Repro_workload.Gen

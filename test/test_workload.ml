@@ -129,6 +129,22 @@ let test_zipf_distinct () =
   let picks = Zipf.sample_distinct z r 6 in
   checki "all six" 6 (List.length (List.sort_uniq compare picks))
 
+let test_zipf_rejects_non_finite_skew () =
+  List.iter
+    (fun skew ->
+      Alcotest.check_raises (Printf.sprintf "skew %h" skew)
+        (Invalid_argument "Zipf.make: skew must be finite")
+        (fun () -> ignore (Zipf.make ~n:8 ~skew)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  (* A negative finite skew is a distribution that prefers high ranks. *)
+  let r = Rng.create 3 and z = Zipf.make ~n:8 ~skew:(-2.0) in
+  let counts = Array.make 8 0 in
+  for _ = 1 to 4000 do
+    let k = Zipf.sample z r in
+    counts.(k) <- counts.(k) + 1
+  done;
+  checkb "rank 7 beats rank 0" true (counts.(7) > counts.(0))
+
 let prop_generated_histories_well_formed =
   QCheck.Test.make ~count:100 ~name:"generated histories execute and validate"
     QCheck.(make Gen.(int_bound 1_000_000))
@@ -363,6 +379,7 @@ let () =
           Alcotest.test_case "skew prefers low ranks" `Quick test_zipf_skew_prefers_low_ranks;
           Alcotest.test_case "flat is uniform" `Quick test_zipf_uniform_when_flat;
           Alcotest.test_case "distinct exhausts" `Quick test_zipf_distinct;
+          Alcotest.test_case "non-finite skew rejected" `Quick test_zipf_rejects_non_finite_skew;
         ] );
       ( "generator",
         [ Alcotest.test_case "summaries" `Quick test_summaries_shapes ]
